@@ -22,7 +22,7 @@ import numpy as np
 from ._quad import adaptive_simpson, graded_breakpoints
 from .cevar import CevarQuery, WeightFunction, cevar
 from .errors import NoStationaryPointError
-from .evar import EvarQuery, default_residual_tol, evar, solve_stationary
+from .evar import LIMIT_AT_ZERO, EvarQuery, WarmStart, evar, infimum_point, solve_stationary
 from .factors import FactorCombination, LevyFactor
 
 __all__ = [
@@ -160,31 +160,45 @@ def solve_s_star(portfolio: FactorPortfolio, u, t: float,
     return s_star
 
 
-def _contributions_at(portfolio: FactorPortfolio, t: float, s_star: float) -> np.ndarray:
-    D = portfolio.column_sums()
-    dphi = np.array([f.dphi(s_star * Dj) for f, Dj in zip(portfolio.factors, D)])
-    return -t * (portfolio.A @ dphi)
+class _EulerKernel:
+    """K_t^i = -t * sum_j a_ij phi_j'(s D_j) at the point s from infimum_point.
+
+    D_j = sum_k a_kj and the drift slopes are fixed per portfolio, so they
+    are computed once.  At s -> inf phi_j' tends to the slope of phi_j, which
+    gives the drift limit -t * A @ slopes; t = 0 gives zeros.
+    """
+
+    def __init__(self, portfolio: FactorPortfolio):
+        self.A = portfolio.A
+        self.factors = portfolio.factors
+        self.D = portfolio.column_sums()
+        self.slopes = np.array([f.slope_at_infinity() for f in portfolio.factors])
+
+    def __call__(self, t: float, s: float) -> np.ndarray:
+        if t == 0.0:
+            return np.zeros(self.A.shape[0])
+        if s == math.inf:
+            return -t * (self.A @ self.slopes)
+        if s == 0.0:
+            raise NoStationaryPointError(
+                "Euler contributions need a stationary point, but the EVaR "
+                "infimum sits at s -> 0+",
+                boundary=LIMIT_AT_ZERO,
+            )
+        dphi = np.array([f.dphi(s * Dj) for f, Dj in zip(self.factors, self.D)])
+        return -t * (self.A @ dphi)
 
 
-def euler_contributions(portfolio: FactorPortfolio, t: float,
-                        s_star: Optional[float] = None) -> np.ndarray:
+def euler_contributions(portfolio: FactorPortfolio, t: float) -> np.ndarray:
     """K_t^i = -t * sum_j a_ij phi_j'(s* D_j) at u = (1, ..., 1).
 
-    When the aggregate EVaR infimum sits at s -> inf (jump-only portfolios
-    with too little activity at small t) the contributions take their drift
-    limit -t * A @ slopes.
+    Boundary limits follow :mod:`levyrisk.evar`: when the aggregate EVaR
+    infimum sits at s -> inf the contributions take their drift limit.
     """
-    if s_star is None:
-        try:
-            s_star = solve_s_star(portfolio, None, t)
-        except NoStationaryPointError as exc:
-            if exc.boundary != "limit_at_infinity":
-                raise
-            slopes = np.array([f.slope_at_infinity() for f in portfolio.factors])
-            if np.any(np.isinf(slopes)):
-                raise
-            return -t * (portfolio.A @ slopes)
-    return _contributions_at(portfolio, t, s_star)
+    if not (t > 0):
+        raise ValueError(f"t must be positive, got {t}")
+    s, _, _ = infimum_point(portfolio.combination(None), t, portfolio.beta)
+    return _EulerKernel(portfolio)(t, s)
 
 
 def allocate(portfolio: FactorPortfolio, grid_points: int = 65,
@@ -196,39 +210,12 @@ def allocate(portfolio: FactorPortfolio, grid_points: int = 65,
     T, beta, weight = portfolio.T, portfolio.beta, portfolio.weight
     weight.check_span(T)
     n = portfolio.n
-    res_tol = default_residual_tol(beta)
     comb = portfolio.combination(None)
-    D = portfolio.column_sums()
-    A = portfolio.A
-    factors = portfolio.factors
-    # Drift-only limit of the contributions when the stationary point lies
-    # beyond representable s (jump kinds at very small t); phi_j' tends to the
-    # asymptotic slope of phi_j there.
-    slopes = np.array([f.slope_at_infinity() for f in factors])
-    last_s = [None]
-
-    def contributions(t, s_star):
-        if s_star is None:
-            return -t * (A @ slopes)
-        dphi = np.array([f.dphi(s_star * Dj) for f, Dj in zip(factors, D)])
-        return -t * (A @ dphi)
-
-    def solve_or_limit(t, s0):
-        try:
-            s_star, _, _ = solve_stationary(comb, t, beta, tol=res_tol, s0=s0)
-        except NoStationaryPointError as exc:
-            if exc.boundary != "limit_at_infinity" or np.any(np.isinf(slopes)):
-                raise
-            return None
-        return s_star
+    kernel = _EulerKernel(portfolio)
+    path = WarmStart(comb, beta)
 
     def k_vector(t):
-        if t == 0.0:
-            return np.zeros(n)
-        s_star = solve_or_limit(t, last_s[0])
-        if s_star is not None:
-            last_s[0] = s_star
-        return contributions(t, s_star) * weight.density(t, T)
+        return kernel(t, path(t)) * weight.density(t, T)
 
     breakpoints = graded_breakpoints(0.0, T) + weight.breakpoints(T)
     if quad_tol is None:
@@ -250,16 +237,11 @@ def allocate(portfolio: FactorPortfolio, grid_points: int = 65,
     grid = np.linspace(0.0, T, grid_points)
     K_curve = np.zeros((grid_points, n))
     s_star_curve = []
-    s_prev = None
+    curve = WarmStart(comb, beta)
     for idx, t in enumerate(grid):
-        if t == 0.0:
-            s_star_curve.append((float(t), None))
-            continue
-        s_here = solve_or_limit(t, s_prev)
-        if s_here is not None:
-            s_prev = s_here
-        K_curve[idx] = contributions(t, s_here)
-        s_star_curve.append((float(t), s_here))
+        s = curve(t)
+        K_curve[idx] = kernel(t, s)
+        s_star_curve.append((float(t), None if s == math.inf else s))
 
     return AllocationReport(
         L=L,

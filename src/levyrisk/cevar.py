@@ -7,8 +7,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple
 
 from ._quad import adaptive_simpson, graded_breakpoints
-from .errors import LevyRiskError
-from .evar import EvarQuery, INTERIOR, evar, solve_stationary
+from .evar import WarmStart, evar_at
 from .factors import FactorCombination
 
 __all__ = [
@@ -16,7 +15,6 @@ __all__ = [
     "CevarQuery",
     "cevar",
     "evar_curve",
-    "EvarEvaluator",
 ]
 
 
@@ -103,6 +101,8 @@ class WeightFunction:
         if self.kind == "uniform":
             return self
         mass = self.mass(T)
+        if not (mass > 0.0):
+            raise ValueError("table weight has zero mass and cannot be normalised")
         return WeightFunction.table([(t, w / mass) for t, w in self.knots])
 
 
@@ -123,46 +123,14 @@ class CevarQuery:
             raise ValueError(f"beta must lie in (0, 1], got {self.beta}")
 
 
-class EvarEvaluator:
-    """Pointwise EVaR along a t-grid with warm-started stationary points.
-
-    The stationary point s*(t) varies smoothly in t, so the previous solution
-    seeds a safeguarded Newton iteration for the next one; the safeguard falls
-    back to full bracketing whenever the warm start misbehaves.
-    """
-
-    def __init__(self, combination: FactorCombination, beta: float, tol: Optional[float] = None):
-        self.combination = combination
-        self.beta = beta
-        self.tol = tol
-        self._last_s = None
-
-    def __call__(self, t: float):
-        """Return (evar_value, s_star_or_None) at time t."""
-        comb, beta = self.combination, self.beta
-        if t == 0.0 or comb.is_degenerate() or beta == 1.0:
-            res = evar(EvarQuery(comb, t, beta), tol=self.tol)
-            return res.value, res.s_star
-        try:
-            s_star, _, _ = solve_stationary(comb, t, beta, tol=self.tol, s0=self._last_s)
-        except LevyRiskError:
-            res = evar(EvarQuery(comb, t, beta), tol=self.tol)
-            return res.value, res.s_star
-        self._last_s = s_star
-        value = (-t * comb.phi(s_star) - math.log(beta)) / s_star
-        return value, s_star
-
-
 def cevar(query: CevarQuery, max_evals: int = 200_000) -> float:
     """Adaptive-quadrature value of integral_0^T EVaR_{1-beta}(X_t) omega(t) dt."""
     query.weight.check_span(query.T)
-    evaluator = EvarEvaluator(query.combination, query.beta)
-    weight = query.weight
-    T = query.T
+    comb, beta, weight, T = query.combination, query.beta, query.weight, query.T
+    path = WarmStart(comb, beta)
 
     def integrand(t):
-        value, _ = evaluator(t)
-        return value * weight.density(t, T)
+        return evar_at(comb, t, beta, path(t)) * weight.density(t, T)
 
     breakpoints = graded_breakpoints(0.0, T) + weight.breakpoints(T)
     tol = query.quad_tol
@@ -182,9 +150,10 @@ def evar_curve(query: CevarQuery, grid: Sequence[float]):
     for t in grid:
         if not (0.0 <= t <= query.T):
             raise ValueError(f"grid point {t} outside [0, {query.T}]")
-    evaluator = EvarEvaluator(query.combination, query.beta)
+    comb, beta = query.combination, query.beta
+    path = WarmStart(comb, beta)
     out = []
     for t in grid:
-        value, s_star = evaluator(t)
-        out.append((t, value, s_star))
+        s = path(t)
+        out.append((t, evar_at(comb, t, beta, s), s if 0.0 < s < math.inf else None))
     return out

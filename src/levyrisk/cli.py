@@ -128,17 +128,24 @@ def parse_config(text: str):
         if "=" not in line:
             raise ConfigError(f"expected key = value, got {line!r}", line=lineno)
         key, value = (p.strip() for p in line.split("=", 1))
-        run[key] = value
-    try:
-        T = float(run.pop("T"))
-    except KeyError:
-        raise ConfigError("[run] section must set T") from None
-    try:
-        beta = float(run.pop("beta"))
-    except KeyError:
-        raise ConfigError("[run] section must set beta") from None
-    seed = int(run.pop("seed", 0))
-    n_paths = int(run.pop("n_paths", 100_000))
+        run[key] = (lineno, value)
+
+    def take(key, convert, default=None):
+        if key not in run:
+            if default is None:
+                raise ConfigError(f"[run] section must set {key}")
+            return default
+        lineno, value = run.pop(key)
+        try:
+            return convert(value)
+        except ValueError:
+            kind = "an integer" if convert is int else "a number"
+            raise ConfigError(f"{key} must be {kind}, got {value!r}", line=lineno) from None
+
+    T = take("T", float)
+    beta = take("beta", float)
+    seed = take("seed", int, 0)
+    n_paths = take("n_paths", int, 100_000)
     if run:
         raise ConfigError(f"unknown [run] key(s): {sorted(run)}")
 
@@ -151,8 +158,14 @@ def parse_config(text: str):
                 raise ConfigError(
                     f"weight knots are 't w' pairs, got {line!r}", line=lineno
                 )
-            knots.append((float(parts[0]), float(parts[1])))
-        weight = WeightFunction.table(knots).normalized(T)
+            try:
+                knots.append((float(parts[0]), float(parts[1])))
+            except ValueError as exc:
+                raise ConfigError(f"bad weight knot: {exc}", line=lineno) from exc
+        try:
+            weight = WeightFunction.table(knots).normalized(T)
+        except ValueError as exc:
+            raise ConfigError(str(exc), line=sections["weight"][0][0]) from exc
 
     try:
         portfolio = FactorPortfolio(rows, factors, premiums, T, beta, weight=weight)

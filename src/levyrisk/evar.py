@@ -7,9 +7,24 @@ the combined Laplace exponent.  Since -phi is convex, the derivative numerator
     h(s) = -s*t*phi'(s) + t*phi(s) + ln(beta)
 
 is nondecreasing in s, so the interior minimiser (when it exists) is the
-unique root of h.  Infima that are not attained (beta = 1, degenerate
-positions, jump processes with too little activity) are returned as analytic
-boundary limits with an attainment flag.
+unique root of h.
+
+Boundary limits.  :func:`infimum_point` is the one place that decides where
+the infimum sits; :func:`evar`, the CEVaR integrand and the Euler allocation
+all read its answer.  When h has no root the infimum is a limit:
+
+* s* -> inf (t = 0, a zero position, or a jump-only position at small t,
+  where t*(phi - s*phi') stays below -ln(beta) for every s): EVaR is
+  -t * slope with slope = lim phi(s)/s, the combined drift, and the Euler
+  contributions are K^i = -t * sum_j a_ij * slope_j;
+* s* -> 0+ (beta = 1, where h >= 0 everywhere, or h > 0 already at
+  s = 1e-12): EVaR is -t * mean, the negative mean.  With an active stable
+  factor the mean is infinite: EVaR diverges (``ValueError``) and Euler
+  contributions do not exist (:class:`NoStationaryPointError`).
+
+A Brownian factor makes g grow without bound as s -> inf, so its root always
+exists; if it lies beyond the scan (s > 1e300, only for exposures near
+1e-300) the solve fails with :class:`NoStationaryPointError`.
 """
 from __future__ import annotations
 
@@ -31,6 +46,9 @@ __all__ = [
     "evar_closed_form_brownian",
     "dual_feasibility_check",
     "solve_stationary",
+    "infimum_point",
+    "evar_at",
+    "WarmStart",
 ]
 
 S_MIN = 1e-12
@@ -203,9 +221,10 @@ def solve_stationary(
         return lo, iters, h_lo
     if abs(h_hi) <= tol:
         return hi, iters, h_hi
-    s = brentq(h, lo, hi, xtol=1e-300, rtol=8.882e-16, maxiter=max_iter)
-    iters += 40  # Brent's own evaluations are not individually counted
+    s, brent = brentq(h, lo, hi, xtol=1e-300, rtol=8.882e-16, maxiter=max_iter,
+                      full_output=True)
     hs = h(s)
+    iters += brent.function_calls + 1
     for _ in range(10):
         if abs(hs) <= tol:
             break
@@ -221,40 +240,88 @@ def solve_stationary(
     return s, iters, hs
 
 
+def infimum_point(
+    combination: FactorCombination,
+    t: float,
+    beta: float,
+    s0: Optional[float] = None,
+    tol: Optional[float] = None,
+):
+    """The point s in [0, inf] that carries ``inf_{s>0} g(s)``.
+
+    Returns ``(s, iterations, residual)`` as :func:`solve_stationary` does
+    when h has a root.  Otherwise ``s`` is ``math.inf`` or ``0.0``, standing
+    for the limit s -> inf or s -> 0+, with zero iterations and residual.
+    The module docstring lists the boundary cases; :func:`evar_at` turns the
+    point into an EVaR value.
+    """
+    if t == 0.0 or combination.is_degenerate():
+        return math.inf, 0, 0.0
+    if beta == 1.0:
+        return 0.0, 0, 0.0
+    try:
+        return solve_stationary(combination, t, beta, tol, s0)
+    except NoStationaryPointError as exc:
+        if exc.boundary == LIMIT_AT_ZERO:
+            return 0.0, 0, 0.0
+        if math.isinf(combination.slope_at_infinity()):
+            raise NoStationaryPointError(
+                "no root of the stationarity function up to s = 1e300; an "
+                "active Brownian factor puts s* beyond the scan",
+                boundary=LIMIT_AT_INFINITY,
+            ) from exc
+        return math.inf, 0, 0.0
+
+
+def evar_at(combination: FactorCombination, t: float, beta: float, s: float) -> float:
+    """EVaR at the point ``s`` returned by :func:`infimum_point`."""
+    if 0.0 < s < math.inf:
+        return (-t * combination.phi(s) - math.log(beta)) / s
+    if t == 0.0 or combination.is_degenerate():
+        # g(s) = -ln(beta)/s: infimum 0 approached as s -> inf.
+        return 0.0
+    if s == math.inf:
+        return -t * combination.slope_at_infinity()
+    mean = combination.mean_rate()
+    if math.isinf(mean):
+        raise ValueError(
+            "EVaR diverges at the s -> 0+ boundary: an active stable factor "
+            "has infinite mean"
+        )
+    return -t * mean
+
+
+class WarmStart:
+    """Infimum points along a sequence of horizons, warm-started in turn.
+
+    The stationary point s*(t) varies smoothly in t, so each interior s*
+    seeds the safeguarded Newton iteration of the next call; a boundary
+    limit leaves the seed unchanged.
+    """
+
+    def __init__(self, combination: FactorCombination, beta: float):
+        self.combination = combination
+        self.beta = beta
+        self.tol = default_residual_tol(beta)
+        self.s0 = None
+
+    def __call__(self, t: float) -> float:
+        s, _, _ = infimum_point(self.combination, t, self.beta, self.s0, self.tol)
+        if 0.0 < s < math.inf:
+            self.s0 = s
+        return s
+
+
 def evar(query: EvarQuery, tol: Optional[float] = None) -> EvarResult:
     """EVaR_{1-beta}(X_t) as the infimum of the objective over s in (0, inf)."""
     comb, t, beta = query.combination, query.t, query.beta
-    log_beta = math.log(beta)
-
-    if t == 0.0 or comb.is_degenerate():
-        # g(s) = -ln(beta)/s: infimum 0 approached as s -> inf.
-        return EvarResult(0.0, None, LIMIT_AT_INFINITY, 0, 0.0)
-
-    if beta == 1.0:
-        # h(s) = t*(phi(s) - s*phi'(s)) >= 0, so g decreases toward s -> 0+
-        # where the limit is the negative mean -t*phi'(0+).
-        mean = comb.mean_rate()
-        if math.isinf(mean):
-            raise ValueError(
-                "EVaR diverges: beta = 1 with an infinite-mean (stable) factor"
-            )
-        return EvarResult(-t * mean, None, LIMIT_AT_ZERO, 0, 0.0)
-
-    try:
-        s_star, iters, residual = solve_stationary(comb, t, beta, tol=tol)
-    except NoStationaryPointError as exc:
-        if exc.boundary == LIMIT_AT_ZERO:
-            mean = comb.mean_rate()
-            if math.isinf(mean):
-                raise ValueError("EVaR diverges at the s -> 0+ boundary") from exc
-            return EvarResult(-t * mean, None, LIMIT_AT_ZERO, 0, 0.0)
-        slope = comb.slope_at_infinity()
-        if math.isinf(slope):
-            raise  # cannot happen for valid queries: Brownian noise forces a root
-        return EvarResult(-t * slope, None, LIMIT_AT_INFINITY, 0, 0.0)
-
-    value = (-t * comb.phi(s_star) - log_beta) / s_star
-    return EvarResult(value, s_star, INTERIOR, iters, residual)
+    s, iters, residual = infimum_point(comb, t, beta, tol=tol)
+    value = evar_at(comb, t, beta, s)
+    if s == math.inf:
+        return EvarResult(value, None, LIMIT_AT_INFINITY, 0, 0.0)
+    if s == 0.0:
+        return EvarResult(value, None, LIMIT_AT_ZERO, 0, 0.0)
+    return EvarResult(value, s, INTERIOR, iters, residual)
 
 
 def evar_closed_form_brownian(mu: float, sigma: float, t: float, beta: float) -> float:

@@ -345,7 +345,7 @@ class FactorCombination:
         return total
 
     def is_degenerate(self):
-        return all(d == 0.0 for d in self.weights)
+        return not any(self.weights)
 
 
 def combine(combination: FactorCombination, s: float) -> float:

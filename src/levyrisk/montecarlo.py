@@ -246,6 +246,24 @@ def _path_infima(cp: CompoundPoissonExp, premium: float, horizon: float,
     return infima
 
 
+def _ruin_horizon(R: float) -> float:
+    return max(50.0, 30.0 / R)
+
+
+def _ruin_estimate(infima: np.ndarray, u: float, R: float, horizon: float) -> RuinEstimate:
+    """psi_hat(u) and its 95% half-width from simulated per-path infima."""
+    p = float((infima < -u).mean())
+    half = 1.96 * math.sqrt(max(p * (1.0 - p), 1e-12) / infima.size)
+    return RuinEstimate(
+        u=float(u),
+        psi_hat=p,
+        ci_half_width=half,
+        lundberg_bound=math.exp(-R * u),
+        R=R,
+        horizon=horizon,
+    )
+
+
 def ruin_probability(cp: CompoundPoissonExp, premium: float, u: float,
                      config: SimulationConfig,
                      horizon: Optional[float] = None) -> RuinEstimate:
@@ -258,19 +276,9 @@ def ruin_probability(cp: CompoundPoissonExp, premium: float, u: float,
         raise ValueError(f"initial reserve must be nonnegative, got {u}")
     R = adjustment_coefficient(cp, premium)
     if horizon is None:
-        horizon = max(50.0, 30.0 / R)
+        horizon = _ruin_horizon(R)
     infima = _path_infima(cp, premium, horizon, config.n_paths, config.seed)
-    ruined = infima < -u
-    p = float(ruined.mean())
-    half = 1.96 * math.sqrt(max(p * (1.0 - p), 1e-12) / config.n_paths)
-    return RuinEstimate(
-        u=float(u),
-        psi_hat=p,
-        ci_half_width=half,
-        lundberg_bound=math.exp(-R * u),
-        R=R,
-        horizon=horizon,
-    )
+    return _ruin_estimate(infima, u, R, horizon)
 
 
 def var_inf_bound_check(cp: CompoundPoissonExp, premium: float, beta: float,
@@ -350,8 +358,12 @@ def validation_report(config: SimulationConfig, beta: float = 0.05) -> list:
         }
     )
 
+    # One set of ruin paths serves every reserve level u.
+    horizon = _ruin_horizon(R)
+    infima = _path_infima(cp, premium, horizon, config.n_paths, config.seed)
+
     # psi(0) = lam/(c*eta) exactly for exponential jumps.
-    est0 = ruin_probability(cp, premium, 0.0, config)
+    est0 = _ruin_estimate(infima, 0.0, R, horizon)
     psi0 = cp.lam / (premium * cp.eta)
     checks.append(
         {
@@ -364,7 +376,7 @@ def validation_report(config: SimulationConfig, beta: float = 0.05) -> list:
     )
 
     for u in (3.0, 9.0):
-        est = ruin_probability(cp, premium, u, config)
+        est = _ruin_estimate(infima, u, R, horizon)
         checks.append(
             {
                 "check_name": f"lundberg_bound_u{u:g}",

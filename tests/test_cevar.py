@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from levyrisk import (
     AlphaStableSubordinator,
     BrownianWithDrift,
     CevarQuery,
+    CompoundPoissonExp,
     EvarQuery,
     FactorCombination,
     GammaSubordinator,
@@ -172,6 +174,35 @@ def test_cevar_budget_error_carries_partial():
     with pytest.raises(QuadratureBudgetError) as exc_info:
         cevar(q, max_evals=200)
     assert exc_info.value.partial is not None
+
+
+def test_boundary_nodes_are_solved_once(monkeypatch):
+    # Compound Poisson only: below t = -ln(beta)/lambda the infimum is the
+    # s -> inf limit, so most nodes end in a full bracket scan; each node may
+    # run the solver once.
+    solves, nodes = [], []
+    original = sys.modules["levyrisk.evar"].solve_stationary
+
+    def counted_solve(*args, **kwargs):
+        solves.append(args[1])
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("levyrisk.") and getattr(module, "solve_stationary", None) is original:
+            monkeypatch.setattr(module, "solve_stationary", counted_solve)
+    cevar_module = sys.modules["levyrisk.cevar"]
+    quad = cevar_module.adaptive_simpson
+
+    def counted_quad(f, *args, **kwargs):
+        def node(t):
+            nodes.append(t)
+            return f(t)
+        return quad(node, *args, **kwargs)
+
+    monkeypatch.setattr(cevar_module, "adaptive_simpson", counted_quad)
+    comb = combo((CompoundPoissonExp(lam=2.0, eta=1.0), 1.0))
+    cevar(CevarQuery(comb, 2.0, 0.05))
+    assert 0 < len(solves) <= len(nodes)
 
 
 def test_cevar_query_validation():

@@ -208,8 +208,21 @@ def test_exit_code_missing_file(tmp_path):
 
 
 def test_exit_code_parse_error(tmp_path):
-    cfg = write(tmp_path, "garbage\n")
-    assert main(["--config", cfg, "--command", "evar"]) == 2
+    bad = [
+        "garbage\n",
+        MINIMAL + "seed = abc\n",
+        MINIMAL + "n_paths = 1e5\n",
+        MINIMAL.replace("T = 1.0", "T = x"),
+        MINIMAL + "\n[weight]\n0.0 x\n1.0 1.0\n",
+        MINIMAL + "\n[weight]\n0.0 1.0\n0.0 1.0\n",  # knot times not increasing
+        MINIMAL + "\n[weight]\n0.0 0.0\n1.0 0.0\n",  # zero mass
+    ]
+    for text in bad:
+        with pytest.raises(ConfigError) as exc_info:
+            parse_config(text)
+        assert exc_info.value.line is not None, text
+        cfg = write(tmp_path, text)
+        assert main(["--config", cfg, "--command", "evar"]) == 2, text
 
 
 def test_exit_code_quadrature_budget(tmp_path):

@@ -10,11 +10,13 @@ from levyrisk import (
     EvarQuery,
     FactorCombination,
     GammaSubordinator,
+    NoStationaryPointError,
     dual_feasibility_check,
     evar,
     evar_closed_form_brownian,
     evar_objective,
 )
+from levyrisk.evar import solve_stationary
 
 RNG = np.random.default_rng(20240817)
 
@@ -122,6 +124,29 @@ def test_stable_against_grid_oracle():
     s_star = (-math.log(beta) / (t * (1 - alpha))) ** (1 / alpha)
     assert res.s_star == pytest.approx(s_star, rel=1e-10)
     assert res.value == pytest.approx(-alpha * t * s_star ** (alpha - 1), rel=1e-10)
+
+
+def test_brownian_root_beyond_scan_is_a_typed_error():
+    # s* = sqrt(-2 ln(beta) / t) / (sigma d) ~ 2.4e300 lies past the 1e300 scan.
+    tiny = FactorCombination([BrownianWithDrift(0.0, 1.0)], [1e-300])
+    with pytest.raises(NoStationaryPointError) as exc_info:
+        evar(EvarQuery(tiny, 1.0, 0.05))
+    assert exc_info.value.boundary == "limit_at_infinity"
+
+
+def test_cold_solve_counts_every_evaluation(monkeypatch):
+    # Scan, Brent and the Newton polish each evaluate h once per phi_gap call.
+    calls = []
+    original = GammaSubordinator.phi_gap
+
+    def counted(self, s):
+        calls.append(s)
+        return original(self, s)
+
+    monkeypatch.setattr(GammaSubordinator, "phi_gap", counted)
+    comb = FactorCombination.single(GammaSubordinator(a=2.0, b=3.0, mu=0.1))
+    _, iterations, _ = solve_stationary(comb, 1.0, 0.05)
+    assert iterations == len(calls)
 
 
 def test_invalid_queries_rejected():

@@ -201,3 +201,16 @@ def test_validation_report_deterministic():
     a = validation_report(config, beta=0.05)
     b = validation_report(config, beta=0.05)
     assert a == b
+
+
+def test_validation_report_ruin_entries_match_ruin_probability():
+    config = SimulationConfig(seed=5, n_paths=20_000)
+    checks = {c["check_name"]: c for c in validation_report(config, beta=0.05)}
+    est = ruin_probability(CP, PREMIUM, 0.0, config)
+    assert checks["ruin_probability_at_zero"]["estimate"] == est.psi_hat
+    assert checks["ruin_probability_at_zero"]["ci"] == est.ci_half_width
+    for u in (3.0, 9.0):
+        est = ruin_probability(CP, PREMIUM, u, config)
+        entry = checks[f"lundberg_bound_u{u:g}"]
+        assert (entry["analytic"], entry["estimate"], entry["ci"], entry["pass"]) == (
+            est.lundberg_bound, est.psi_hat, est.ci_half_width, est.bound_ok)
