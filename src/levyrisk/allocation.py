@@ -19,8 +19,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._quad import adaptive_simpson, graded_breakpoints
-from .cevar import CevarQuery, WeightFunction, cevar
+from ._quad import adaptive_simpson
+from .cevar import CevarQuery, WeightFunction, cevar, kinks
 from .errors import NoStationaryPointError
 from .evar import LIMIT_AT_ZERO, EvarQuery, WarmStart, evar, infimum_point, solve_stationary
 from .factors import FactorCombination, LevyFactor
@@ -217,13 +217,9 @@ def allocate(portfolio: FactorPortfolio, grid_points: int = 65,
     def k_vector(t):
         return kernel(t, path(t)) * weight.density(t, T)
 
-    breakpoints = graded_breakpoints(0.0, T) + weight.breakpoints(T)
-    if quad_tol is None:
-        rough = adaptive_simpson(k_vector, 0.0, T, 1e-4,
-                                 breakpoints=breakpoints, max_evals=max_evals)
-        quad_tol = 1e-10 * (1.0 + float(np.max(np.abs(rough))))
+    # quad_tol=None asks the quadrature for its relative default.
     k_integral = adaptive_simpson(k_vector, 0.0, T, quad_tol,
-                                  breakpoints=breakpoints, max_evals=max_evals)
+                                  breakpoints=kinks(comb, beta, weight, T), max_evals=max_evals)
 
     tmom = weight.time_moment(T)
     L = k_integral + portfolio.premiums * tmom

@@ -6,8 +6,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple
 
-from ._quad import adaptive_simpson, graded_breakpoints
-from .evar import WarmStart, evar_at
+from ._quad import adaptive_simpson
+from .evar import WarmStart, evar_at, limit_onset
 from .factors import FactorCombination
 
 __all__ = [
@@ -123,6 +123,12 @@ class CevarQuery:
             raise ValueError(f"beta must lie in (0, 1], got {self.beta}")
 
 
+def kinks(combination: FactorCombination, beta: float, weight: WeightFunction, T: float) -> list:
+    """The weight knots and the s -> inf onset: where the integrands have kinks."""
+    onset = limit_onset(combination, beta)
+    return weight.breakpoints(T) + ([onset] if onset is not None and onset < T else [])
+
+
 def cevar(query: CevarQuery, max_evals: int = 200_000) -> float:
     """Adaptive-quadrature value of integral_0^T EVaR_{1-beta}(X_t) omega(t) dt."""
     query.weight.check_span(query.T)
@@ -132,17 +138,9 @@ def cevar(query: CevarQuery, max_evals: int = 200_000) -> float:
     def integrand(t):
         return evar_at(comb, t, beta, path(t)) * weight.density(t, T)
 
-    breakpoints = graded_breakpoints(0.0, T) + weight.breakpoints(T)
-    tol = query.quad_tol
-    if tol is None:
-        # Default is relative; seed the scale with a cheap rough pass.
-        rough = adaptive_simpson(
-            integrand, 0.0, T, 1e-4, breakpoints=breakpoints, max_evals=max_evals
-        )
-        tol = 1e-9 * (1.0 + abs(rough))
-    return adaptive_simpson(
-        integrand, 0.0, T, tol, breakpoints=breakpoints, max_evals=max_evals
-    )
+    # quad_tol=None asks the quadrature for its relative default.
+    return adaptive_simpson(integrand, 0.0, T, query.quad_tol,
+                            breakpoints=kinks(comb, beta, weight, T), max_evals=max_evals)
 
 
 def evar_curve(query: CevarQuery, grid: Sequence[float]):

@@ -14,9 +14,9 @@ the infimum sits; :func:`evar`, the CEVaR integrand and the Euler allocation
 all read its answer.  When h has no root the infimum is a limit:
 
 * s* -> inf (t = 0, a zero position, or a jump-only position at small t,
-  where t*(phi - s*phi') stays below -ln(beta) for every s): EVaR is
-  -t * slope with slope = lim phi(s)/s, the combined drift, and the Euler
-  contributions are K^i = -t * sum_j a_ij * slope_j;
+  where t*(phi - s*phi') < -ln(beta) for every s, see :func:`limit_onset`):
+  EVaR is -t * slope with slope = lim phi(s)/s, the combined drift, and the
+  Euler contributions are K^i = -t * sum_j a_ij * slope_j;
 * s* -> 0+ (beta = 1, where h >= 0 everywhere, or h > 0 already at
   s = 1e-12): EVaR is -t * mean, the negative mean.  With an active stable
   factor the mean is infinite: EVaR diverges (``ValueError``) and Euler
@@ -271,6 +271,15 @@ def infimum_point(
                 boundary=LIMIT_AT_INFINITY,
             ) from exc
         return math.inf, 0, 0.0
+
+
+def limit_onset(combination: FactorCombination, beta: float) -> Optional[float]:
+    """t0 = -ln(beta) / lim phi_gap(s), up to which h < 0 for every s and EVaR is
+    linear; None unless every active factor is compound Poisson."""
+    gap = sum(f.gap_at_infinity() for f, d in zip(combination.factors, combination.weights) if d)
+    if not (0.0 < gap < math.inf) or beta == 1.0:
+        return None
+    return -math.log(beta) / gap
 
 
 def evar_at(combination: FactorCombination, t: float, beta: float, s: float) -> float:

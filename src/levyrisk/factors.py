@@ -59,6 +59,10 @@ class LevyFactor:
         """lim_{s->inf} phi(s)/s; -inf for the Brownian kind."""
         raise NotImplementedError
 
+    def gap_at_infinity(self) -> float:
+        """lim_{s->inf} phi_gap(s): the jump rate for compound Poisson, else +inf."""
+        return math.inf
+
     def params(self) -> dict:
         """Parameter dict keyed by the public parameter names."""
         raise NotImplementedError
@@ -215,6 +219,9 @@ class CompoundPoissonExp(LevyFactor):
 
     def slope_at_infinity(self):
         return self.mu
+
+    def gap_at_infinity(self):
+        return self.lam
 
     def params(self):
         return {"lambda": self.lam, "eta": self.eta, "mu": self.mu}

@@ -281,18 +281,14 @@ def ruin_probability(cp: CompoundPoissonExp, premium: float, u: float,
     return _ruin_estimate(infima, u, R, horizon)
 
 
-def var_inf_bound_check(cp: CompoundPoissonExp, premium: float, beta: float,
-                        config: SimulationConfig, horizon: float = 50.0):
-    """Check VaR_beta(inf_{0<=t<=T} C_t) <= -ln(beta)/R on simulated paths.
+def _var_inf_estimate(infima: np.ndarray, beta: float, R: float):
+    """(var_est, bound, ok) for VaR_beta of the infimum from simulated per-path infima.
 
-    Returns (var_est, bound, ok); the acceptance slack is the width of the
-    order-statistic confidence band around the empirical beta-quantile.
+    The acceptance slack is the width of the order-statistic confidence band
+    around the empirical beta-quantile.
     """
-    if not (0.0 < beta < 1.0):
-        raise ValueError(f"beta must lie in (0, 1), got {beta}")
-    R = adjustment_coefficient(cp, premium)
-    infima = np.sort(_path_infima(cp, premium, horizon, config.n_paths, config.seed))
-    n = config.n_paths
+    infima = np.sort(infima)
+    n = infima.size
     k = beta * n
     spread = 4.0 * math.sqrt(n * beta * (1.0 - beta))
     k_lo = max(int(k - spread), 0)
@@ -301,6 +297,19 @@ def var_inf_bound_check(cp: CompoundPoissonExp, premium: float, beta: float,
     slack = float(infima[k_hi] - infima[k_lo])
     bound = -math.log(beta) / R
     return var_est, bound, bool(var_est <= bound + slack)
+
+
+def var_inf_bound_check(cp: CompoundPoissonExp, premium: float, beta: float,
+                        config: SimulationConfig, horizon: float = 50.0):
+    """Check VaR_beta(inf_{0<=t<=T} C_t) <= -ln(beta)/R on simulated paths.
+
+    Returns (var_est, bound, ok); see :func:`_var_inf_estimate`.
+    """
+    if not (0.0 < beta < 1.0):
+        raise ValueError(f"beta must lie in (0, 1), got {beta}")
+    R = adjustment_coefficient(cp, premium)
+    infima = _path_infima(cp, premium, horizon, config.n_paths, config.seed)
+    return _var_inf_estimate(infima, beta, R)
 
 
 def validation_report(config: SimulationConfig, beta: float = 0.05) -> list:
@@ -358,7 +367,7 @@ def validation_report(config: SimulationConfig, beta: float = 0.05) -> list:
         }
     )
 
-    # One set of ruin paths serves every reserve level u.
+    # One set of ruin paths serves every reserve level u and the VaR check.
     horizon = _ruin_horizon(R)
     infima = _path_infima(cp, premium, horizon, config.n_paths, config.seed)
 
@@ -387,7 +396,7 @@ def validation_report(config: SimulationConfig, beta: float = 0.05) -> list:
             }
         )
 
-    var_est, bound, ok = var_inf_bound_check(cp, premium, beta, config)
+    var_est, bound, ok = _var_inf_estimate(infima, beta, R)
     checks.append(
         {
             "check_name": "var_inf_bound",

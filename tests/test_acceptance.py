@@ -34,7 +34,7 @@ from levyrisk import (
     stable_allocation,
     var_inf_bound_check,
 )
-from levyrisk._quad import composite_simpson
+from oracles import composite_simpson
 
 
 @pytest.fixture

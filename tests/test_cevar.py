@@ -11,15 +11,17 @@ from levyrisk import (
     CompoundPoissonExp,
     EvarQuery,
     FactorCombination,
+    FactorPortfolio,
     GammaSubordinator,
     WeightFunction,
+    allocate,
     cevar,
     evar,
     evar_closed_form_brownian,
     evar_curve,
 )
-from levyrisk._quad import composite_simpson
 from levyrisk.errors import QuadratureBudgetError
+from oracles import composite_simpson
 
 
 def brownian_cevar_closed_form(mu, sigma, T, beta):
@@ -169,11 +171,16 @@ def test_cevar_beta_one_is_weighted_mean():
 
 
 def test_cevar_budget_error_carries_partial():
+    # A Brownian integrand is a polynomial in u under t = u^2, so only a
+    # tolerance below round-off keeps the quadrature halving until the
+    # budget runs out.
     comb = combo((BrownianWithDrift(0.0, 1.0), 1.0))
-    q = CevarQuery(comb, 1.0, 0.05, quad_tol=1e-14)
+    q = CevarQuery(comb, 1.0, 0.05, quad_tol=1e-30)
     with pytest.raises(QuadratureBudgetError) as exc_info:
         cevar(q, max_evals=200)
-    assert exc_info.value.partial is not None
+    partial = exc_info.value.partial
+    assert partial is not None
+    assert partial == pytest.approx(brownian_cevar_closed_form(0.0, 1.0, 1.0, 0.05), rel=1e-6)
 
 
 def test_boundary_nodes_are_solved_once(monkeypatch):
@@ -203,6 +210,93 @@ def test_boundary_nodes_are_solved_once(monkeypatch):
     comb = combo((CompoundPoissonExp(lam=2.0, eta=1.0), 1.0))
     cevar(CevarQuery(comb, 2.0, 0.05))
     assert 0 < len(solves) <= len(nodes)
+
+
+def test_default_tolerance_integrates_each_quantity_once(monkeypatch):
+    calls = []  # (result shape, tol) per quadrature call
+    quad = sys.modules["levyrisk._quad"].adaptive_simpson
+
+    def counted_quad(f, a, b, tol, *args, **kwargs):
+        result = quad(f, a, b, tol, *args, **kwargs)
+        calls.append((np.shape(result), tol))
+        return result
+
+    for name in ("levyrisk.cevar", "levyrisk.allocation"):
+        monkeypatch.setattr(sys.modules[name], "adaptive_simpson", counted_quad)
+    comb = combo((BrownianWithDrift(0.3, 1.1), 1.0), (GammaSubordinator(2.0, 3.0, 0.1), 0.7))
+    cevar(CevarQuery(comb, 2.0, 0.05))
+    assert calls == [((), None)]
+
+    calls.clear()
+    portfolio = FactorPortfolio(
+        np.array([[1.0, 0.5], [0.3, 1.5]]),
+        [BrownianWithDrift(0.3, 1.1), GammaSubordinator(2.0, 3.0, 0.1)],
+        [0.1, 0.2], 2.0, 0.05,
+    )
+    allocate(portfolio)
+    # The Euler contributions, then the independent aggregate CEVaR.
+    assert calls == [((2,), None), ((), None)]
+
+
+def test_compound_poisson_cevar_matches_u_simpson_oracle():
+    # Below t0 = -ln(beta)/lambda the infimum sits at s -> inf and EVaR is
+    # linear in t; past t0 it leaves that limit, so the integrand has a kink.
+    comb = combo((CompoundPoissonExp(lam=2.0, eta=1.0), 1.0))
+    T, beta = 2.0, 0.05
+
+    def integrand_u(u):
+        t = u * u
+        if t == 0.0:
+            return 0.0
+        return evar(EvarQuery(comb, t, beta)).value * 2.0 * u / T
+
+    oracle = composite_simpson(integrand_u, 0.0, math.sqrt(T), 20_000)
+    assert cevar(CevarQuery(comb, T, beta)) == pytest.approx(oracle, rel=1e-7)
+
+
+def count_cevar_nodes(monkeypatch):
+    """Integrand nodes per quadrature call made by ``cevar``, appended as they finish."""
+    counts = []
+    quad = sys.modules["levyrisk._quad"].adaptive_simpson
+
+    def counted_quad(f, *args, **kwargs):
+        n = [0]
+
+        def node(t):
+            n[0] += 1
+            return f(t)
+        result = quad(node, *args, **kwargs)
+        counts.append(n[0])
+        return result
+
+    monkeypatch.setattr(sys.modules["levyrisk.cevar"], "adaptive_simpson", counted_quad)
+    return counts
+
+
+def test_compound_poisson_onset_is_a_breakpoint(monkeypatch):
+    # EVaR is linear up to t0 = -ln(beta)/lambda and smooth past it, so with a
+    # segment break at t0 neither segment needs halving.  Without the break
+    # the quadrature halved down to the kink: 624 nodes.
+    counts = count_cevar_nodes(monkeypatch)
+    comb = combo((CompoundPoissonExp(lam=2.0, eta=1.0), 1.0))
+    cevar(CevarQuery(comb, 2.0, 0.05))
+    assert counts == [2 * 96]
+
+
+def test_cevar_cost_does_not_depend_on_the_draw(monkeypatch):
+    # Stable + compound Poisson positions with random parameters.  Starting
+    # each segment as one panel, these cost 48 or 112 nodes depending on the
+    # draw; from two panels, all cost the same.
+    counts = count_cevar_nodes(monkeypatch)
+    rng = np.random.default_rng(3)
+    for _ in range(30):
+        comb = combo(
+            (AlphaStableSubordinator(0.5, rng.uniform(-0.5, 0.5)), rng.uniform(0.2, 1.0)),
+            (CompoundPoissonExp(rng.uniform(0.5, 3.0), rng.uniform(0.5, 3.0), rng.uniform(-0.5, 0.5)),
+             rng.uniform(0.2, 1.0)),
+        )
+        cevar(CevarQuery(comb, 2.0, 0.05))
+    assert len(counts) == 30 and len(set(counts)) == 1
 
 
 def test_cevar_query_validation():

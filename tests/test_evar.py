@@ -16,7 +16,7 @@ from levyrisk import (
     evar_closed_form_brownian,
     evar_objective,
 )
-from levyrisk.evar import solve_stationary
+from levyrisk.evar import infimum_point, limit_onset, solve_stationary
 
 RNG = np.random.default_rng(20240817)
 
@@ -283,3 +283,16 @@ def test_dual_feasible_candidates_stay_below_evar():
         q = EvarQuery(comb, t, beta)
         for s in np.geomspace(1e-3, 1e3, 13):
             assert dual_feasibility_check(q, float(s)).ok
+
+
+def test_limit_onset_only_for_compound_poisson_positions():
+    # The inactive gamma factor does not count; the two jump rates add up.
+    cp = CompoundPoissonExp(lam=2.0, eta=1.0)
+    comb = FactorCombination([cp, CompoundPoissonExp(lam=0.5, eta=3.0), GammaSubordinator(1.0, 1.0)],
+                             [1.0, 0.3, 0.0])
+    t0 = limit_onset(comb, 0.05)
+    assert t0 == pytest.approx(-math.log(0.05) / 2.5, rel=1e-15)
+    assert infimum_point(comb, 0.99 * t0, 0.05)[0] == math.inf
+    assert 0.0 < infimum_point(comb, 1.01 * t0, 0.05)[0] < math.inf
+    assert limit_onset(FactorCombination([cp, GammaSubordinator(1.0, 1.0)], [1.0, 0.1]), 0.05) is None
+    assert limit_onset(comb, 1.0) is None
