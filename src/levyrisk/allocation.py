@@ -21,8 +21,7 @@ import numpy as np
 
 from ._quad import adaptive_simpson
 from .cevar import CevarQuery, WeightFunction, cevar, kinks
-from .errors import NoStationaryPointError
-from .evar import LIMIT_AT_ZERO, EvarQuery, WarmStart, evar, infimum_point, solve_stationary
+from .evar import EvarQuery, WarmStart, evar, infimum_point, solve_stationary
 from .factors import FactorCombination, LevyFactor
 
 __all__ = [
@@ -165,7 +164,8 @@ class _EulerKernel:
 
     D_j = sum_k a_kj and the drift slopes are fixed per portfolio, so they
     are computed once.  At s -> inf phi_j' tends to the slope of phi_j, which
-    gives the drift limit -t * A @ slopes; t = 0 gives zeros.
+    gives the drift limit -t * A @ slopes; t = 0 gives zeros.  A portfolio
+    keeps beta < 1, so s is never the s -> 0+ limit.
     """
 
     def __init__(self, portfolio: FactorPortfolio):
@@ -179,12 +179,6 @@ class _EulerKernel:
             return np.zeros(self.A.shape[0])
         if s == math.inf:
             return -t * (self.A @ self.slopes)
-        if s == 0.0:
-            raise NoStationaryPointError(
-                "Euler contributions need a stationary point, but the EVaR "
-                "infimum sits at s -> 0+",
-                boundary=LIMIT_AT_ZERO,
-            )
         dphi = np.array([f.dphi(s * Dj) for f, Dj in zip(self.factors, self.D)])
         return -t * (self.A @ dphi)
 

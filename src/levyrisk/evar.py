@@ -7,24 +7,27 @@ the combined Laplace exponent.  Since -phi is convex, the derivative numerator
     h(s) = -s*t*phi'(s) + t*phi(s) + ln(beta)
 
 is nondecreasing in s, so the interior minimiser (when it exists) is the
-unique root of h.
+unique root of h = t*gap(s) + ln(beta), with gap = phi - s*phi'.
+:func:`solve_stationary` finds it by safeguarded Newton steps in x = ln(s)
+on [1e-300, 1e300].
 
 Boundary limits.  :func:`infimum_point` is the one place that decides where
 the infimum sits; :func:`evar`, the CEVaR integrand and the Euler allocation
-all read its answer.  When h has no root the infimum is a limit:
+all read its answer.  For beta < 1, h(0+) = ln(beta) < 0, so h has a root
+unless t*gap stays below -ln(beta) for every s:
 
-* s* -> inf (t = 0, a zero position, or a jump-only position at small t,
-  where t*(phi - s*phi') < -ln(beta) for every s, see :func:`limit_onset`):
+* s* -> inf: t = 0, a zero position, or a compound-Poisson-only position at
+  t <= t0 = -ln(beta) / sum(lambda) (see :func:`limit_onset`), where gap(s)
+  rises only to sum(lambda); this is decided without evaluating h.  A root
+  above 1e300 (a gamma position at small t) stands for the same limit.
   EVaR is -t * slope with slope = lim phi(s)/s, the combined drift, and the
-  Euler contributions are K^i = -t * sum_j a_ij * slope_j;
-* s* -> 0+ (beta = 1, where h >= 0 everywhere, or h > 0 already at
-  s = 1e-12): EVaR is -t * mean, the negative mean.  With an active stable
-  factor the mean is infinite: EVaR diverges (``ValueError``) and Euler
-  contributions do not exist (:class:`NoStationaryPointError`).
-
-A Brownian factor makes g grow without bound as s -> inf, so its root always
-exists; if it lies beyond the scan (s > 1e300, only for exposures near
-1e-300) the solve fails with :class:`NoStationaryPointError`.
+  Euler contributions are K^i = -t * sum_j a_ij * slope_j.  A Brownian factor
+  makes g grow without bound as s -> inf, so with one a root above 1e300
+  (only for exposures near 1e-300) raises :class:`NoStationaryPointError`.
+* s* -> 0+ only at beta = 1, where h >= 0 everywhere: EVaR is -t * mean, the
+  negative mean.  With an active stable factor the mean is infinite and EVaR
+  diverges (``ValueError``).
+* A root below 1e-300 raises :class:`NoStationaryPointError`.
 """
 from __future__ import annotations
 
@@ -32,7 +35,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from scipy.optimize import brentq
+import numpy as np
 
 from .errors import NoStationaryPointError
 from .factors import FactorCombination, LevyFactor
@@ -51,8 +54,17 @@ __all__ = [
     "WarmStart",
 ]
 
-S_MIN = 1e-12
-S_MAX = 1e12
+# The solve runs in x = ln(s) on [X_MIN, X_MAX]; a root beyond either end is
+# reported as that boundary (see infimum_point).
+X_MIN = math.log(1e-300)
+X_MAX = math.log(1e300)
+# The default stop: |h| <= RESIDUAL_EPS * |ln(beta)|.
+RESIDUAL_EPS = 1e-10
+# Within |x| <= X_PLAIN, phi'' of practical positions stays in float range and
+# gives Newton's slope.  Outside it phi'' under- or overflows, so the slope is
+# the secant through the previous evaluation, and phi_gap runs with numpy's
+# warnings off because numpy-scalar parameters would report its overflow.
+X_PLAIN = math.log(1e100)
 
 INTERIOR = "interior"
 LIMIT_AT_ZERO = "limit_at_zero"
@@ -103,10 +115,6 @@ class DualCheck:
     ok: bool
 
 
-def default_residual_tol(beta: float) -> float:
-    return 1e-10 * (1.0 + abs(math.log(beta)))
-
-
 def evar_objective(query: EvarQuery, s: float) -> float:
     """g(s) = (-t*phi(s) - ln(beta)) / s for s > 0."""
     if not (s > 0.0):
@@ -129,115 +137,101 @@ def solve_stationary(
     beta: float,
     tol: Optional[float] = None,
     s0: Optional[float] = None,
-    max_iter: int = 200,
 ):
-    """Root of the stationarity function h on (0, inf).
+    """Root s* of the stationarity function h on [1e-300, 1e300].
 
-    Returns ``(s_star, iterations, residual)``.  ``s0`` is an optional warm
-    start (Newton with a bisection safeguard); without it the root is
-    bracketed on a geometric grid and handed to Brent's method.  Raises
-    :class:`NoStationaryPointError` when h has no sign change, carrying the
-    boundary at which the infimum of the objective lives.
+    Newton's method on F(x) = ln(t*gap(e^x)) - ln(-ln(beta)) in x = ln(s),
+    whose slope F'(x) = -s^2 phi''(s) / gap(s) lies in (0, 2]; it is 2 for a
+    Brownian position and alpha for a stable one, where one step is exact.
+    A bracket [lo, hi] in x holds the root.  A step that would leave it, or
+    that is longer than half the step before the last, goes instead to the
+    end of [X_MIN, X_MAX] on the root's side if h is not known there (one
+    evaluation decides a root beyond it), and otherwise bisects.  ``s0`` is
+    a warm start; the cold start is s = 1.
+
+    Stops when |h| <= ``tol`` (default RESIDUAL_EPS * |ln(beta)|) or when the
+    next step is a few ulps of x.  Returns ``(s_star, iterations, residual)``,
+    where ``iterations`` counts every evaluation of h.  Raises
+    :class:`NoStationaryPointError` with the boundary beyond which the root
+    lies: LIMIT_AT_INFINITY when h < 0 at s = 1e300, or with no evaluation
+    when t <= :func:`limit_onset`; LIMIT_AT_ZERO when h > 0 at s = 1e-300 or
+    beta = 1.
     """
-    if tol is None:
-        tol = default_residual_tol(beta)
-    log_beta = math.log(beta)
-
-    def h(s):
-        return t * combination.phi_gap(s) + log_beta
-
-    def hp(s):
-        return -s * t * combination.d2phi(s)
-
-    iters = 0
-
-    if s0 is not None and S_MIN < s0 < S_MAX:
-        # Newton on the monotone h, falling back to the bracketed path on any
-        # sign of trouble (step out of range, slow progress).
-        s = s0
-        lo, hi = 0.0, math.inf
-        for _ in range(30):
-            hs = h(s)
-            iters += 1
-            if abs(hs) <= tol:
-                return s, iters, hs
-            if hs > 0.0:
-                hi = s
-            else:
-                lo = s
-            dh = hp(s)
-            if dh <= 0.0 or not math.isfinite(dh):
-                break
-            step = hs / dh
-            s_new = s - step
-            if not (lo < s_new < hi) or not math.isfinite(s_new):
-                s_new = 0.5 * (lo + min(hi, 4.0 * s)) if math.isinf(hi) else 0.5 * (lo + hi)
-            if s_new <= 0.0:
-                break
-            s = s_new
-
-    # Geometric scan for a sign change of the nondecreasing h.  The scan runs
-    # far past any practical s* because jump-dominated positions at small t
-    # place the root at extreme scales; pure compound-Poisson positions with
-    # sup h = t*lambda + ln(beta) < 0 terminate with a boundary infimum.
-    s_lo = 1e-12
-    h_prev = h(s_lo)
-    iters += 1
-    if h_prev > tol:
+    budget = -math.log(beta)
+    if budget == 0.0:
         raise NoStationaryPointError(
-            "stationarity function is positive down to s = %g; infimum at s -> 0+" % s_lo,
+            "beta = 1: h = t*gap >= 0 for every s; infimum at s -> 0+",
             boundary=LIMIT_AT_ZERO,
         )
-    bracket = None
-    for k in range(-11, 301):
-        s_hi = 10.0 ** k
-        h_hi = h(s_hi)
-        iters += 1
-        if h_hi >= 0.0:
-            bracket = (s_hi / 10.0, s_hi, h_prev, h_hi)
-            break
-        h_prev = h_hi
-    if bracket is None:
+    onset = limit_onset(combination, beta)
+    if onset is not None and t <= onset:
         raise NoStationaryPointError(
-            "stationarity function stays negative for all practical s; "
-            "infimum at s -> inf",
+            "t*gap(inf) + ln(beta) <= 0, so h < 0 for every s; infimum at s -> inf",
             boundary=LIMIT_AT_INFINITY,
         )
-
-    lo, hi, h_lo, h_hi = bracket
-    # Shrink hi geometrically until h(hi) is finite (phi can overflow at
-    # extreme s); the invariant h(lo) < 0 is maintained throughout.
-    for _ in range(200):
-        if math.isfinite(h_hi):
-            break
-        mid = math.sqrt(lo * hi)
-        h_mid = h(mid)
-        iters += 1
-        if not math.isfinite(h_mid) or h_mid >= 0.0:
-            hi, h_hi = mid, h_mid
+    if tol is None:
+        tol = RESIDUAL_EPS * budget
+    log_budget = math.log(budget)
+    lo, hi = X_MIN, X_MAX
+    lo_seen = hi_seen = False  # whether h was evaluated at lo / hi
+    x = min(max(math.log(s0), X_MIN), X_MAX) if s0 is not None and s0 > 0.0 else 0.0
+    step = older_step = hi - lo
+    x_prev = f_prev = None
+    iterations = 0
+    # The loop ends: each end of [X_MIN, X_MAX] is evaluated at most once, a
+    # bisection halves the bracket, and Newton steps shrink by half every two
+    # steps until they reach the ulps stop or give way to a bisection.
+    while True:
+        s = math.exp(x)
+        plain = -X_PLAIN <= x <= X_PLAIN
+        if plain:
+            tgap = t * combination.phi_gap(s)
         else:
-            lo, h_lo = mid, h_mid
-    if abs(h_lo) <= tol:
-        return lo, iters, h_lo
-    if abs(h_hi) <= tol:
-        return hi, iters, h_hi
-    s, brent = brentq(h, lo, hi, xtol=1e-300, rtol=8.882e-16, maxiter=max_iter,
-                      full_output=True)
-    hs = h(s)
-    iters += brent.function_calls + 1
-    for _ in range(10):
-        if abs(hs) <= tol:
-            break
-        dh = hp(s)
-        if dh <= 0.0 or not math.isfinite(dh):
-            break
-        s_new = s - hs / dh
-        if not (lo <= s_new <= hi):
-            break
-        s = s_new
-        hs = h(s)
-        iters += 1
-    return s, iters, hs
+            with np.errstate(all="ignore"):
+                tgap = float(t * combination.phi_gap(s))
+        h = tgap - budget
+        iterations += 1
+        if abs(h) <= tol:
+            return s, iterations, h
+        if h < 0.0:
+            if x == X_MAX:
+                raise NoStationaryPointError(
+                    "h < 0 up to s = 1e300: the root lies above the solver's range",
+                    boundary=LIMIT_AT_INFINITY,
+                )
+            lo, lo_seen = x, True
+        else:
+            if x == X_MIN:
+                raise NoStationaryPointError(
+                    "h > 0 down to s = 1e-300: the root lies below the solver's range",
+                    boundary=LIMIT_AT_ZERO,
+                )
+            hi, hi_seen = x, True
+        f = math.log(tgap) - log_budget if tgap > 0.0 else -math.inf
+        # F'(x) = -s^2 phi''(s) / gap(s); nan where it leaves float range.
+        slope = math.nan
+        if plain and tgap > 0.0:
+            try:
+                slope = -t * s * (s * combination.d2phi(s)) / tgap
+            except (OverflowError, ZeroDivisionError):
+                pass
+        if not 0.0 < slope < math.inf and x_prev is not None:
+            slope = (f - f_prev) / (x - x_prev)
+        x_prev, f_prev = x, f
+        # F' <= 2 holds exactly; a larger value is round-off in phi'' or gap.
+        target = x - f / min(slope, 2.0) if 0.0 < slope < math.inf else math.nan
+        if lo < target < hi and abs(target - x) <= 0.5 * older_step:
+            x_next = target
+        elif h < 0.0 and not hi_seen:
+            x_next = X_MAX
+        elif h > 0.0 and not lo_seen:
+            x_next = X_MIN
+        else:
+            x_next = 0.5 * (lo + hi)
+        if abs(x_next - x) <= 1e-15 * (1.0 + abs(x)):  # a few ulps of x
+            return s, iterations, h
+        older_step, step = step, abs(x_next - x)
+        x = x_next
 
 
 def infimum_point(
@@ -251,9 +245,9 @@ def infimum_point(
 
     Returns ``(s, iterations, residual)`` as :func:`solve_stationary` does
     when h has a root.  Otherwise ``s`` is ``math.inf`` or ``0.0``, standing
-    for the limit s -> inf or s -> 0+, with zero iterations and residual.
-    The module docstring lists the boundary cases; :func:`evar_at` turns the
-    point into an EVaR value.
+    for the limit s -> inf or (only at beta = 1) s -> 0+, with zero
+    iterations and residual.  The module docstring lists the boundary cases;
+    :func:`evar_at` turns the point into an EVaR value.
     """
     if t == 0.0 or combination.is_degenerate():
         return math.inf, 0, 0.0
@@ -262,22 +256,23 @@ def infimum_point(
     try:
         return solve_stationary(combination, t, beta, tol, s0)
     except NoStationaryPointError as exc:
-        if exc.boundary == LIMIT_AT_ZERO:
-            return 0.0, 0, 0.0
-        if math.isinf(combination.slope_at_infinity()):
-            raise NoStationaryPointError(
-                "no root of the stationarity function up to s = 1e300; an "
-                "active Brownian factor puts s* beyond the scan",
-                boundary=LIMIT_AT_INFINITY,
-            ) from exc
-        return math.inf, 0, 0.0
+        # A root above 1e300 stands for the s -> inf limit, unless a Brownian
+        # factor makes g grow without bound there.
+        if exc.boundary == LIMIT_AT_INFINITY and not math.isinf(combination.slope_at_infinity()):
+            return math.inf, 0, 0.0
+        raise
 
 
 def limit_onset(combination: FactorCombination, beta: float) -> Optional[float]:
     """t0 = -ln(beta) / lim phi_gap(s), up to which h < 0 for every s and EVaR is
     linear; None unless every active factor is compound Poisson."""
-    gap = sum(f.gap_at_infinity() for f, d in zip(combination.factors, combination.weights) if d)
-    if not (0.0 < gap < math.inf) or beta == 1.0:
+    gap = 0.0
+    for f, d in zip(combination.factors, combination.weights):
+        if d:
+            gap += f.gap_at_infinity()
+            if gap == math.inf:
+                return None
+    if gap == 0.0 or beta == 1.0:
         return None
     return -math.log(beta) / gap
 
@@ -311,11 +306,10 @@ class WarmStart:
     def __init__(self, combination: FactorCombination, beta: float):
         self.combination = combination
         self.beta = beta
-        self.tol = default_residual_tol(beta)
         self.s0 = None
 
     def __call__(self, t: float) -> float:
-        s, _, _ = infimum_point(self.combination, t, self.beta, self.s0, self.tol)
+        s, _, _ = infimum_point(self.combination, t, self.beta, self.s0)
         if 0.0 < s < math.inf:
             self.s0 = s
         return s

@@ -19,6 +19,7 @@ from levyrisk import (
     evar,
     evar_closed_form_brownian,
     evar_curve,
+    stable_allocation,
 )
 from levyrisk.errors import QuadratureBudgetError
 from oracles import composite_simpson
@@ -162,6 +163,15 @@ def test_table_weight_against_pointwise_oracle():
     assert cevar(CevarQuery(comb, T, beta, weight=w)) == pytest.approx(exact, rel=1e-8)
 
 
+def test_gamma_cevar_homogeneous_as_beta_tends_to_one():
+    # The solver's stop scales with the budget -ln(beta) = 1e-12.
+    comb = combo((GammaSubordinator(0.7, 2.0, 0.1), 1.0))
+    beta = 1.0 - 1e-12
+    base = cevar(CevarQuery(comb, 1.0, beta))
+    doubled = cevar(CevarQuery(comb.scaled(2.0), 1.0, beta))
+    assert abs(doubled - 2.0 * base) <= 1e-10 * abs(2.0 * base)
+
+
 def test_cevar_beta_one_is_weighted_mean():
     comb = combo((GammaSubordinator(2.0, 4.0, 0.1), 1.0))
     # EVaR at beta=1 is -t * mean rate; uniform weight integrates to -T/2 * mean.
@@ -171,22 +181,24 @@ def test_cevar_beta_one_is_weighted_mean():
 
 
 def test_cevar_budget_error_carries_partial():
-    # A Brownian integrand is a polynomial in u under t = u^2, so only a
-    # tolerance below round-off keeps the quadrature halving until the
-    # budget runs out.
-    comb = combo((BrownianWithDrift(0.0, 1.0), 1.0))
+    # Under t = u^2 a stable integrand goes as u^(2/alpha), not a polynomial
+    # in u, so the panel errors stay far above 1e-30 and the quadrature
+    # halves until the budget runs out, whatever the round-off.
+    comb = combo((AlphaStableSubordinator(0.7), 1.0))
     q = CevarQuery(comb, 1.0, 0.05, quad_tol=1e-30)
     with pytest.raises(QuadratureBudgetError) as exc_info:
         cevar(q, max_evals=200)
     partial = exc_info.value.partial
     assert partial is not None
-    assert partial == pytest.approx(brownian_cevar_closed_form(0.0, 1.0, 1.0, 0.05), rel=1e-6)
+    # One department with no premium: its allocation is the CEVaR.
+    expected = stable_allocation([[1.0]], 0.7, [0.0], 1.0, 0.05)[0]
+    assert partial == pytest.approx(expected, rel=1e-6)
 
 
 def test_boundary_nodes_are_solved_once(monkeypatch):
     # Compound Poisson only: below t = -ln(beta)/lambda the infimum is the
-    # s -> inf limit, so most nodes end in a full bracket scan; each node may
-    # run the solver once.
+    # s -> inf limit, which the solver decides without evaluating h; each
+    # node may run the solver once.
     solves, nodes = [], []
     original = sys.modules["levyrisk.evar"].solve_stationary
 

@@ -226,7 +226,10 @@ def test_exit_code_parse_error(tmp_path):
 
 
 def test_exit_code_quadrature_budget(tmp_path):
-    cfg = write(tmp_path, MINIMAL)
+    # A stable CEVaR integrand is not a polynomial in u under t = u^2, so
+    # --tol-quad 1e-30 runs the quadrature out of budget whatever the round-off.
+    cfg = write(tmp_path, MINIMAL.replace("kind = brownian, mu = 0.0, sigma = 1.0",
+                                          "kind = stable, alpha = 0.7, mu = 0.0"))
     code = main(["--config", cfg, "--command", "cevar", "--tol-quad", "1e-30"])
     assert code == 4
 

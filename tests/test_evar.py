@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ from levyrisk import (
     evar_closed_form_brownian,
     evar_objective,
 )
+from levyrisk.errors import LevyRiskError
 from levyrisk.evar import infimum_point, limit_onset, solve_stationary
 
 RNG = np.random.default_rng(20240817)
@@ -134,19 +136,102 @@ def test_brownian_root_beyond_scan_is_a_typed_error():
     assert exc_info.value.boundary == "limit_at_infinity"
 
 
-def test_cold_solve_counts_every_evaluation(monkeypatch):
-    # Scan, Brent and the Newton polish each evaluate h once per phi_gap call.
+def test_stable_root_far_below_one():
+    # s* = (-ln(beta) / (t (1 - alpha)))^(1/alpha) runs from 1.8e-11 down to
+    # 5.6e-14 over these horizons; the drift cancels in h.
+    alpha, beta = 0.4, 0.05
+    for t in (1e5, 4e5, 1e6):
+        res = evar(EvarQuery.of_factor(AlphaStableSubordinator(alpha, mu=0.1), t, beta))
+        s_star = (-math.log(beta) / (t * (1.0 - alpha))) ** (1.0 / alpha)
+        assert res.attained == "interior" and math.isfinite(res.value)
+        assert res.s_star == pytest.approx(s_star, rel=1e-12)
+
+
+def test_root_below_the_solver_range_is_a_typed_error():
+    # s* = (-ln(beta) / (0.6 t))^2.5 ~ 6e-325 lies below 1e-300.
+    comb = FactorCombination.single(AlphaStableSubordinator(0.4))
+    with pytest.raises(NoStationaryPointError) as exc_info:
+        evar(EvarQuery(comb, 1e130, 0.05))
+    assert exc_info.value.boundary == "limit_at_zero"
+    # At beta = 1, h = t*gap >= 0 for every s: the solver reports s -> 0+.
+    with pytest.raises(NoStationaryPointError) as exc_info:
+        solve_stationary(comb, 1.0, 1.0)
+    assert exc_info.value.boundary == "limit_at_zero"
+
+
+def test_brownian_evar_as_beta_tends_to_one():
+    # The stop |h| <= eps * |ln(beta)| scales with the budget -ln(beta) = 1e-12.
+    beta = 1.0 - 1e-12
+    res = evar(brownian_query(0.1, 1.0, 1.0, beta))
+    expected = evar_closed_form_brownian(0.1, 1.0, 1.0, beta)
+    assert abs(res.value - expected) <= 1e-12 * abs(expected)
+
+
+# Numpy-scalar parameters turn an overflow at extreme s into a RuntimeWarning,
+# which the suite makes an error.
+EXTREME_FACTORS = (
+    BrownianWithDrift(np.float64(0.1), np.float64(1.0)),
+    GammaSubordinator(np.float64(2.0), np.float64(3.0), np.float64(0.1)),
+    AlphaStableSubordinator(np.float64(0.4), np.float64(0.1)),
+    CompoundPoissonExp(np.float64(2.0), np.float64(1.0), np.float64(0.1)),
+)
+
+
+@pytest.mark.parametrize("factor", EXTREME_FACTORS, ids=lambda f: f.kind)
+def test_extremes_give_homogeneous_values_or_typed_errors(factor):
+    # 27 cases per factor kind: exposures, confidence levels and horizons at
+    # the extremes.
+    grid = itertools.product((1e-6, 1.0, 1e6), (1e-12, 0.05, 1.0 - 1e-12), (1e-12, 1.0, 1e6))
+    for d, beta, t in grid:
+        comb = FactorCombination([factor], [d])
+        try:
+            base = evar(EvarQuery(comb, t, beta)).value
+            doubled = evar(EvarQuery(comb.scaled(2.0), t, beta)).value
+        except LevyRiskError:
+            continue
+        assert math.isfinite(base), (d, beta, t)
+        assert abs(doubled - 2.0 * base) <= 1e-9 * abs(2.0 * base), (d, beta, t)
+
+
+@pytest.fixture
+def gap_calls(monkeypatch):
+    """The arguments of every factor's phi_gap call, in order."""
     calls = []
-    original = GammaSubordinator.phi_gap
+    for cls in (BrownianWithDrift, GammaSubordinator, AlphaStableSubordinator, CompoundPoissonExp):
+        def counted(self, s, original=cls.phi_gap):
+            calls.append(s)
+            return original(self, s)
+        monkeypatch.setattr(cls, "phi_gap", counted)
+    return calls
 
-    def counted(self, s):
-        calls.append(s)
-        return original(self, s)
 
-    monkeypatch.setattr(GammaSubordinator, "phi_gap", counted)
+def test_cold_solve_work(gap_calls):
+    # Newton in x = ln(s) is exact in one step for Brownian and stable positions.
+    for factor, t, budget in ((BrownianWithDrift(0.1, 1.0), 1.0, 3),
+                              (AlphaStableSubordinator(0.5, 0.1), 1.0, 3),
+                              (GammaSubordinator(2.0, 3.0, 0.1), 1.0, 12)):
+        gap_calls.clear()
+        solve_stationary(FactorCombination.single(factor), t, 0.05)
+        assert len(gap_calls) <= budget, factor
+    # This gamma root lies above 1e300: one evaluation there decides it.
+    gap_calls.clear()
+    with pytest.raises(NoStationaryPointError) as exc_info:
+        solve_stationary(FactorCombination.single(GammaSubordinator(2.0, 3.0, 0.1)), 1e-4, 0.05)
+    assert exc_info.value.boundary == "limit_at_infinity"
+    assert len(gap_calls) <= 10
+    # Below the compound-Poisson onset t0 = ln(20)/2 no evaluation is needed.
+    gap_calls.clear()
+    with pytest.raises(NoStationaryPointError) as exc_info:
+        solve_stationary(FactorCombination.single(CompoundPoissonExp(2.0, 1.0)), 1.0, 0.05)
+    assert exc_info.value.boundary == "limit_at_infinity"
+    assert gap_calls == []
+
+
+def test_cold_solve_counts_every_evaluation(gap_calls):
+    # Every Newton, bisection or end step evaluates h once per phi_gap call.
     comb = FactorCombination.single(GammaSubordinator(a=2.0, b=3.0, mu=0.1))
     _, iterations, _ = solve_stationary(comb, 1.0, 0.05)
-    assert iterations == len(calls)
+    assert iterations == len(gap_calls)
 
 
 def test_invalid_queries_rejected():
