@@ -141,8 +141,10 @@ def solve_stationary(
     """Root s* of the stationarity function h on [1e-300, 1e300].
 
     Newton's method on F(x) = ln(t*gap(e^x)) - ln(-ln(beta)) in x = ln(s),
-    whose slope F'(x) = -s^2 phi''(s) / gap(s) lies in (0, 2]; it is 2 for a
-    Brownian position and alpha for a stable one, where one step is exact.
+    whose slope F'(x) = -s^2 phi''(s) / gap(s) lies in (0, 2] for every
+    combination of the factor kinds (their exponentially tilted laws are never
+    left-skewed); it is 2 for a Brownian position and alpha for a stable one,
+    where one step is exact.
     A bracket [lo, hi] in x holds the root.  A step that would leave it, or
     that is longer than half the step before the last, goes instead to the
     end of [X_MIN, X_MAX] on the root's side if h is not known there (one
@@ -218,7 +220,8 @@ def solve_stationary(
         if not 0.0 < slope < math.inf and x_prev is not None:
             slope = (f - f_prev) / (x - x_prev)
         x_prev, f_prev = x, f
-        # F' <= 2 holds exactly; a larger value is round-off in phi'' or gap.
+        # F' <= 2 holds for the factor kinds, so a larger value is round-off; for a
+        # plug-in exponent with a left-skewed tilt the cap only lengthens the step.
         target = x - f / min(slope, 2.0) if 0.0 < slope < math.inf else math.nan
         if lo < target < hi and abs(target - x) <= 0.5 * older_step:
             x_next = target

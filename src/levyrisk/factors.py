@@ -132,7 +132,19 @@ class GammaSubordinator(LevyFactor):
         return -(self.a / bs) / bs
 
     def phi_gap(self, s):
-        return self.a * (math.log1p(s / self.b) - s / (self.b + s))
+        z = s / self.b
+        if z >= 1.0:
+            return self.a * (math.log1p(z) - s / (self.b + s))
+        # The closed form cancels to ~z^2/2 as z -> 0.  With y = z/(2+z),
+        # log1p(z) = 2*atanh(y) and z/(1+z) = 2y/(1+y), so the gap is the sum of
+        # two positive terms, z^2/((1+z)(2+z)) and 2*(atanh(y) - y), the second
+        # summed as 2*y^3 * sum_k w^k/(2k+3) with w = y^2 <= 1/9: 15 terms.
+        y = z / (2.0 + z)
+        w = y * y
+        p = 1/3 + w * (1/5 + w * (1/7 + w * (1/9 + w * (1/11 + w * (1/13 + w * (1/15 + w * (
+            1/17 + w * (1/19 + w * (1/21 + w * (1/23 + w * (1/25 + w * (1/27 + w * (
+                1/29 + w * (1/31))))))))))))))
+        return self.a * (z * z / ((1.0 + z) * (2.0 + z)) + 2.0 * y * w * p)
 
     def mean_rate(self):
         return self.mu + self.a / self.b

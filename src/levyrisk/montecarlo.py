@@ -1,8 +1,8 @@
 """Monte Carlo oracle: simulation-based checks of the analytic machinery.
 
-Provides exact-marginal increment sampling for every factor kind, an
-empirical (plug-in) EVaR based on the log-sum-exp of simulated positions,
-and classical Cramer-Lundberg ruin estimates with the Lundberg bound for the
+Provides exact-marginal increment sampling for every factor kind, a plug-in
+EVaR solved on the empirical Laplace exponent of simulated positions, and
+classical Cramer-Lundberg ruin estimates with the Lundberg bound for the
 compound-Poisson-exponential reserve.
 """
 from __future__ import annotations
@@ -12,10 +12,8 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
-from scipy.special import logsumexp
 
-from .evar import evar_closed_form_brownian
+from .evar import EvarQuery, evar, evar_closed_form_brownian
 from .factors import (
     AlphaStableSubordinator,
     BrownianWithDrift,
@@ -46,14 +44,10 @@ class SimulationConfig:
 
     seed: int = 0
     n_paths: int = 100_000
-    n_steps: int = 1
-    horizon: float = 1.0
 
     def __post_init__(self):
-        if self.n_paths < 1 or self.n_steps < 1:
-            raise ValueError("n_paths and n_steps must be at least 1")
-        if not (self.horizon > 0):
-            raise ValueError(f"horizon must be positive, got {self.horizon}")
+        if self.n_paths < 1:
+            raise ValueError(f"n_paths must be at least 1, got {self.n_paths}")
 
 
 @dataclass(frozen=True)
@@ -126,35 +120,70 @@ def _sample_position(target, t: float, n: int, seed: int) -> np.ndarray:
     return x
 
 
+class _EmpiricalExponent(LevyFactor):
+    """phi(s) = -ln mean exp(-s*X) of samples X, as one factor for the EVaR solver.
+
+    With Y = X - min X >= 0 the weights exp(-s*Y) lie in [0, 1] (the max-shift
+    of a log-sum-exp) and phi_gap carries no drift.  phi'' is minus the tilted
+    variance of Y.  As s -> inf only the ties at min X keep weight, so
+    phi(s)/s -> min X and phi_gap -> ln(N / #ties).
+    """
+
+    def __init__(self, x: np.ndarray):
+        self.low = float(x.min())
+        self.y = x - self.low
+        self._s = None
+
+    def weights(self, s):
+        """w = exp(-s*Y) in [0, 1].  The solver asks for phi_gap and phi'' at
+        one s, so w and its tilted moments are kept for the last s."""
+        if s != self._s:
+            self._s, self._w, self._tilt = s, np.exp(-(s * self.y)), None
+        return self._w
+
+    def _moments(self, s):
+        """(ln mean w, tilted mean and variance of Y)."""
+        w = self.weights(s)
+        if self._tilt is None:
+            p = w / w.sum()
+            mean = float(p @ self.y)
+            self._tilt = math.log(w.mean()), mean, float(p @ (self.y - mean) ** 2)
+        return self._tilt
+
+    def phi(self, s):
+        return s * self.low - math.log(self.weights(s).mean())
+
+    def d2phi(self, s):
+        return -self._moments(s)[2]
+
+    def phi_gap(self, s):
+        log_mean, mean, _ = self._moments(s)
+        return -log_mean - s * mean
+
+    def slope_at_infinity(self):
+        return self.low
+
+    def gap_at_infinity(self):
+        return math.log(self.y.size / np.count_nonzero(self.y == 0.0))
+
+
 def empirical_evar(
     target: Union[LevyFactor, FactorCombination],
     t: float,
     beta: float,
     config: SimulationConfig,
 ) -> float:
-    """Plug-in EVaR from the empirical Laplace transform of simulated X_t.
+    """Plug-in EVaR inf_s (ln (1/N) sum exp(-s X) - ln beta)/s of simulated X_t.
 
-    Minimises (ln (1/N) sum exp(-s X) - ln beta)/s over s > 0; the empirical
-    transform is evaluated through log-sum-exp so large s cannot overflow.
+    :func:`evar.evar` solves it on the empirical exponent, with the stationary
+    solve and boundary limits of the analytic EVaR.  At beta <= #ties/N (so
+    at every beta <= 1/N) the infimum is the s -> inf limit -min X.
     """
     if not (0.0 < beta < 1.0):
         raise ValueError(f"beta must lie in (0, 1), got {beta}")
     x = _sample_position(target, t, config.n_paths, config.seed)
-    log_n = math.log(config.n_paths)
-    log_beta = math.log(beta)
-
-    def objective(log_s):
-        s = math.exp(log_s)
-        return (logsumexp(-s * x) - log_n - log_beta) / s
-
-    grid = np.linspace(math.log(1e-4), math.log(1e4), 61)
-    vals = [objective(ls) for ls in grid]
-    i = int(np.argmin(vals))
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, len(grid) - 1)]
-    res = minimize_scalar(objective, bounds=(lo, hi), method="bounded",
-                          options={"xatol": 1e-10})
-    return float(min(res.fun, vals[i]))
+    plug_in = FactorCombination.single(_EmpiricalExponent(x))
+    return evar(EvarQuery(plug_in, 1.0, beta)).value
 
 
 def empirical_exponent_check(
@@ -169,16 +198,12 @@ def empirical_exponent_check(
     Returns a list of dicts {s, estimate, analytic, stderr, pass} where pass
     means agreement within ``n_sigma`` standard errors.
     """
-    x = sample_increments(factor, dt, config.n_paths, config.seed)
+    plug_in = _EmpiricalExponent(sample_increments(factor, dt, config.n_paths, config.seed))
     out = []
     for s in s_values:
-        z = -s * x
-        shift = z.max()
-        w = np.exp(z - shift)
-        mean_w = w.mean()
-        log_mean = shift + math.log(mean_w)
-        estimate = -log_mean / dt
-        stderr = w.std(ddof=1) / (mean_w * math.sqrt(config.n_paths)) / dt
+        w = plug_in.weights(s)
+        estimate = plug_in.phi(s) / dt
+        stderr = w.std(ddof=1) / (w.mean() * math.sqrt(config.n_paths)) / dt
         analytic = factor.phi(s)
         out.append(
             {
@@ -195,23 +220,37 @@ def empirical_exponent_check(
 def adjustment_coefficient(cp: CompoundPoissonExp, premium: float) -> float:
     """Smallest positive root R of Lundberg's equation lam + c*r = lam*eta/(eta-r).
 
-    The effective premium nets out the factor's deterministic drift.
+    The effective premium nets out the factor's deterministic drift.  The
+    Lundberg function l(r) = lam + c*r - lam*eta/(eta - r) is concave with
+    l(0) = 0 < l'(0) and l -> -inf as r -> eta, so R is its one root in
+    (0, eta).  Newton steps find it in a bracket that starts as (0, eta) and
+    shrinks at every step; a step leaving it bisects.
     """
     c_eff = premium - cp.mu
-    if not (c_eff > cp.lam / cp.eta):
+    lam, eta = cp.lam, cp.eta
+    if not (c_eff > lam / eta):
         raise ValueError(
             f"net profit condition violated: premium {premium} must exceed "
-            f"expected claims rate {cp.mu + cp.lam / cp.eta}"
+            f"expected claims rate {cp.mu + lam / eta}"
         )
 
-    def lundberg(r):
-        return cp.lam + c_eff * r - cp.lam * cp.eta / (cp.eta - r)
-
-    lo = 1e-12 * cp.eta
-    hi = cp.eta * (1.0 - 1e-13)
-    if lundberg(lo) <= 0.0 or lundberg(hi) >= 0.0:
-        raise RuntimeError("failed to bracket the adjustment coefficient")
-    return brentq(lundberg, lo, hi, xtol=1e-300, rtol=8.882e-16, maxiter=200)
+    lo, hi, r = 0.0, eta, 0.5 * eta
+    while True:
+        # l(r) and l'(r), with lam - lam*eta/(eta - r) written as -lam*r/(eta - r).
+        v = eta - r
+        f, df = r * (c_eff - lam / v), c_eff - (lam / v) * (eta / v)
+        if f == 0.0:
+            return r
+        if f > 0.0:
+            lo = r
+        else:
+            hi = r
+        r_next = r - f / df if df != 0.0 else math.nan
+        if not lo < r_next < hi:
+            r_next = 0.5 * (lo + hi)
+        if abs(r_next - r) <= 2.0 * math.ulp(r):
+            return r_next
+        r = r_next
 
 
 def _path_infima(cp: CompoundPoissonExp, premium: float, horizon: float,

@@ -1,5 +1,6 @@
 import itertools
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -225,6 +226,24 @@ def test_cold_solve_work(gap_calls):
         solve_stationary(FactorCombination.single(CompoundPoissonExp(2.0, 1.0)), 1.0, 0.05)
     assert exc_info.value.boundary == "limit_at_infinity"
     assert gap_calls == []
+
+
+@pytest.mark.parametrize("t, beta", [(1.0, 1.0 - 2.0**-50), (1e17, 0.05), (1e30, 0.05)])
+def test_gamma_root_at_small_z_meets_the_residual_stop(t, beta):
+    # These roots sit at z = s*d/b < 1e-3, where the closed-form gamma gap
+    # cancels to noise.  h is checked in 460-digit decimals.
+    a, b, d = 2.0, 3.0, 0.5
+    comb = FactorCombination([GammaSubordinator(a=a, b=b, mu=0.1)], [d])
+    s, iterations, residual = solve_stationary(comb, t, beta)
+    z = s * d / b
+    assert z < 1e-3
+    with localcontext() as ctx:
+        ctx.prec = 460
+        gap = (1 + Decimal(z)).ln() - Decimal(z) / (1 + Decimal(z))
+        h = float(Decimal(t) * Decimal(a) * gap + Decimal(math.log(beta)))
+    assert abs(h) <= 1e-10 * -math.log(beta)
+    assert abs(residual) <= 1e-10 * -math.log(beta)
+    assert iterations <= 8
 
 
 def test_cold_solve_counts_every_evaluation(gap_calls):

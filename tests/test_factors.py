@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -126,6 +127,23 @@ def test_phi_gap_immune_to_drift_cancellation():
     combo = FactorCombination([g, CompoundPoissonExp(lam=1.0, eta=2.0, mu=5.0)],
                               [1.0, 1.0])
     assert combo.phi_gap(s) == pytest.approx(expected + 1.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("a", [1.0, 2.5])
+def test_gamma_phi_gap_to_a_few_ulps(a):
+    # Exact reference a*(ln(1+z) - z/(1+z)) in 460-digit decimals, enough for
+    # the ~z^2/2 left at z = 1e-200.  The closed form alone cancels to ~1/z^2
+    # ulps as z -> 0; the series below z = 1 keeps 4 ulps, and the closed form
+    # above it keeps its own rounding, within 8.
+    g = GammaSubordinator(a=a, b=1.0)
+    zs = np.concatenate([np.geomspace(1e-200, 1e3, 400), np.linspace(0.5, 4.0, 57)])
+    for z in zs:
+        z = float(z)
+        with localcontext() as ctx:
+            ctx.prec = 460
+            exact = Decimal(a) * ((1 + Decimal(z)).ln() - Decimal(z) / (1 + Decimal(z)))
+        ulps = abs(Decimal(g.phi_gap(z)) - exact) / Decimal(math.ulp(float(exact)))
+        assert ulps <= (4 if z < 1.0 else 8), z
 
 
 def test_combine_identity_and_zero():

@@ -19,6 +19,8 @@ from levyrisk import (
     validation_report,
     var_inf_bound_check,
 )
+from levyrisk.evar import infimum_point
+from levyrisk.montecarlo import _EmpiricalExponent, _sample_position
 
 ALL_KINDS = [
     BrownianWithDrift(mu=0.1, sigma=1.0),
@@ -61,6 +63,13 @@ def test_subordinator_samples_are_nonnegative():
 def test_sample_increments_validation():
     with pytest.raises(ValueError, match="dt"):
         sample_increments(ALL_KINDS[0], 0.0, 10, seed=0)
+
+
+def test_simulation_config_validation():
+    for n_paths in (0, -1):
+        with pytest.raises(ValueError, match="n_paths"):
+            SimulationConfig(seed=0, n_paths=n_paths)
+    assert SimulationConfig(seed=0, n_paths=1).n_paths == 1
 
 
 # ---------------------------------------------------------------------------
@@ -113,6 +122,70 @@ def test_empirical_evar_validation():
         empirical_evar(BrownianWithDrift(0.0, 1.0), 1.0, 1.0, config)
 
 
+EMPIRICAL_TARGETS = [
+    GammaSubordinator(a=2.0, b=3.0, mu=0.1),
+    AlphaStableSubordinator(alpha=0.5, mu=0.0),
+    # lam*t = 5 leaves e^-5 of the paths claim-free, so the root is interior.
+    CompoundPoissonExp(lam=5.0, eta=1.0, mu=0.0),
+    FactorCombination([BrownianWithDrift(0.1, 1.0), GammaSubordinator(1.0, 2.0)], [1.0, 0.5]),
+]
+
+
+def _brute_force_plug_in(x, beta):
+    """Minimum of (ln mean exp(-s x) - ln beta)/s on a log grid, refined once."""
+    def objective(s):
+        z = -s * x
+        shift = z.max()
+        return (shift + math.log(np.exp(z - shift).mean()) - math.log(beta)) / s
+
+    grid = np.geomspace(1e-3, 1e3, 2001)
+    i = int(np.argmin([objective(s) for s in grid]))
+    fine = np.geomspace(grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)], 2001)
+    return min(objective(s) for s in fine)
+
+
+@pytest.mark.parametrize("target", EMPIRICAL_TARGETS,
+                         ids=["gamma", "stable", "cp", "brownian+gamma"])
+def test_empirical_evar_matches_brute_force_minimum(target):
+    config = SimulationConfig(seed=31, n_paths=5_000)
+    estimate = empirical_evar(target, 1.0, 0.05, config)
+    x = _sample_position(target, 1.0, config.n_paths, config.seed)
+    brute = _brute_force_plug_in(x, 0.05)
+    scale = max(1.0, abs(brute))
+    # The solve finds the infimum, so it lies at or below every grid value.
+    assert estimate <= brute + 1e-12 * scale
+    assert estimate >= brute - 1e-9 * scale
+
+
+def test_empirical_evar_work(monkeypatch):
+    calls = []
+    original = _EmpiricalExponent.phi_gap
+
+    def counted(self, s):
+        calls.append(s)
+        return original(self, s)
+
+    monkeypatch.setattr(_EmpiricalExponent, "phi_gap", counted)
+    for target in EMPIRICAL_TARGETS:
+        calls.clear()
+        empirical_evar(target, 1.0, 0.05, SimulationConfig(seed=31, n_paths=5_000))
+        assert 1 <= len(calls) <= 8, target
+
+
+@pytest.mark.parametrize("factor", ALL_KINDS, ids=lambda f: f.kind)
+def test_empirical_evar_below_one_over_n_is_the_minimum(factor):
+    # At beta < 1/N the plug-in gap saturates at ln(N / #ties) <= ln N <
+    # -ln(beta), so the infimum is the s -> inf limit -min X, decided with no
+    # evaluation.
+    n = 1_000
+    config = SimulationConfig(seed=4, n_paths=n)
+    x = sample_increments(factor, 1.0, n, seed=config.seed)
+    plug_in = FactorCombination.single(_EmpiricalExponent(x))
+    for beta in (0.5 / n, 1e-300):
+        assert empirical_evar(factor, 1.0, beta, config) == -x.min()
+        assert infimum_point(plug_in, 1.0, beta) == (math.inf, 0, 0.0)
+
+
 # ---------------------------------------------------------------------------
 # ruin theory
 # ---------------------------------------------------------------------------
@@ -129,6 +202,33 @@ def test_adjustment_coefficient_nets_out_drift():
     assert adjustment_coefficient(drifted, PREMIUM + 0.25) == pytest.approx(
         1.0 / 3.0, abs=1e-12
     )
+
+
+@pytest.mark.parametrize("mu", [0.0, 0.25])
+@pytest.mark.parametrize("eta", [0.01, 1.0, 100.0])
+@pytest.mark.parametrize("lam", [0.01, 1.0, 100.0])
+def test_adjustment_coefficient_to_a_few_ulps(lam, eta, mu):
+    cp = CompoundPoissonExp(lam=lam, eta=eta, mu=mu)
+    # Loadings from just above the net-profit limit (R -> 0+) to very large
+    # premiums (R -> eta-).
+    for loading in (1e-9, 1e-6, 1e-3, 0.1, 1.0, 10.0, 1e3, 1e6, 1e9, 1e12):
+        premium = mu + lam / eta * (1.0 + loading)
+        c_eff = premium - mu
+        R = adjustment_coefficient(cp, premium)
+        # eta - lam/c is exact but for the rounding of lam/c, an ulp of eta,
+        # which is many ulps of R as R -> 0+.
+        assert abs(R - (eta - lam / c_eff)) <= 4 * math.ulp(eta), loading
+
+
+def test_adjustment_coefficient_at_extreme_loadings():
+    # The root lies anywhere in (0, eta): from eta*1e-15 just above the
+    # net-profit limit to within a few ulps of eta for a huge premium.
+    cp = CompoundPoissonExp(lam=1.0, eta=1.0, mu=0.0)
+    for loading in (1e-15, 1e-13, 1e13, 1e15, 1e300):
+        premium = 1.0 + loading
+        R = adjustment_coefficient(cp, premium)
+        assert 0.0 < R <= 1.0
+        assert abs(R - (1.0 - 1.0 / premium)) <= 4 * math.ulp(1.0), loading
 
 
 def test_adjustment_coefficient_requires_net_profit():
