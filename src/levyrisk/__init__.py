@@ -10,7 +10,6 @@ from .allocation import (
     directional_derivative_check,
     diversification_check,
     euler_contributions,
-    solve_s_star,
     stable_allocation,
     stable_contributions,
 )
@@ -37,11 +36,8 @@ from .factors import (
     FactorCombination,
     GammaSubordinator,
     LevyFactor,
-    combine,
-    combine_deriv,
     factor_from_dict,
     laplace_exponent,
-    laplace_exponent_deriv,
 )
 from .montecarlo import (
     RuinEstimate,

@@ -21,13 +21,12 @@ import numpy as np
 
 from ._quad import adaptive_simpson
 from .cevar import CevarQuery, WeightFunction, cevar, kinks
-from .evar import EvarQuery, WarmStart, evar, infimum_point, solve_stationary
+from .evar import EvarQuery, WarmStart, evar, infimum_point
 from .factors import FactorCombination, LevyFactor
 
 __all__ = [
     "FactorPortfolio",
     "AllocationReport",
-    "solve_s_star",
     "euler_contributions",
     "allocate",
     "directional_derivative_check",
@@ -140,23 +139,8 @@ class AllocationReport:
         }
 
     def curve_rows(self):
-        """Rows (t, s_star, K_1, ..., K_n) for CSV output."""
-        rows = []
-        for (t, s), krow in zip(self.s_star_curve, self.K_curve):
-            rows.append([t, s] + list(krow))
-        return rows
-
-
-def solve_s_star(portfolio: FactorPortfolio, u, t: float,
-                 tol: Optional[float] = None, s0: Optional[float] = None) -> float:
-    """Stationary point of the EVaR objective for exposures u at time t."""
-    if not (t > 0):
-        raise ValueError(f"t must be positive, got {t}")
-    comb = portfolio.combination(u)
-    if comb.is_degenerate():
-        raise ValueError("all effective weights d_j are zero")
-    s_star, _, _ = solve_stationary(comb, t, portfolio.beta, tol=tol, s0=s0)
-    return s_star
+        """Rows (t, s_star, K_1, ..., K_n), s_star None at the s -> inf limit."""
+        return [[t, s] + list(k) for (t, s), k in zip(self.s_star_curve, self.K_curve)]
 
 
 class _EulerKernel:

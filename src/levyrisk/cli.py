@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import sys
@@ -240,26 +241,22 @@ def _format_evar(result, fmt):
         payload.update(dict(zip(fields, values)))
         return json.dumps(payload, indent=2) + "\n"
     if fmt == "csv":
-        return _csv_text(fields, [["" if v is None else v for v in values]])
+        return _csv_text(fields, [values])
     return _table(fields, [values])
 
 
 def _format_curve(report, fmt):
     n = report.K_curve.shape[1]
     header = ["t", "s_star"] + [f"K_{i}" for i in range(1, n + 1)]
-    rows = [
-        [t, "" if s is None else s] + list(k)
-        for (t, s), k in zip(report.s_star_curve, report.K_curve)
-    ]
+    rows = report.curve_rows()
     if fmt == "json":
         return json.dumps(
-            {"schema_version": SCHEMA_VERSION, "columns": header,
-             "rows": [[None if v == "" else v for v in r] for r in rows]},
+            {"schema_version": SCHEMA_VERSION, "columns": header, "rows": rows},
             indent=2,
         ) + "\n"
     if fmt == "csv":
         return _csv_text(header, rows)
-    return _table(header, [[v if v != "" else None for v in r] for r in rows])
+    return _table(header, rows)
 
 
 def _format_allocation(report, fmt):
@@ -297,12 +294,7 @@ def run(args) -> int:
         overrides["T"] = args.T
     if overrides:
         try:
-            portfolio = FactorPortfolio(
-                portfolio.A, portfolio.factors, portfolio.premiums,
-                overrides.get("T", portfolio.T),
-                overrides.get("beta", portfolio.beta),
-                weight=portfolio.weight,
-            )
+            portfolio = dataclasses.replace(portfolio, **overrides)
         except ValueError as exc:
             sys.stderr.write(f"error: {exc}\n")
             return EXIT_CONFIG

@@ -1,5 +1,8 @@
 """Exception types shared across the library."""
 
+__all__ = ["LevyRiskError", "DomainError", "NoStationaryPointError", "QuadratureBudgetError",
+           "ConfigError"]
+
 
 class LevyRiskError(Exception):
     """Base class for library errors."""
@@ -12,14 +15,12 @@ class DomainError(LevyRiskError, ValueError):
 class NoStationaryPointError(LevyRiskError):
     """The stationarity equation has no positive root.
 
-    ``boundary`` records which end of (0, inf) carries the infimum and
-    ``limit_value`` the analytic limit of the objective there, when finite.
+    ``boundary`` records which end of (0, inf) carries the infimum.
     """
 
-    def __init__(self, message, boundary, limit_value=None):
+    def __init__(self, message, boundary):
         super().__init__(message)
         self.boundary = boundary
-        self.limit_value = limit_value
 
 
 class QuadratureBudgetError(LevyRiskError):

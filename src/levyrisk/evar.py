@@ -26,7 +26,7 @@ unless t*gap stays below -ln(beta) for every s:
   (only for exposures near 1e-300) raises :class:`NoStationaryPointError`.
 * s* -> 0+ only at beta = 1, where h >= 0 everywhere: EVaR is -t * mean, the
   negative mean.  With an active stable factor the mean is infinite and EVaR
-  diverges (``ValueError``).
+  diverges (:class:`DomainError`, a ``ValueError``).
 * A root below 1e-300 raises :class:`NoStationaryPointError`.
 """
 from __future__ import annotations
@@ -37,7 +37,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import NoStationaryPointError
+from .errors import DomainError, NoStationaryPointError
 from .factors import FactorCombination, LevyFactor
 
 __all__ = [
@@ -120,15 +120,6 @@ def evar_objective(query: EvarQuery, s: float) -> float:
     if not (s > 0.0):
         raise ValueError(f"s must be positive, got {s}")
     return (-query.t * query.combination.phi(s) - math.log(query.beta)) / s
-
-
-def stationarity(combination: FactorCombination, t: float, beta: float, s: float) -> float:
-    """h(s) = -s*t*phi'(s) + t*phi(s) + ln(beta); g'(s) = h(s)/s^2.
-
-    Evaluated through the drift-free gap phi(s) - s*phi'(s) so that the
-    linear drift terms cancel exactly instead of catastrophically.
-    """
-    return t * combination.phi_gap(s) + math.log(beta)
 
 
 def solve_stationary(
@@ -270,11 +261,10 @@ def limit_onset(combination: FactorCombination, beta: float) -> Optional[float]:
     """t0 = -ln(beta) / lim phi_gap(s), up to which h < 0 for every s and EVaR is
     linear; None unless every active factor is compound Poisson."""
     gap = 0.0
-    for f, d in zip(combination.factors, combination.weights):
-        if d:
-            gap += f.gap_at_infinity()
-            if gap == math.inf:
-                return None
+    for f, _ in combination.active:
+        gap += f.gap_at_infinity()
+        if gap == math.inf:
+            return None
     if gap == 0.0 or beta == 1.0:
         return None
     return -math.log(beta) / gap
@@ -291,7 +281,7 @@ def evar_at(combination: FactorCombination, t: float, beta: float, s: float) -> 
         return -t * combination.slope_at_infinity()
     mean = combination.mean_rate()
     if math.isinf(mean):
-        raise ValueError(
+        raise DomainError(
             "EVaR diverges at the s -> 0+ boundary: an active stable factor "
             "has infinite mean"
         )

@@ -21,9 +21,6 @@ __all__ = [
     "CompoundPoissonExp",
     "FactorCombination",
     "laplace_exponent",
-    "laplace_exponent_deriv",
-    "combine",
-    "combine_deriv",
     "factor_from_dict",
 ]
 
@@ -65,7 +62,7 @@ class LevyFactor:
 
     def params(self) -> dict:
         """Parameter dict keyed by the public parameter names."""
-        raise NotImplementedError
+        return {name: getattr(self, _field(name)) for name in _KIND_MAP[self.kind][1]}
 
 
 @dataclass(frozen=True)
@@ -99,9 +96,6 @@ class BrownianWithDrift(LevyFactor):
 
     def slope_at_infinity(self):
         return -math.inf
-
-    def params(self):
-        return {"mu": self.mu, "sigma": self.sigma}
 
 
 @dataclass(frozen=True)
@@ -152,9 +146,6 @@ class GammaSubordinator(LevyFactor):
     def slope_at_infinity(self):
         return self.mu
 
-    def params(self):
-        return {"a": self.a, "b": self.b, "mu": self.mu}
-
 
 @dataclass(frozen=True)
 class AlphaStableSubordinator(LevyFactor):
@@ -189,9 +180,6 @@ class AlphaStableSubordinator(LevyFactor):
 
     def slope_at_infinity(self):
         return self.mu
-
-    def params(self):
-        return {"alpha": self.alpha, "mu": self.mu}
 
 
 @dataclass(frozen=True)
@@ -235,9 +223,6 @@ class CompoundPoissonExp(LevyFactor):
     def gap_at_infinity(self):
         return self.lam
 
-    def params(self):
-        return {"lambda": self.lam, "eta": self.eta, "mu": self.mu}
-
 
 _KIND_MAP = {
     "brownian": (BrownianWithDrift, ("mu", "sigma")),
@@ -245,6 +230,11 @@ _KIND_MAP = {
     "stable": (AlphaStableSubordinator, ("alpha", "mu")),
     "compound_poisson_exp": (CompoundPoissonExp, ("lambda", "eta", "mu")),
 }
+
+
+def _field(name: str) -> str:
+    """The dataclass field behind a public parameter name ("lambda" is a keyword)."""
+    return "lam" if name == "lambda" else name
 
 
 def factor_from_dict(spec: dict) -> LevyFactor:
@@ -262,38 +252,18 @@ def factor_from_dict(spec: dict) -> LevyFactor:
     unknown = set(spec) - set(names)
     if unknown:
         raise ValueError(f"unknown parameter(s) {sorted(unknown)} for kind {kind!r}")
-    kwargs = {("lam" if k == "lambda" else k): float(v) for k, v in spec.items()}
+    kwargs = {_field(k): float(v) for k, v in spec.items()}
     return cls(**kwargs)
-
-
-def _check_s(s: float) -> None:
-    if not (s >= 0.0) or not math.isfinite(s):
-        raise DomainError(f"s must be a finite nonnegative real, got {s}")
-
-
-def laplace_exponent(factor: LevyFactor, s: float) -> float:
-    """phi(s) under E[exp(-s W_t)] = exp(-t phi(s))."""
-    _check_s(s)
-    return factor.phi(s)
-
-
-def laplace_exponent_deriv(factor: LevyFactor, s: float, order: int = 1) -> float:
-    """Analytic phi'(s) or phi''(s)."""
-    _check_s(s)
-    if order == 1:
-        return factor.dphi(s)
-    if order == 2:
-        if s == 0.0 and isinstance(factor, AlphaStableSubordinator):
-            raise DomainError("second derivative requires s in the interior (s > 0)")
-        return factor.d2phi(s)
-    raise ValueError(f"order must be 1 or 2, got {order}")
 
 
 @dataclass(frozen=True)
 class FactorCombination:
     """Weighted sum of independent factors: X_t = sum_j d_j * W_t^j.
 
-    The combined exponent is phi(s) = sum_j phi_j(s * d_j).
+    The combined exponent is phi(s) = sum_j phi_j(s * d_j).  ``active`` holds
+    the (factor, weight) pairs with d_j > 0, the only ones any sum visits: a
+    factor with d_j = 0 would be evaluated at s * 0 = 0, where a stable
+    factor's phi' and phi'' are infinite.
     """
 
     factors: tuple
@@ -310,6 +280,7 @@ class FactorCombination:
             raise ValueError("weights must be nonnegative")
         object.__setattr__(self, "factors", factors)
         object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "active", tuple((f, d) for f, d in zip(factors, weights) if d))
 
     @classmethod
     def single(cls, factor: LevyFactor) -> "FactorCombination":
@@ -326,25 +297,23 @@ class FactorCombination:
         )
 
     def phi(self, s):
-        return sum(f.phi(s * d) for f, d in zip(self.factors, self.weights))
+        return sum(f.phi(s * d) for f, d in self.active)
 
     def dphi(self, s):
         """d/ds of the combined exponent: sum_j d_j phi_j'(s d_j)."""
-        return sum(d * f.dphi(s * d) for f, d in zip(self.factors, self.weights))
+        return sum(d * f.dphi(s * d) for f, d in self.active)
 
     def d2phi(self, s):
-        return sum(d * d * f.d2phi(s * d) for f, d in zip(self.factors, self.weights))
+        return sum(d * d * f.d2phi(s * d) for f, d in self.active)
 
     def phi_gap(self, s):
         """phi(s) - s*phi'(s) with every factor's drift cancelled exactly."""
-        return sum(f.phi_gap(s * d) for f, d in zip(self.factors, self.weights))
+        return sum(f.phi_gap(s * d) for f, d in self.active)
 
     def mean_rate(self):
         """E[X_1] = sum_j d_j phi_j'(0+); +inf if any stable factor is active."""
         total = 0.0
-        for f, d in zip(self.factors, self.weights):
-            if d == 0.0:
-                continue
+        for f, d in self.active:
             m = f.mean_rate()
             if math.isinf(m):
                 return math.inf
@@ -354,9 +323,7 @@ class FactorCombination:
     def slope_at_infinity(self):
         """lim phi(s)/s; -inf when any Brownian factor is active."""
         total = 0.0
-        for f, d in zip(self.factors, self.weights):
-            if d == 0.0:
-                continue
+        for f, d in self.active:
             m = f.slope_at_infinity()
             if math.isinf(m):
                 return -math.inf
@@ -364,16 +331,22 @@ class FactorCombination:
         return total
 
     def is_degenerate(self):
-        return not any(self.weights)
+        return not self.active
 
 
-def combine(combination: FactorCombination, s: float) -> float:
-    """Combined exponent sum_j phi_j(s * d_j)."""
-    _check_s(s)
-    return combination.phi(s)
+def laplace_exponent(target, s: float, order: int = 0) -> float:
+    """phi(s), phi'(s) or phi''(s) (``order`` 0, 1 or 2) of a factor or a
+    :class:`FactorCombination`, under E[exp(-s W_t)] = exp(-t phi(s)).
 
-
-def combine_deriv(combination: FactorCombination, s: float) -> float:
-    """s-derivative of the combined exponent, sum_j d_j phi_j'(s d_j)."""
-    _check_s(s)
-    return combination.dphi(s)
+    Raises :class:`DomainError` unless s is finite and nonnegative, and for
+    phi''(0) of a position with infinite mean (an active stable factor);
+    raises ``ValueError`` for any other order.
+    """
+    if not (s >= 0.0) or not math.isfinite(s):
+        raise DomainError(f"s must be a finite nonnegative real, got {s}")
+    methods = {0: target.phi, 1: target.dphi, 2: target.d2phi}
+    if order not in methods:
+        raise ValueError(f"order must be 0, 1 or 2, got {order}")
+    if order == 2 and s == 0.0 and math.isinf(target.mean_rate()):
+        raise DomainError("second derivative requires s in the interior (s > 0)")
+    return methods[order](s)

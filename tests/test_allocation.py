@@ -19,10 +19,10 @@ from levyrisk import (
     diversification_check,
     euler_contributions,
     evar,
-    solve_s_star,
     stable_allocation,
     stable_contributions,
 )
+from levyrisk.evar import solve_stationary
 
 
 def brownian_portfolio(T=2.0, beta=0.05):
@@ -94,14 +94,15 @@ def test_solve_s_star_brownian_closed_form():
     p, sigmas = brownian_portfolio()
     t = 1.3
     expected = brownian_s_star(sigmas, p.column_sums(), t, p.beta)
-    assert solve_s_star(p, None, t) == pytest.approx(expected, rel=1e-10)
+    s_star = solve_stationary(p.combination(None), t, p.beta)[0]
+    assert s_star == pytest.approx(expected, rel=1e-10)
 
 
 def test_s_star_scales_inversely_with_exposure():
     p, _ = brownian_portfolio()
     t, lam = 0.8, 3.0
-    base = solve_s_star(p, np.ones(3), t)
-    scaled = solve_s_star(p, lam * np.ones(3), t)
+    base = solve_stationary(p.combination(np.ones(3)), t, p.beta)[0]
+    scaled = solve_stationary(p.combination(lam * np.ones(3)), t, p.beta)[0]
     assert scaled == pytest.approx(base / lam, rel=1e-9)
 
 
@@ -111,7 +112,8 @@ def test_solve_s_star_gamma_frozen_root():
     # independent bisection.
     p = FactorPortfolio(np.eye(2), [GammaSubordinator(1.0, 1.0)] * 2,
                         [0.0, 0.0], 1.0, 0.05)
-    assert solve_s_star(p, None, 1.0) == pytest.approx(10.110140796728208, rel=1e-10)
+    s_star = solve_stationary(p.combination(None), 1.0, p.beta)[0]
+    assert s_star == pytest.approx(10.110140796728208, rel=1e-10)
 
 
 # ---------------------------------------------------------------------------

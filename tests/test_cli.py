@@ -141,6 +141,15 @@ def test_beta_and_T_overrides(tmp_path, capsys):
     assert payload["value"] == pytest.approx(
         evar_closed_form_brownian(0.0, 1.0, 4.0, 0.1), rel=1e-10
     )
+    # Overridden values are validated as the config's own are.
+    rejected = [(["--beta", "1.0"], "beta must lie in (0, 1)"),
+                (["--beta", "0.0"], "beta must lie in (0, 1)"),
+                (["--T", "0.0"], "T must be a positive finite real"),
+                (["--T=-1.0"], "T must be a positive finite real"),
+                (["--T", "inf", "--beta", "0.1"], "T must be a positive finite real")]
+    for flags, message in rejected:
+        assert main(["--config", cfg, "--command", "evar", *flags]) == 2, flags
+        assert message in capsys.readouterr().err, flags
 
 
 def test_cevar_command_reports_time_moment(tmp_path, capsys):
@@ -175,6 +184,33 @@ def test_curve_csv_header(tmp_path):
     assert len(lines) == 1 + 65
     first = lines[1].split(",")
     assert first[0] == "0.0" and first[1] == ""  # no stationary point at t=0
+
+
+def test_curve_json_and_table_leave_s_star_blank_at_zero(tmp_path, capsys):
+    cfg = write(tmp_path, MIXED)
+    assert main(["--config", cfg, "--command", "curve", "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["columns"] == ["t", "s_star", "K_1", "K_2"]
+    assert len(payload["rows"]) == 65 and all(len(row) == 4 for row in payload["rows"])
+    assert payload["rows"][0][:2] == [0.0, None]
+    assert payload["rows"][1][1] > 0.0
+    assert main(["--config", cfg, "--command", "curve", "--format", "table"]) == 0
+    header, first, second = capsys.readouterr().out.splitlines()[:3]
+    # Columns are right-aligned, so the s_star column ends where its header does.
+    left, right = len(header.split("s_star")[0].rstrip()), header.index("s_star") + len("s_star")
+    assert first[left:right].strip() == ""
+    assert first.split() == ["0.0", "0.0", "0.0"]
+    assert float(second[left:right]) == payload["rows"][1][1]
+
+
+def test_T_override_beyond_the_weight_table(tmp_path, capsys):
+    # The table weight spans [0, 1]; --T 2.0 is checked where the weight is used.
+    cfg = write(tmp_path, MINIMAL + "\n[weight]\n0.0 1.0\n1.0 1.0\n")
+    assert main(["--config", cfg, "--command", "evar", "--T", "2.0"]) == 0
+    capsys.readouterr()
+    for command in ("cevar", "allocate", "curve"):
+        assert main(["--config", cfg, "--command", command, "--T", "2.0"]) == 2, command
+        assert "horizon is [0, 2.0]" in capsys.readouterr().err, command
 
 
 def test_table_format_smoke(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 from decimal import Decimal, localcontext
@@ -8,11 +9,13 @@ import pytest
 from levyrisk import (
     AlphaStableSubordinator,
     BrownianWithDrift,
+    CevarQuery,
     CompoundPoissonExp,
     EvarQuery,
     FactorCombination,
     GammaSubordinator,
     NoStationaryPointError,
+    cevar,
     dual_feasibility_check,
     evar,
     evar_closed_form_brownian,
@@ -97,6 +100,8 @@ def test_beta_one_with_stable_diverges():
     q = EvarQuery.of_factor(AlphaStableSubordinator(alpha=0.5), 1.0, 1.0)
     with pytest.raises(ValueError, match="diverges"):
         evar(q)
+    with pytest.raises(LevyRiskError, match="diverges"):
+        evar(q)
 
 
 def test_zero_time_and_degenerate_position():
@@ -178,20 +183,48 @@ EXTREME_FACTORS = (
 )
 
 
+EXTREME_BETAS = (1e-300, 1e-12, 0.05, 1.0 - 1e-12)  # ascending
+SHIFT = np.float64(0.5)  # added to every factor's mu
+# Each measure of a position at horizon t, and the time moment by which a unit
+# drift per unit exposure moves it: t for EVaR at t, t/2 for CEVaR over [0, t].
+EXTREME_MEASURES = {
+    "evar": (lambda comb, t, beta: evar(EvarQuery(comb, t, beta)).value, lambda t: t),
+    "cevar": (lambda comb, t, beta: cevar(CevarQuery(comb, t, beta)), lambda t: t / 2.0),
+}
+
+
 @pytest.mark.parametrize("factor", EXTREME_FACTORS, ids=lambda f: f.kind)
 def test_extremes_give_homogeneous_values_or_typed_errors(factor):
-    # 27 cases per factor kind: exposures, confidence levels and horizons at
-    # the extremes.
-    grid = itertools.product((1e-6, 1.0, 1e6), (1e-12, 0.05, 1.0 - 1e-12), (1e-12, 1.0, 1e6))
-    for d, beta, t in grid:
-        comb = FactorCombination([factor], [d])
-        try:
-            base = evar(EvarQuery(comb, t, beta)).value
-            doubled = evar(EvarQuery(comb.scaled(2.0), t, beta)).value
-        except LevyRiskError:
-            continue
-        assert math.isfinite(base), (d, beta, t)
-        assert abs(doubled - 2.0 * base) <= 1e-9 * abs(2.0 * base), (d, beta, t)
+    # The factor alone and paired with each later kind, so that every kind and
+    # every pair of kinds runs once over the four tests.  Per position, 36
+    # points of exposures, confidence levels and horizons at the extremes, for
+    # each measure.  A value is finite and keeps homogeneity (X against 2X),
+    # translation (every mu + SHIFT) and beta-monotonicity; otherwise the
+    # measure raises a typed error.
+    later = EXTREME_FACTORS[EXTREME_FACTORS.index(factor) + 1:]
+    for factors in [(factor,)] + [(factor, other) for other in later]:
+        shifted = [dataclasses.replace(f, mu=f.mu + SHIFT) for f in factors]
+        for d, t in itertools.product((1e-6, 1.0, 1e6), (1e-12, 1.0, 1e6)):
+            comb = FactorCombination(factors, [d] * len(factors))
+            moved = FactorCombination(shifted, comb.weights)
+            drift = SHIFT * sum(comb.weights)
+            for name, (measure, moment) in EXTREME_MEASURES.items():
+                previous = None
+                for beta in EXTREME_BETAS:
+                    case = (name, [f.kind for f in factors], d, beta, t)
+                    try:
+                        base = measure(comb, t, beta)
+                        doubled = measure(comb.scaled(2.0), t, beta)
+                        translated = measure(moved, t, beta)
+                    except LevyRiskError:
+                        continue
+                    assert math.isfinite(base), case
+                    assert abs(doubled - 2.0 * base) <= 1e-9 * abs(2.0 * base), case
+                    expected = base - drift * moment(t)
+                    assert abs(translated - expected) <= 1e-9 * max(abs(base), abs(expected)), case
+                    if previous is not None:
+                        assert base <= previous + 1e-9 * abs(previous), case
+                    previous = base
 
 
 @pytest.fixture
@@ -387,6 +420,21 @@ def test_dual_feasible_candidates_stay_below_evar():
         q = EvarQuery(comb, t, beta)
         for s in np.geomspace(1e-3, 1e3, 13):
             assert dual_feasibility_check(q, float(s)).ok
+
+
+def test_zero_weight_stable_factor_leaves_the_gamma_position(gap_calls):
+    # The stable factor at weight 0 must not turn phi' into 0 * inf = nan or
+    # make phi'' divide by zero: the dual check and the solver's Newton steps
+    # read the same values as for the gamma factor alone.
+    gamma = GammaSubordinator(a=2.0, b=3.0, mu=0.1)
+    comb = FactorCombination([AlphaStableSubordinator(0.5), gamma], [0.0, 1.0])
+    check = dual_feasibility_check(EvarQuery(comb, 1.0, 0.05), 5.0)
+    assert check == dual_feasibility_check(EvarQuery.of_factor(gamma, 1.0, 0.05), 5.0)
+    assert check.ok and check.bound == pytest.approx(-0.35, rel=1e-15)
+    alone = solve_stationary(FactorCombination.single(gamma), 1.0, 0.05)
+    gap_calls.clear()
+    assert solve_stationary(comb, 1.0, 0.05) == alone
+    assert len(gap_calls) == alone[1] <= 6
 
 
 def test_limit_onset_only_for_compound_poisson_positions():

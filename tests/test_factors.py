@@ -11,11 +11,8 @@ from levyrisk import (
     CompoundPoissonExp,
     FactorCombination,
     GammaSubordinator,
-    combine,
-    combine_deriv,
     factor_from_dict,
     laplace_exponent,
-    laplace_exponent_deriv,
 )
 from levyrisk.errors import DomainError
 
@@ -66,13 +63,13 @@ def test_negative_s_rejected():
         with pytest.raises(DomainError):
             laplace_exponent(factor, -0.1)
         with pytest.raises(DomainError):
-            laplace_exponent_deriv(factor, -1.0)
+            laplace_exponent(factor, -1.0, order=1)
 
 
 def test_deriv_examples():
-    assert laplace_exponent_deriv(BrownianWithDrift(mu=1.0, sigma=2.0), 0.0) == 1.0
+    assert laplace_exponent(BrownianWithDrift(mu=1.0, sigma=2.0), 0.0, order=1) == 1.0
     g = GammaSubordinator(a=2.0, b=3.0, mu=0.0)
-    assert laplace_exponent_deriv(g, 3.0) == pytest.approx(2.0 / 6.0)
+    assert laplace_exponent(g, 3.0, order=1) == pytest.approx(2.0 / 6.0)
 
 
 @pytest.mark.parametrize("factor", ALL_KINDS, ids=lambda f: f.kind)
@@ -80,7 +77,7 @@ def test_deriv_matches_finite_differences(factor):
     for s in np.geomspace(1e-3, 1e3, 25):
         h = 1e-6 * s
         fd = (factor.phi(s + h) - factor.phi(s - h)) / (2 * h)
-        assert laplace_exponent_deriv(factor, s) == pytest.approx(fd, rel=1e-6)
+        assert laplace_exponent(factor, s, order=1) == pytest.approx(fd, rel=1e-6)
 
 
 @pytest.mark.parametrize("factor", ALL_KINDS, ids=lambda f: f.kind)
@@ -88,7 +85,7 @@ def test_second_deriv_matches_finite_differences(factor):
     for s in np.geomspace(1e-2, 1e2, 15):
         h = 1e-4 * s
         fd = (factor.dphi(s + h) - factor.dphi(s - h)) / (2 * h)
-        assert laplace_exponent_deriv(factor, s, order=2) == pytest.approx(
+        assert laplace_exponent(factor, s, order=2) == pytest.approx(
             fd, rel=1e-5, abs=1e-12
         )
 
@@ -150,10 +147,10 @@ def test_combine_identity_and_zero():
     f = GammaSubordinator(a=1.0, b=2.0, mu=0.3)
     single = FactorCombination([f], [1.0])
     for s in (0.0, 0.5, 4.0):
-        assert combine(single, s) == laplace_exponent(f, s)
+        assert laplace_exponent(single, s) == laplace_exponent(f, s)
     zero = FactorCombination(ALL_KINDS, [0.0] * len(ALL_KINDS))
     for s in (0.0, 1.0, 10.0):
-        assert combine(zero, s) == 0.0
+        assert laplace_exponent(zero, s) == 0.0
 
 
 def test_combine_two_brownians_adds_variances():
@@ -163,14 +160,14 @@ def test_combine_two_brownians_adds_variances():
     )
     merged = BrownianWithDrift(0.0, math.hypot(s1, s2))
     for s in (0.1, 1.0, 3.0):
-        assert combine(combo, s) == pytest.approx(merged.phi(s), rel=1e-14)
+        assert laplace_exponent(combo, s) == pytest.approx(merged.phi(s), rel=1e-14)
 
 
 def test_combine_deriv_and_scaling():
     combo = FactorCombination(ALL_KINDS, [0.5, 1.0, 0.25, 2.0])
     for s in (0.3, 2.0):
         fd = (combo.phi(s + 1e-7) - combo.phi(s - 1e-7)) / 2e-7
-        assert combine_deriv(combo, s) == pytest.approx(fd, rel=1e-6)
+        assert laplace_exponent(combo, s, order=1) == pytest.approx(fd, rel=1e-6)
     lam = 3.0
     scaled = combo.scaled(lam)
     for s in (0.2, 1.1):
@@ -202,3 +199,46 @@ def test_factor_from_dict_round_trip():
         factor_from_dict({"mu": 0.0})
     with pytest.raises(ValueError, match="unknown"):
         factor_from_dict({"kind": "cauchy"})
+
+
+def test_laplace_exponent_checks_its_arguments():
+    g = GammaSubordinator(a=2.0, b=3.0, mu=0.1)
+    for s in (math.inf, math.nan, -1e-300):
+        for order in (0, 1, 2):
+            with pytest.raises(DomainError):
+                laplace_exponent(g, s, order=order)
+    for order in (-1, 3):
+        with pytest.raises(ValueError, match="order") as exc_info:
+            laplace_exponent(g, 1.0, order=order)
+        assert not isinstance(exc_info.value, DomainError)
+    assert laplace_exponent(g, 2.0, order=0) == g.phi(2.0)
+
+
+def test_second_derivative_at_zero_needs_a_finite_mean():
+    stable = AlphaStableSubordinator(alpha=0.5)
+    gamma = GammaSubordinator(a=2.0, b=3.0, mu=0.1)
+    for target in (stable, FactorCombination([stable, gamma], [0.5, 1.0])):
+        with pytest.raises(DomainError, match="interior"):
+            laplace_exponent(target, 0.0, order=2)
+        assert laplace_exponent(target, 0.0, order=1) == math.inf
+    # Finite-mean positions, and a stable factor with weight 0, have phi''(0).
+    assert laplace_exponent(BrownianWithDrift(0.0, 2.0), 0.0, order=2) == -4.0
+    assert laplace_exponent(gamma, 0.0, order=2) == pytest.approx(-2.0 / 9.0, rel=1e-15)
+    inactive = FactorCombination([stable, gamma], [0.0, 1.0])
+    assert laplace_exponent(inactive, 0.0, order=2) == gamma.d2phi(0.0)
+
+
+def test_zero_weight_factors_are_skipped():
+    # A stable factor at weight 0 would be evaluated at s * 0 = 0, where its
+    # phi' is infinite (0 * inf = nan) and phi'' divides by zero.
+    gamma = GammaSubordinator(a=2.0, b=3.0, mu=0.1)
+    comb = FactorCombination([AlphaStableSubordinator(0.5), gamma], [0.0, 1.0])
+    alone = FactorCombination.single(gamma)
+    assert comb.factors[1] is gamma and comb.weights == (0.0, 1.0)
+    assert comb.active == ((gamma, 1.0),)
+    for s in (0.0, 0.3, 5.0, 1e6):
+        for order in (0, 1, 2):
+            assert laplace_exponent(comb, s, order=order) == laplace_exponent(alone, s, order=order)
+        assert comb.phi_gap(s) == alone.phi_gap(s)
+    assert comb.mean_rate() == gamma.mean_rate()
+    assert comb.slope_at_infinity() == gamma.slope_at_infinity()
