@@ -20,8 +20,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ._quad import adaptive_simpson
-from .cevar import CevarQuery, WeightFunction, cevar, kinks
-from .evar import EvarQuery, WarmStart, evar, infimum_point
+from .cevar import WeightFunction, kinks
+from .evar import EvarQuery, WarmStart, evar, evar_at, infimum_point
 from .factors import FactorCombination, LevyFactor
 
 __all__ = [
@@ -114,8 +114,8 @@ class AllocationReport:
     """Per-department allocations with full-allocation diagnostics.
 
     ``K_curve`` holds rows (t, s_star, K_1, ..., K_n) on ``grid``; the gap is
-    sum(L) minus (CEVaR of aggregate claims + total premium term), computed
-    through an independent quadrature of the aggregate EVaR.
+    sum(L) minus (CEVaR of aggregate claims + total premium term), where the
+    CEVaR integrates g(s*) on the nodes of the Euler sweep.
     """
 
     L: np.ndarray
@@ -184,6 +184,8 @@ def allocate(portfolio: FactorPortfolio, grid_points: int = 65,
     """Integrate the Euler contributions into the allocation L^i.
 
     L^i = integral_0^T K_t^i omega(t) dt + c^i * integral_0^T t omega(t) dt.
+    The same pass integrates the aggregate EVaR g(s*), so the default relative
+    tolerance scales with the largest component, usually the aggregate.
     """
     T, beta, weight = portfolio.T, portfolio.beta, portfolio.weight
     weight.check_span(T)
@@ -192,20 +194,17 @@ def allocate(portfolio: FactorPortfolio, grid_points: int = 65,
     kernel = _EulerKernel(portfolio)
     path = WarmStart(comb, beta)
 
-    def k_vector(t):
-        return kernel(t, path(t)) * weight.density(t, T)
+    def integrand(t):
+        s = path(t)
+        return np.append(kernel(t, s), evar_at(comb, t, beta, s)) * weight.density(t, T)
 
     # quad_tol=None asks the quadrature for its relative default.
-    k_integral = adaptive_simpson(k_vector, 0.0, T, quad_tol,
-                                  breakpoints=kinks(comb, beta, weight, T), max_evals=max_evals)
+    integral = adaptive_simpson(integrand, 0.0, T, quad_tol,
+                                breakpoints=kinks(comb, beta, weight, T), max_evals=max_evals)
 
     tmom = weight.time_moment(T)
-    L = k_integral + portfolio.premiums * tmom
-
-    # Independent check: the aggregate CEVaR plus the premium term must match
-    # the allocated total (full allocation).
-    aggregate = CevarQuery(comb, T, beta, weight=weight)
-    total = cevar(aggregate, max_evals=max_evals) + float(portfolio.premiums.sum()) * tmom
+    L = integral[:-1] + portfolio.premiums * tmom
+    total = float(integral[-1]) + float(portfolio.premiums.sum()) * tmom
     gap = float(L.sum() - total)
 
     grid = np.linspace(0.0, T, grid_points)

@@ -89,8 +89,10 @@ def parse_config(text: str):
                     f"expected key = value pairs in factor line, got {part.strip()!r}",
                     line=lineno,
                 )
-            key, value = part.split("=", 1)
-            spec[key.strip()] = value.strip()
+            key, value = (p.strip() for p in part.split("=", 1))
+            if key in spec:
+                raise ConfigError(f"factor key {key!r} set twice", line=lineno)
+            spec[key] = value
         try:
             factors.append(factor_from_dict(spec))
         except ValueError as exc:
@@ -129,24 +131,31 @@ def parse_config(text: str):
         if "=" not in line:
             raise ConfigError(f"expected key = value, got {line!r}", line=lineno)
         key, value = (p.strip() for p in line.split("=", 1))
+        if key in run:
+            raise ConfigError(
+                f"[run] key {key!r} set twice (first on line {run[key][0]})", line=lineno
+            )
         run[key] = (lineno, value)
 
-    def take(key, convert, default=None):
+    def take(key, convert, default=None, minimum=None):
         if key not in run:
             if default is None:
                 raise ConfigError(f"[run] section must set {key}")
             return default
-        lineno, value = run.pop(key)
+        lineno, text = run.pop(key)
         try:
-            return convert(value)
+            value = convert(text)
         except ValueError:
             kind = "an integer" if convert is int else "a number"
-            raise ConfigError(f"{key} must be {kind}, got {value!r}", line=lineno) from None
+            raise ConfigError(f"{key} must be {kind}, got {text!r}", line=lineno) from None
+        if minimum is not None and value < minimum:
+            raise ConfigError(f"{key} must be at least {minimum}, got {value}", line=lineno)
+        return value
 
     T = take("T", float)
     beta = take("beta", float)
-    seed = take("seed", int, 0)
-    n_paths = take("n_paths", int, 100_000)
+    seed = take("seed", int, 0, minimum=0)
+    n_paths = take("n_paths", int, 100_000, minimum=1)
     if run:
         raise ConfigError(f"unknown [run] key(s): {sorted(run)}")
 
@@ -299,6 +308,9 @@ def run(args) -> int:
             sys.stderr.write(f"error: {exc}\n")
             return EXIT_CONFIG
     seed = args.seed if args.seed is not None else run_opts["seed"]
+    if seed < 0:
+        sys.stderr.write(f"error: --seed must be at least 0, got {seed}\n")
+        return EXIT_CONFIG
 
     try:
         if args.command == "evar":

@@ -48,6 +48,8 @@ class SimulationConfig:
     def __post_init__(self):
         if self.n_paths < 1:
             raise ValueError(f"n_paths must be at least 1, got {self.n_paths}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be at least 0, got {self.seed}")
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ import pytest
 from levyrisk import (
     AlphaStableSubordinator,
     BrownianWithDrift,
+    CevarQuery,
     CompoundPoissonExp,
     EvarQuery,
     FactorPortfolio,
@@ -15,6 +16,7 @@ from levyrisk import (
     brownian_allocation,
     brownian_contributions,
     brownian_s_star,
+    cevar,
     directional_derivative_check,
     diversification_check,
     euler_contributions,
@@ -187,6 +189,38 @@ def test_allocate_full_allocation_random_mixed():
         p = random_portfolio(rng)
         report = allocate(p)
         assert abs(report.full_allocation_gap) <= 1e-8 * (1 + abs(report.total_cevar))
+
+
+TABLE_WEIGHT = WeightFunction.table([(0.0, 0.4), (0.7, 1.2), (2.0, 0.6)]).normalized(2.0)
+
+
+@pytest.mark.parametrize("p, limit_nodes", [
+    pytest.param(FactorPortfolio(
+        np.array([[1.0, 0.5], [0.3, 1.5]]),
+        [BrownianWithDrift(0.3, 1.1), GammaSubordinator(2.0, 3.0, 0.1)],
+        [0.1, 0.2], 2.0, 0.05,
+    ), False, id="brownian+gamma-uniform"),
+    # A gamma shape of 0.01 puts the small-t roots above 1e300 (s -> inf limit).
+    pytest.param(FactorPortfolio(
+        np.array([[1.0, 0.5], [0.0, 1.0]]),
+        [CompoundPoissonExp(2.0, 1.0, 0.1), GammaSubordinator(0.01, 1.0, 0.05)],
+        [0.1, 0.2], 2.0, 0.05, weight=TABLE_WEIGHT,
+    ), True, id="cpois+gamma-table"),
+    # The onset -ln(beta)/sum(lambda) ~ 1.2 < T adds a break to the knots.
+    pytest.param(FactorPortfolio(
+        np.array([[1.0, 0.5], [0.2, 1.0]]),
+        [CompoundPoissonExp(2.0, 1.0, 0.1), CompoundPoissonExp(0.5, 2.0, 0.05)],
+        [0.1, 0.05], 2.0, 0.05, weight=TABLE_WEIGHT,
+    ), True, id="cpois-only-table"),
+])
+def test_allocate_total_is_the_standalone_cevar(p, limit_nodes):
+    # allocate integrates the aggregate EVaR on the Euler sweep's nodes; it
+    # must still be the CEVaR that cevar computes on its own.
+    report = allocate(p)
+    folded = report.total_cevar - float(p.premiums.sum()) * p.weight.time_moment(p.T)
+    standalone = cevar(CevarQuery(p.combination(None), p.T, p.beta, weight=p.weight))
+    assert abs(folded - standalone) <= 1e-9 * (1 + abs(report.total_cevar))
+    assert any(s is None for t, s in report.s_star_curve if t > 0) == limit_nodes
 
 
 def test_allocate_report_structure():

@@ -226,11 +226,19 @@ def test_boundary_nodes_are_solved_once(monkeypatch):
 
 def test_default_tolerance_integrates_each_quantity_once(monkeypatch):
     calls = []  # (result shape, tol) per quadrature call
+    nodes = []  # integrand evaluations per quadrature call
     quad = sys.modules["levyrisk._quad"].adaptive_simpson
 
     def counted_quad(f, a, b, tol, *args, **kwargs):
-        result = quad(f, a, b, tol, *args, **kwargs)
+        ts = []
+
+        def counted_f(t):
+            ts.append(t)
+            return f(t)
+
+        result = quad(counted_f, a, b, tol, *args, **kwargs)
         calls.append((np.shape(result), tol))
+        nodes.append(len(ts))
         return result
 
     for name in ("levyrisk.cevar", "levyrisk.allocation"):
@@ -240,14 +248,27 @@ def test_default_tolerance_integrates_each_quantity_once(monkeypatch):
     assert calls == [((), None)]
 
     calls.clear()
+    nodes.clear()
+    solves = []
+    evar_module = sys.modules["levyrisk.evar"]
+    solve = evar_module.solve_stationary
+
+    def counted_solve(*args, **kwargs):
+        solves.append(args[1])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(evar_module, "solve_stationary", counted_solve)
     portfolio = FactorPortfolio(
         np.array([[1.0, 0.5], [0.3, 1.5]]),
         [BrownianWithDrift(0.3, 1.1), GammaSubordinator(2.0, 3.0, 0.1)],
         [0.1, 0.2], 2.0, 0.05,
     )
-    allocate(portfolio)
-    # The Euler contributions, then the independent aggregate CEVaR.
-    assert calls == [((2,), None), ((), None)]
+    grid_points = 65
+    allocate(portfolio, grid_points=grid_points)
+    # One pass integrates the Euler contributions and the aggregate EVaR.
+    assert calls == [((3,), None)]
+    # One solve per node and per curve point; t = 0 needs none.
+    assert len(solves) == nodes[0] + grid_points - 1
 
 
 def test_compound_poisson_cevar_matches_u_simpson_oracle():

@@ -252,6 +252,10 @@ def test_exit_code_parse_error(tmp_path):
         MINIMAL + "\n[weight]\n0.0 x\n1.0 1.0\n",
         MINIMAL + "\n[weight]\n0.0 1.0\n0.0 1.0\n",  # knot times not increasing
         MINIMAL + "\n[weight]\n0.0 0.0\n1.0 0.0\n",  # zero mass
+        MINIMAL.replace("sigma = 1.0", "sigma = 1.0, sigma = 2.0"),  # repeated factor key
+        MINIMAL + "beta = 0.5\n",  # repeated [run] key
+        MINIMAL + "n_paths = 0\n",
+        MINIMAL + "seed = -1\n",
     ]
     for text in bad:
         with pytest.raises(ConfigError) as exc_info:
@@ -259,6 +263,13 @@ def test_exit_code_parse_error(tmp_path):
         assert exc_info.value.line is not None, text
         cfg = write(tmp_path, text)
         assert main(["--config", cfg, "--command", "evar"]) == 2, text
+
+
+def test_exit_code_negative_seed_override(tmp_path, capsys):
+    cfg = write(tmp_path, MINIMAL)
+    for command in ("evar", "validate"):
+        assert main(["--config", cfg, "--command", command, "--seed", "-1"]) == 2
+        assert "seed" in capsys.readouterr().err
 
 
 def test_exit_code_quadrature_budget(tmp_path):

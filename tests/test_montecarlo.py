@@ -70,6 +70,8 @@ def test_simulation_config_validation():
         with pytest.raises(ValueError, match="n_paths"):
             SimulationConfig(seed=0, n_paths=n_paths)
     assert SimulationConfig(seed=0, n_paths=1).n_paths == 1
+    with pytest.raises(ValueError, match="seed"):
+        SimulationConfig(seed=-1)
 
 
 # ---------------------------------------------------------------------------
