@@ -19,9 +19,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._quad import adaptive_simpson
-from .cevar import WeightFunction, kinks
-from .evar import EvarQuery, WarmStart, evar, evar_at, infimum_point
+from .cevar import WeightFunction, horizon_integral
+from .evar import EvarQuery, WarmStart, evar, evar_at, solve_stationary
 from .factors import FactorCombination, LevyFactor
 
 __all__ = [
@@ -37,6 +36,10 @@ __all__ = [
     "stable_contributions",
     "stable_allocation",
 ]
+
+
+# Horizons of the K-curve in an AllocationReport, equally spaced over [0, T].
+CURVE_POINTS = 65
 
 
 @dataclass(frozen=True)
@@ -144,7 +147,7 @@ class AllocationReport:
 
 
 class _EulerKernel:
-    """K_t^i = -t * sum_j a_ij phi_j'(s D_j) at the point s from infimum_point.
+    """K_t^i = -t * sum_j a_ij phi_j'(s D_j) at the point s from solve_stationary.
 
     D_j = sum_k a_kj and the drift slopes are fixed per portfolio, so they
     are computed once.  At s -> inf phi_j' tends to the slope of phi_j, which
@@ -175,40 +178,33 @@ def euler_contributions(portfolio: FactorPortfolio, t: float) -> np.ndarray:
     """
     if not (t > 0):
         raise ValueError(f"t must be positive, got {t}")
-    s, _, _ = infimum_point(portfolio.combination(None), t, portfolio.beta)
+    s, _, _ = solve_stationary(portfolio.combination(None), t, portfolio.beta)
     return _EulerKernel(portfolio)(t, s)
 
 
-def allocate(portfolio: FactorPortfolio, grid_points: int = 65,
-             quad_tol: Optional[float] = None, max_evals: int = 400_000) -> AllocationReport:
+def allocate(portfolio: FactorPortfolio, quad_tol: Optional[float] = None) -> AllocationReport:
     """Integrate the Euler contributions into the allocation L^i.
 
     L^i = integral_0^T K_t^i omega(t) dt + c^i * integral_0^T t omega(t) dt.
     The same pass integrates the aggregate EVaR g(s*), so the default relative
-    tolerance scales with the largest component, usually the aggregate.
+    tolerance scales with the largest component, usually the aggregate.  The
+    report's K-curve holds CURVE_POINTS equally spaced horizons.
     """
-    T, beta, weight = portfolio.T, portfolio.beta, portfolio.weight
-    weight.check_span(T)
-    n = portfolio.n
+    T, beta = portfolio.T, portfolio.beta
     comb = portfolio.combination(None)
     kernel = _EulerKernel(portfolio)
-    path = WarmStart(comb, beta)
+    integral = horizon_integral(
+        comb, beta, portfolio.weight, T, quad_tol,
+        lambda t, s: np.append(kernel(t, s), evar_at(comb, t, beta, s)),
+    )
 
-    def integrand(t):
-        s = path(t)
-        return np.append(kernel(t, s), evar_at(comb, t, beta, s)) * weight.density(t, T)
-
-    # quad_tol=None asks the quadrature for its relative default.
-    integral = adaptive_simpson(integrand, 0.0, T, quad_tol,
-                                breakpoints=kinks(comb, beta, weight, T), max_evals=max_evals)
-
-    tmom = weight.time_moment(T)
+    tmom = portfolio.weight.time_moment(T)
     L = integral[:-1] + portfolio.premiums * tmom
     total = float(integral[-1]) + float(portfolio.premiums.sum()) * tmom
     gap = float(L.sum() - total)
 
-    grid = np.linspace(0.0, T, grid_points)
-    K_curve = np.zeros((grid_points, n))
+    grid = np.linspace(0.0, T, CURVE_POINTS)
+    K_curve = np.zeros((CURVE_POINTS, portfolio.n))
     s_star_curve = []
     curve = WarmStart(comb, beta)
     for idx, t in enumerate(grid):

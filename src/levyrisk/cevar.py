@@ -123,24 +123,31 @@ class CevarQuery:
             raise ValueError(f"beta must lie in (0, 1], got {self.beta}")
 
 
-def kinks(combination: FactorCombination, beta: float, weight: WeightFunction, T: float) -> list:
-    """The weight knots and the s -> inf onset: where the integrands have kinks."""
+def horizon_integral(combination: FactorCombination, beta: float, weight: WeightFunction,
+                     T: float, tol: Optional[float], point):
+    """integral_0^T point(t, s*(t)) omega(t) dt along the warm-started path s*(t).
+
+    ``point`` maps a horizon and its point from :func:`solve_stationary` to a
+    float or a numpy array.  The segments break at the weight knots and at the
+    compound-Poisson onset, where the integrands have kinks; ``tol=None`` asks
+    the quadrature for its relative default.
+    """
+    weight.check_span(T)
+    path = WarmStart(combination, beta)
     onset = limit_onset(combination, beta)
-    return weight.breakpoints(T) + ([onset] if onset is not None and onset < T else [])
-
-
-def cevar(query: CevarQuery, max_evals: int = 200_000) -> float:
-    """Adaptive-quadrature value of integral_0^T EVaR_{1-beta}(X_t) omega(t) dt."""
-    query.weight.check_span(query.T)
-    comb, beta, weight, T = query.combination, query.beta, query.weight, query.T
-    path = WarmStart(comb, beta)
+    breaks = weight.breakpoints(T) + ([onset] if onset is not None and onset < T else [])
 
     def integrand(t):
-        return evar_at(comb, t, beta, path(t)) * weight.density(t, T)
+        return point(t, path(t)) * weight.density(t, T)
 
-    # quad_tol=None asks the quadrature for its relative default.
-    return adaptive_simpson(integrand, 0.0, T, query.quad_tol,
-                            breakpoints=kinks(comb, beta, weight, T), max_evals=max_evals)
+    return adaptive_simpson(integrand, 0.0, T, tol, breakpoints=breaks)
+
+
+def cevar(query: CevarQuery) -> float:
+    """Adaptive-quadrature value of integral_0^T EVaR_{1-beta}(X_t) omega(t) dt."""
+    comb, beta = query.combination, query.beta
+    return horizon_integral(comb, beta, query.weight, query.T, query.quad_tol,
+                            lambda t, s: evar_at(comb, t, beta, s))
 
 
 def evar_curve(query: CevarQuery, grid: Sequence[float]):

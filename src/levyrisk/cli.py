@@ -33,6 +33,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import sys
 from typing import Optional, TextIO
 
@@ -40,7 +41,7 @@ import numpy as np
 
 from .allocation import FactorPortfolio, allocate
 from .cevar import CevarQuery, WeightFunction, cevar
-from .errors import ConfigError, NoStationaryPointError, QuadratureBudgetError
+from .errors import ConfigError, LevyRiskError, NoStationaryPointError, QuadratureBudgetError
 from .evar import EvarQuery, evar
 from .factors import factor_from_dict
 from .montecarlo import SimulationConfig, validation_report
@@ -112,6 +113,8 @@ def parse_config(text: str):
                 f"{len(factors)} factors",
                 line=lineno,
             )
+        if any(v < 0 for v in rows[-1]):
+            raise ConfigError("exposures a_ij must be nonnegative", line=lineno)
     if not rows:
         raise ConfigError("[matrix] section is empty or missing")
 
@@ -121,9 +124,12 @@ def parse_config(text: str):
             premiums.extend(float(v) for v in line.split())
         except ValueError as exc:
             raise ConfigError(f"bad premium entry: {exc}", line=lineno) from exc
+        if any(c < 0 for c in premiums):
+            raise ConfigError("premium rates must be nonnegative", line=lineno)
     if len(premiums) != len(rows):
         raise ConfigError(
-            f"{len(premiums)} premiums given for {len(rows)} matrix rows"
+            f"{len(premiums)} premiums given for {len(rows)} matrix rows",
+            line=sections["premiums"][-1][0] if sections["premiums"] else None,
         )
 
     run: dict = {}
@@ -137,7 +143,7 @@ def parse_config(text: str):
             )
         run[key] = (lineno, value)
 
-    def take(key, convert, default=None, minimum=None):
+    def take(key, convert, rule, valid, default=None):
         if key not in run:
             if default is None:
                 raise ConfigError(f"[run] section must set {key}")
@@ -148,16 +154,19 @@ def parse_config(text: str):
         except ValueError:
             kind = "an integer" if convert is int else "a number"
             raise ConfigError(f"{key} must be {kind}, got {text!r}", line=lineno) from None
-        if minimum is not None and value < minimum:
-            raise ConfigError(f"{key} must be at least {minimum}, got {value}", line=lineno)
+        if not valid(value):
+            raise ConfigError(f"{key} must {rule}, got {value}", line=lineno)
         return value
 
-    T = take("T", float)
-    beta = take("beta", float)
-    seed = take("seed", int, 0, minimum=0)
-    n_paths = take("n_paths", int, 100_000, minimum=1)
+    # The ranges FactorPortfolio and SimulationConfig accept, checked here so
+    # that an error names its line.
+    T = take("T", float, "be a positive finite real", lambda v: 0.0 < v < math.inf)
+    beta = take("beta", float, "lie in (0, 1)", lambda v: 0.0 < v < 1.0)
+    seed = take("seed", int, "be at least 0", lambda v: v >= 0, default=0)
+    n_paths = take("n_paths", int, "be at least 1", lambda v: v >= 1, default=100_000)
     if run:
-        raise ConfigError(f"unknown [run] key(s): {sorted(run)}")
+        raise ConfigError(f"unknown [run] key(s): {sorted(run)}",
+                          line=min(lineno for lineno, _ in run.values()))
 
     weight = WeightFunction()
     if sections["weight"]:
@@ -311,6 +320,13 @@ def run(args) -> int:
     if seed < 0:
         sys.stderr.write(f"error: --seed must be at least 0, got {seed}\n")
         return EXIT_CONFIG
+    if args.command in ("cevar", "allocate", "curve"):
+        # A table weight must span the horizon, which --T may have moved.
+        try:
+            portfolio.weight.check_span(portfolio.T)
+        except ValueError as exc:
+            sys.stderr.write(f"error: {exc}\n")
+            return EXIT_CONFIG
 
     try:
         if args.command == "evar":
@@ -354,7 +370,7 @@ def run(args) -> int:
     except QuadratureBudgetError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_QUAD_BUDGET
-    except ValueError as exc:
+    except LevyRiskError as exc:  # DomainError: the config's values leave the domain
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_CONFIG
     return EXIT_OK

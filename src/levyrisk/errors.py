@@ -13,9 +13,12 @@ class DomainError(LevyRiskError, ValueError):
 
 
 class NoStationaryPointError(LevyRiskError):
-    """The stationarity equation has no positive root.
+    """The stationary root lies outside the solver's range [1e-300, 1e300].
 
-    ``boundary`` records which end of (0, inf) carries the infimum.
+    Raised only for a root below 1e-300, or for one above 1e300 when a
+    Brownian factor makes the s -> inf limit infinite; the other boundary
+    limits are values, not errors.  ``boundary`` records the end of the range
+    beyond which the root lies.
     """
 
     def __init__(self, message, boundary):

@@ -11,10 +11,10 @@ unique root of h = t*gap(s) + ln(beta), with gap = phi - s*phi'.
 :func:`solve_stationary` finds it by safeguarded Newton steps in x = ln(s)
 on [1e-300, 1e300].
 
-Boundary limits.  :func:`infimum_point` is the one place that decides where
-the infimum sits; :func:`evar`, the CEVaR integrand and the Euler allocation
-all read its answer.  For beta < 1, h(0+) = ln(beta) < 0, so h has a root
-unless t*gap stays below -ln(beta) for every s:
+Boundary limits.  :func:`solve_stationary` is the one place that decides
+where the infimum sits; :func:`evar`, the CEVaR integrand and the Euler
+allocation all read its answer.  For beta < 1, h(0+) = ln(beta) < 0, so h has
+a root unless t*gap stays below -ln(beta) for every s:
 
 * s* -> inf: t = 0, a zero position, or a compound-Poisson-only position at
   t <= t0 = -ln(beta) / sum(lambda) (see :func:`limit_onset`), where gap(s)
@@ -49,13 +49,12 @@ __all__ = [
     "evar_closed_form_brownian",
     "dual_feasibility_check",
     "solve_stationary",
-    "infimum_point",
     "evar_at",
     "WarmStart",
 ]
 
-# The solve runs in x = ln(s) on [X_MIN, X_MAX]; a root beyond either end is
-# reported as that boundary (see infimum_point).
+# The solve runs in x = ln(s) on [X_MIN, X_MAX].  A root above X_MAX stands for
+# the s -> inf limit; one below X_MIN raises (see solve_stationary).
 X_MIN = math.log(1e-300)
 X_MAX = math.log(1e300)
 # The default stop: |h| <= RESIDUAL_EPS * |ln(beta)|.
@@ -129,8 +128,9 @@ def solve_stationary(
     tol: Optional[float] = None,
     s0: Optional[float] = None,
 ):
-    """Root s* of the stationarity function h on [1e-300, 1e300].
+    """The point s in [0, inf] that carries ``inf_{s>0} g(s)``.
 
+    An interior s* is the root of the stationarity function h, found by
     Newton's method on F(x) = ln(t*gap(e^x)) - ln(-ln(beta)) in x = ln(s),
     whose slope F'(x) = -s^2 phi''(s) / gap(s) lies in (0, 2] for every
     combination of the factor kinds (their exponentially tilted laws are never
@@ -143,25 +143,23 @@ def solve_stationary(
     a warm start; the cold start is s = 1.
 
     Stops when |h| <= ``tol`` (default RESIDUAL_EPS * |ln(beta)|) or when the
-    next step is a few ulps of x.  Returns ``(s_star, iterations, residual)``,
-    where ``iterations`` counts every evaluation of h.  Raises
-    :class:`NoStationaryPointError` with the boundary beyond which the root
-    lies: LIMIT_AT_INFINITY when h < 0 at s = 1e300, or with no evaluation
-    when t <= :func:`limit_onset`; LIMIT_AT_ZERO when h > 0 at s = 1e-300 or
-    beta = 1.
+    next step is a few ulps of x.  Returns ``(s, iterations, residual)``,
+    where ``iterations`` counts every evaluation of h.  At a boundary limit
+    (see the module docstring) ``s`` is ``math.inf`` or, only at beta = 1,
+    ``0.0``, with zero iterations and residual; :func:`evar_at` turns the
+    point into an EVaR value.  Raises :class:`NoStationaryPointError` with the
+    boundary beyond which the root lies: LIMIT_AT_ZERO when h > 0 at
+    s = 1e-300, LIMIT_AT_INFINITY when h < 0 at s = 1e300 and a Brownian
+    factor is active.
     """
+    if t == 0.0 or combination.is_degenerate():
+        return math.inf, 0, 0.0
     budget = -math.log(beta)
     if budget == 0.0:
-        raise NoStationaryPointError(
-            "beta = 1: h = t*gap >= 0 for every s; infimum at s -> 0+",
-            boundary=LIMIT_AT_ZERO,
-        )
+        return 0.0, 0, 0.0
     onset = limit_onset(combination, beta)
     if onset is not None and t <= onset:
-        raise NoStationaryPointError(
-            "t*gap(inf) + ln(beta) <= 0, so h < 0 for every s; infimum at s -> inf",
-            boundary=LIMIT_AT_INFINITY,
-        )
+        return math.inf, 0, 0.0
     if tol is None:
         tol = RESIDUAL_EPS * budget
     log_budget = math.log(budget)
@@ -188,6 +186,10 @@ def solve_stationary(
             return s, iterations, h
         if h < 0.0:
             if x == X_MAX:
+                # A root above 1e300 stands for the s -> inf limit, unless a
+                # Brownian factor makes g grow without bound there.
+                if not math.isinf(combination.slope_at_infinity()):
+                    return math.inf, 0, 0.0
                 raise NoStationaryPointError(
                     "h < 0 up to s = 1e300: the root lies above the solver's range",
                     boundary=LIMIT_AT_INFINITY,
@@ -228,35 +230,6 @@ def solve_stationary(
         x = x_next
 
 
-def infimum_point(
-    combination: FactorCombination,
-    t: float,
-    beta: float,
-    s0: Optional[float] = None,
-    tol: Optional[float] = None,
-):
-    """The point s in [0, inf] that carries ``inf_{s>0} g(s)``.
-
-    Returns ``(s, iterations, residual)`` as :func:`solve_stationary` does
-    when h has a root.  Otherwise ``s`` is ``math.inf`` or ``0.0``, standing
-    for the limit s -> inf or (only at beta = 1) s -> 0+, with zero
-    iterations and residual.  The module docstring lists the boundary cases;
-    :func:`evar_at` turns the point into an EVaR value.
-    """
-    if t == 0.0 or combination.is_degenerate():
-        return math.inf, 0, 0.0
-    if beta == 1.0:
-        return 0.0, 0, 0.0
-    try:
-        return solve_stationary(combination, t, beta, tol, s0)
-    except NoStationaryPointError as exc:
-        # A root above 1e300 stands for the s -> inf limit, unless a Brownian
-        # factor makes g grow without bound there.
-        if exc.boundary == LIMIT_AT_INFINITY and not math.isinf(combination.slope_at_infinity()):
-            return math.inf, 0, 0.0
-        raise
-
-
 def limit_onset(combination: FactorCombination, beta: float) -> Optional[float]:
     """t0 = -ln(beta) / lim phi_gap(s), up to which h < 0 for every s and EVaR is
     linear; None unless every active factor is compound Poisson."""
@@ -271,7 +244,7 @@ def limit_onset(combination: FactorCombination, beta: float) -> Optional[float]:
 
 
 def evar_at(combination: FactorCombination, t: float, beta: float, s: float) -> float:
-    """EVaR at the point ``s`` returned by :func:`infimum_point`."""
+    """EVaR at the point ``s`` returned by :func:`solve_stationary`."""
     if 0.0 < s < math.inf:
         return (-t * combination.phi(s) - math.log(beta)) / s
     if t == 0.0 or combination.is_degenerate():
@@ -302,7 +275,7 @@ class WarmStart:
         self.s0 = None
 
     def __call__(self, t: float) -> float:
-        s, _, _ = infimum_point(self.combination, t, self.beta, self.s0)
+        s, _, _ = solve_stationary(self.combination, t, self.beta, s0=self.s0)
         if 0.0 < s < math.inf:
             self.s0 = s
         return s
@@ -311,7 +284,7 @@ class WarmStart:
 def evar(query: EvarQuery, tol: Optional[float] = None) -> EvarResult:
     """EVaR_{1-beta}(X_t) as the infimum of the objective over s in (0, inf)."""
     comb, t, beta = query.combination, query.t, query.beta
-    s, iters, residual = infimum_point(comb, t, beta, tol=tol)
+    s, iters, residual = solve_stationary(comb, t, beta, tol)
     value = evar_at(comb, t, beta, s)
     if s == math.inf:
         return EvarResult(value, None, LIMIT_AT_INFINITY, 0, 0.0)

@@ -225,12 +225,12 @@ def test_allocate_total_is_the_standalone_cevar(p, limit_nodes):
 
 def test_allocate_report_structure():
     p, _ = brownian_portfolio()
-    report = allocate(p, grid_points=17)
-    assert report.grid.shape == (17,)
-    assert report.K_curve.shape == (17, 3)
+    report = allocate(p)
+    assert report.grid.shape == (65,)
+    assert report.K_curve.shape == (65, 3)
     assert report.s_star_curve[0] == (0.0, None)
     rows = report.curve_rows()
-    assert len(rows) == 17 and len(rows[0]) == 2 + 3
+    assert len(rows) == 65 and len(rows[0]) == 2 + 3
     d = report.to_dict()
     assert d["schema_version"] == "1"
     assert len(d["L"]) == 3

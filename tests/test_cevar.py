@@ -183,11 +183,12 @@ def test_cevar_beta_one_is_weighted_mean():
 def test_cevar_budget_error_carries_partial():
     # Under t = u^2 a stable integrand goes as u^(2/alpha), not a polynomial
     # in u, so the panel errors stay far above 1e-30 and the quadrature
-    # halves until the budget runs out, whatever the round-off.
+    # halves until the default budget of 200k nodes runs out, whatever the
+    # round-off.
     comb = combo((AlphaStableSubordinator(0.7), 1.0))
     q = CevarQuery(comb, 1.0, 0.05, quad_tol=1e-30)
     with pytest.raises(QuadratureBudgetError) as exc_info:
-        cevar(q, max_evals=200)
+        cevar(q)
     partial = exc_info.value.partial
     assert partial is not None
     # One department with no premium: its allocation is the CEVaR.
@@ -241,8 +242,8 @@ def test_default_tolerance_integrates_each_quantity_once(monkeypatch):
         nodes.append(len(ts))
         return result
 
-    for name in ("levyrisk.cevar", "levyrisk.allocation"):
-        monkeypatch.setattr(sys.modules[name], "adaptive_simpson", counted_quad)
+    # cevar and allocate both integrate through levyrisk.cevar's quadrature.
+    monkeypatch.setattr(sys.modules["levyrisk.cevar"], "adaptive_simpson", counted_quad)
     comb = combo((BrownianWithDrift(0.3, 1.1), 1.0), (GammaSubordinator(2.0, 3.0, 0.1), 0.7))
     cevar(CevarQuery(comb, 2.0, 0.05))
     assert calls == [((), None)]
@@ -254,8 +255,9 @@ def test_default_tolerance_integrates_each_quantity_once(monkeypatch):
     solve = evar_module.solve_stationary
 
     def counted_solve(*args, **kwargs):
-        solves.append(args[1])
-        return solve(*args, **kwargs)
+        result = solve(*args, **kwargs)
+        solves.append((args[1], result[1]))
+        return result
 
     monkeypatch.setattr(evar_module, "solve_stationary", counted_solve)
     portfolio = FactorPortfolio(
@@ -263,12 +265,13 @@ def test_default_tolerance_integrates_each_quantity_once(monkeypatch):
         [BrownianWithDrift(0.3, 1.1), GammaSubordinator(2.0, 3.0, 0.1)],
         [0.1, 0.2], 2.0, 0.05,
     )
-    grid_points = 65
-    allocate(portfolio, grid_points=grid_points)
+    report = allocate(portfolio)
     # One pass integrates the Euler contributions and the aggregate EVaR.
     assert calls == [((3,), None)]
-    # One solve per node and per curve point; t = 0 needs none.
-    assert len(solves) == nodes[0] + grid_points - 1
+    # One solve per node and per curve point; the one at t = 0 returns the
+    # s -> inf limit with no evaluation.
+    assert len(solves) == nodes[0] + len(report.grid)
+    assert [iterations for t, iterations in solves if t == 0.0] == [0]
 
 
 def test_compound_poisson_cevar_matches_u_simpson_oracle():

@@ -256,6 +256,12 @@ def test_exit_code_parse_error(tmp_path):
         MINIMAL + "beta = 0.5\n",  # repeated [run] key
         MINIMAL + "n_paths = 0\n",
         MINIMAL + "seed = -1\n",
+        MINIMAL.replace("T = 1.0", "T = -2.0"),  # out of range
+        MINIMAL.replace("beta = 0.05", "beta = 10.05"),
+        MINIMAL + "horizon = 2.0\n",  # unknown [run] key
+        MINIMAL.replace("[premiums]\n0.0", "[premiums]\n0.0 0.1"),  # 2 premiums, 1 row
+        MINIMAL.replace("[matrix]\n1.0", "[matrix]\n-1.0"),  # negative exposure
+        MINIMAL.replace("[premiums]\n0.0", "[premiums]\n-0.1"),  # negative premium
     ]
     for text in bad:
         with pytest.raises(ConfigError) as exc_info:
@@ -263,6 +269,18 @@ def test_exit_code_parse_error(tmp_path):
         assert exc_info.value.line is not None, text
         cfg = write(tmp_path, text)
         assert main(["--config", cfg, "--command", "evar"]) == 2, text
+
+
+def test_untyped_error_in_a_command_is_not_a_config_error(tmp_path, monkeypatch):
+    # Exit 2 is for the library's typed errors; a bare ValueError is a defect
+    # and must surface, not read as a bad config.
+    def broken(*args, **kwargs):
+        raise ValueError("not a config problem")
+
+    monkeypatch.setattr("levyrisk.cli.evar", broken)
+    cfg = write(tmp_path, MINIMAL)
+    with pytest.raises(ValueError, match="not a config problem"):
+        main(["--config", cfg, "--command", "evar"])
 
 
 def test_exit_code_negative_seed_override(tmp_path, capsys):

@@ -22,7 +22,8 @@ from levyrisk import (
     evar_objective,
 )
 from levyrisk.errors import LevyRiskError
-from levyrisk.evar import infimum_point, limit_onset, solve_stationary
+from levyrisk.evar import limit_onset, solve_stationary
+from oracles import evar_oracle
 
 RNG = np.random.default_rng(20240817)
 
@@ -159,10 +160,9 @@ def test_root_below_the_solver_range_is_a_typed_error():
     with pytest.raises(NoStationaryPointError) as exc_info:
         evar(EvarQuery(comb, 1e130, 0.05))
     assert exc_info.value.boundary == "limit_at_zero"
-    # At beta = 1, h = t*gap >= 0 for every s: the solver reports s -> 0+.
-    with pytest.raises(NoStationaryPointError) as exc_info:
-        solve_stationary(comb, 1.0, 1.0)
-    assert exc_info.value.boundary == "limit_at_zero"
+    # At beta = 1, h = t*gap >= 0 for every s: the solver returns the s -> 0+
+    # limit as a value, with no evaluation.
+    assert solve_stationary(comb, 1.0, 1.0) == (0.0, 0, 0.0)
 
 
 def test_brownian_evar_as_beta_tends_to_one():
@@ -247,18 +247,47 @@ def test_cold_solve_work(gap_calls):
         gap_calls.clear()
         solve_stationary(FactorCombination.single(factor), t, 0.05)
         assert len(gap_calls) <= budget, factor
-    # This gamma root lies above 1e300: one evaluation there decides it.
+    # This gamma root lies above 1e300: one evaluation there decides the
+    # s -> inf limit, which is returned as a value.
     gap_calls.clear()
-    with pytest.raises(NoStationaryPointError) as exc_info:
-        solve_stationary(FactorCombination.single(GammaSubordinator(2.0, 3.0, 0.1)), 1e-4, 0.05)
-    assert exc_info.value.boundary == "limit_at_infinity"
+    comb = FactorCombination.single(GammaSubordinator(2.0, 3.0, 0.1))
+    assert solve_stationary(comb, 1e-4, 0.05) == (math.inf, 0, 0.0)
     assert len(gap_calls) <= 10
     # Below the compound-Poisson onset t0 = ln(20)/2 no evaluation is needed.
     gap_calls.clear()
-    with pytest.raises(NoStationaryPointError) as exc_info:
-        solve_stationary(FactorCombination.single(CompoundPoissonExp(2.0, 1.0)), 1.0, 0.05)
-    assert exc_info.value.boundary == "limit_at_infinity"
+    comb = FactorCombination.single(CompoundPoissonExp(2.0, 1.0))
+    assert solve_stationary(comb, 1.0, 0.05) == (math.inf, 0, 0.0)
     assert gap_calls == []
+
+
+# Every way solve_stationary ends without an interior root: (position, t,
+# beta, the point it returns or the boundary it raises, most phi_gap calls).
+SOLVER_BOUNDARIES = {
+    "t=0": (FactorCombination.single(BrownianWithDrift(0.1, 1.0)), 0.0, 0.05, math.inf, 0),
+    "zero-position": (FactorCombination([GammaSubordinator(2.0, 3.0)], [0.0]), 1.0, 0.05,
+                      math.inf, 0),
+    "cp-below-onset": (FactorCombination.single(CompoundPoissonExp(2.0, 1.0)), 1.0, 0.05,
+                       math.inf, 0),
+    "gamma-root-above-1e300": (FactorCombination.single(GammaSubordinator(2.0, 3.0, 0.1)), 1e-4,
+                               0.05, math.inf, 10),
+    "beta=1": (FactorCombination.single(AlphaStableSubordinator(0.4)), 1.0, 1.0, 0.0, 0),
+    "root-below-1e-300": (FactorCombination.single(AlphaStableSubordinator(0.4)), 1e130, 0.05,
+                          "limit_at_zero", None),
+    "brownian-root-above-1e300": (FactorCombination([BrownianWithDrift(0.0, 1.0)], [1e-300]),
+                                  1.0, 0.05, "limit_at_infinity", None),
+}
+
+
+@pytest.mark.parametrize("case", SOLVER_BOUNDARIES)
+def test_solver_returns_the_boundary_limits_and_raises_only_out_of_range(case, gap_calls):
+    comb, t, beta, expected, most_calls = SOLVER_BOUNDARIES[case]
+    if isinstance(expected, str):
+        with pytest.raises(NoStationaryPointError) as exc_info:
+            solve_stationary(comb, t, beta)
+        assert exc_info.value.boundary == expected
+    else:
+        assert solve_stationary(comb, t, beta) == (expected, 0, 0.0)
+        assert len(gap_calls) <= most_calls
 
 
 @pytest.mark.parametrize("t, beta", [(1.0, 1.0 - 2.0**-50), (1e17, 0.05), (1e30, 0.05)])
@@ -444,7 +473,35 @@ def test_limit_onset_only_for_compound_poisson_positions():
                              [1.0, 0.3, 0.0])
     t0 = limit_onset(comb, 0.05)
     assert t0 == pytest.approx(-math.log(0.05) / 2.5, rel=1e-15)
-    assert infimum_point(comb, 0.99 * t0, 0.05)[0] == math.inf
-    assert 0.0 < infimum_point(comb, 1.01 * t0, 0.05)[0] < math.inf
+    assert solve_stationary(comb, 0.99 * t0, 0.05)[0] == math.inf
+    assert 0.0 < solve_stationary(comb, 1.01 * t0, 0.05)[0] < math.inf
     assert limit_onset(FactorCombination([cp, GammaSubordinator(1.0, 1.0)], [1.0, 0.1]), 0.05) is None
     assert limit_onset(comb, 1.0) is None
+
+
+# Positions for the mpmath oracle: each kind at two horizons, a gamma(0.01) +
+# compound-Poisson mix, and the three s -> inf limits the solver returns by
+# value (a gamma root above 1e300, compound Poisson below its onset
+# t0 = ln(20)/2 and the mix, whose root also lies above 1e300).
+GAMMA = GammaSubordinator(2.0, 3.0, 0.1)
+COMPOUND_POISSON = CompoundPoissonExp(2.0, 1.0, 0.1)
+MIX = FactorCombination([GammaSubordinator(0.01, 1.0, 0.1), COMPOUND_POISSON], [1.0, 1.0])
+ORACLE_CASES = {
+    **{f"{f.kind}-t={t}": (FactorCombination([f], [d]), t)
+       for f, d in ((BrownianWithDrift(0.1, 1.2), 0.8), (GAMMA, 1.0),
+                    (AlphaStableSubordinator(0.6, 0.1), 1.5))
+       for t in (0.5, 2.0)},
+    **{f"compound_poisson-t={t}": (FactorCombination.single(COMPOUND_POISSON), t)
+       for t in (2.0, 5.0)},
+    **{f"mix-t={t}": (MIX, t) for t in (1.0, 5.0)},
+    "gamma-limit-t=1e-4": (FactorCombination.single(GAMMA), 1e-4),
+    "compound_poisson-limit-t=1": (FactorCombination.single(COMPOUND_POISSON), 1.0),
+    "mix-limit-t=0.01": (MIX, 0.01),
+}
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES)
+def test_evar_matches_the_mpmath_oracle(case):
+    comb, t = ORACLE_CASES[case]
+    truth = evar_oracle(comb, t, 0.05)
+    assert abs(evar(EvarQuery(comb, t, 0.05)).value - truth) <= 1e-12 * abs(truth)

@@ -19,7 +19,7 @@ from levyrisk import (
     validation_report,
     var_inf_bound_check,
 )
-from levyrisk.evar import infimum_point
+from levyrisk.evar import solve_stationary
 from levyrisk.montecarlo import _EmpiricalExponent, _sample_position
 
 ALL_KINDS = [
@@ -185,7 +185,7 @@ def test_empirical_evar_below_one_over_n_is_the_minimum(factor):
     plug_in = FactorCombination.single(_EmpiricalExponent(x))
     for beta in (0.5 / n, 1e-300):
         assert empirical_evar(factor, 1.0, beta, config) == -x.min()
-        assert infimum_point(plug_in, 1.0, beta) == (math.inf, 0, 0.0)
+        assert solve_stationary(plug_in, 1.0, beta) == (math.inf, 0, 0.0)
 
 
 # ---------------------------------------------------------------------------
