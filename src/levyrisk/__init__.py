@@ -10,6 +10,7 @@ from .allocation import (
     directional_derivative_check,
     diversification_check,
     euler_contributions,
+    euler_curve,
     stable_allocation,
     stable_contributions,
 )

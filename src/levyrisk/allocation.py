@@ -28,6 +28,7 @@ __all__ = [
     "AllocationReport",
     "euler_contributions",
     "allocate",
+    "euler_curve",
     "directional_derivative_check",
     "diversification_check",
     "brownian_s_star",
@@ -63,8 +64,8 @@ class FactorPortfolio:
             raise ValueError(f"need n >= 1 departments and m >= 1 factors, got {n}x{m}")
         if len(factors) != m:
             raise ValueError(f"matrix has {m} columns but {len(factors)} factors given")
-        if np.any(A < 0):
-            raise ValueError("exposures a_ij must be nonnegative")
+        if not np.all(np.isfinite(A) & (A >= 0)):
+            raise ValueError("exposures a_ij must be finite and nonnegative")
         col = A.sum(axis=0)
         if np.any(col <= 0):
             dead = [j for j in range(m) if col[j] <= 0]
@@ -74,8 +75,8 @@ class FactorPortfolio:
             raise ValueError(
                 f"premiums length {premiums.size} does not match {n} departments"
             )
-        if np.any(premiums < 0):
-            raise ValueError("premium rates must be nonnegative")
+        if not np.all(np.isfinite(premiums) & (premiums >= 0)):
+            raise ValueError("premium rates must be finite and nonnegative")
         if not (T > 0) or not math.isfinite(T):
             raise ValueError(f"T must be a positive finite real, got {T}")
         if not (0.0 < beta < 1.0):
@@ -202,16 +203,7 @@ def allocate(portfolio: FactorPortfolio, quad_tol: Optional[float] = None) -> Al
     L = integral[:-1] + portfolio.premiums * tmom
     total = float(integral[-1]) + float(portfolio.premiums.sum()) * tmom
     gap = float(L.sum() - total)
-
-    grid = np.linspace(0.0, T, CURVE_POINTS)
-    K_curve = np.zeros((CURVE_POINTS, portfolio.n))
-    s_star_curve = []
-    curve = WarmStart(comb, beta)
-    for idx, t in enumerate(grid):
-        s = curve(t)
-        K_curve[idx] = kernel(t, s)
-        s_star_curve.append((float(t), None if s == math.inf else s))
-
+    grid, K_curve, s_star_curve = euler_curve(portfolio)
     return AllocationReport(
         L=L,
         grid=grid,
@@ -220,6 +212,24 @@ def allocate(portfolio: FactorPortfolio, quad_tol: Optional[float] = None) -> Al
         total_cevar=total,
         full_allocation_gap=gap,
     )
+
+
+def euler_curve(portfolio: FactorPortfolio):
+    """The K-curve: ``(grid, K_curve, s_star_curve)`` as in an AllocationReport.
+
+    ``grid`` holds CURVE_POINTS equally spaced horizons on [0, T], each solved
+    once along one warm-started path; s_star is None at the s -> inf limit.
+    """
+    kernel = _EulerKernel(portfolio)
+    path = WarmStart(portfolio.combination(None), portfolio.beta)
+    grid = np.linspace(0.0, portfolio.T, CURVE_POINTS)
+    K_curve = np.zeros((CURVE_POINTS, portfolio.n))
+    s_star_curve = []
+    for idx, t in enumerate(grid):
+        s = path(t)
+        K_curve[idx] = kernel(t, s)
+        s_star_curve.append((float(t), None if s == math.inf else s))
+    return grid, K_curve, s_star_curve
 
 
 def directional_derivative_check(portfolio: FactorPortfolio, i: int, t: float,

@@ -39,7 +39,7 @@ from typing import Optional, TextIO
 
 import numpy as np
 
-from .allocation import FactorPortfolio, allocate
+from .allocation import FactorPortfolio, allocate, euler_curve
 from .cevar import CevarQuery, WeightFunction, cevar
 from .errors import ConfigError, LevyRiskError, NoStationaryPointError, QuadratureBudgetError
 from .evar import EvarQuery, evar
@@ -113,8 +113,8 @@ def parse_config(text: str):
                 f"{len(factors)} factors",
                 line=lineno,
             )
-        if any(v < 0 for v in rows[-1]):
-            raise ConfigError("exposures a_ij must be nonnegative", line=lineno)
+        if not all(0.0 <= v < math.inf for v in rows[-1]):
+            raise ConfigError("exposures a_ij must be finite and nonnegative", line=lineno)
     if not rows:
         raise ConfigError("[matrix] section is empty or missing")
 
@@ -124,8 +124,8 @@ def parse_config(text: str):
             premiums.extend(float(v) for v in line.split())
         except ValueError as exc:
             raise ConfigError(f"bad premium entry: {exc}", line=lineno) from exc
-        if any(c < 0 for c in premiums):
-            raise ConfigError("premium rates must be nonnegative", line=lineno)
+        if not all(0.0 <= c < math.inf for c in premiums):
+            raise ConfigError("premium rates must be finite and nonnegative", line=lineno)
     if len(premiums) != len(rows):
         raise ConfigError(
             f"{len(premiums)} premiums given for {len(rows)} matrix rows",
@@ -263,10 +263,9 @@ def _format_evar(result, fmt):
     return _table(fields, [values])
 
 
-def _format_curve(report, fmt):
-    n = report.K_curve.shape[1]
-    header = ["t", "s_star"] + [f"K_{i}" for i in range(1, n + 1)]
-    rows = report.curve_rows()
+def _format_curve(K_curve, s_star_curve, fmt):
+    header = ["t", "s_star"] + [f"K_{i}" for i in range(1, K_curve.shape[1] + 1)]
+    rows = [[t, s] + list(k) for (t, s), k in zip(s_star_curve, K_curve)]
     if fmt == "json":
         return json.dumps(
             {"schema_version": SCHEMA_VERSION, "columns": header, "rows": rows},
@@ -281,7 +280,7 @@ def _format_allocation(report, fmt):
     if fmt == "json":
         return json.dumps(report.to_dict(), indent=2) + "\n"
     if fmt == "csv":
-        return _format_curve(report, "csv")
+        return _format_curve(report.K_curve, report.s_star_curve, "csv")
     header = ["department", "L"]
     rows = [[i + 1, L] for i, L in enumerate(report.L)]
     rows.append(["total", float(np.sum(report.L))])
@@ -347,12 +346,12 @@ def run(args) -> int:
                 _write(args.out, _csv_text(["value"], [[value]]))
             else:
                 _write(args.out, _table(["value"], [[value]]))
-        elif args.command in ("allocate", "curve"):
+        elif args.command == "allocate":
             report = allocate(portfolio, quad_tol=args.tol_quad)
-            if args.command == "allocate":
-                _write(args.out, _format_allocation(report, args.format))
-            else:
-                _write(args.out, _format_curve(report, args.format))
+            _write(args.out, _format_allocation(report, args.format))
+        elif args.command == "curve":
+            _, K_curve, s_star_curve = euler_curve(portfolio)
+            _write(args.out, _format_curve(K_curve, s_star_curve, args.format))
         elif args.command == "validate":
             config = SimulationConfig(seed=seed, n_paths=run_opts["n_paths"])
             checks = validation_report(config, beta=portfolio.beta)

@@ -264,20 +264,35 @@ def evar_at(combination: FactorCombination, t: float, beta: float, s: float) -> 
 class WarmStart:
     """Infimum points along a sequence of horizons, warm-started in turn.
 
-    The stationary point s*(t) varies smoothly in t, so each interior s*
-    seeds the safeguarded Newton iteration of the next call; a boundary
-    limit leaves the seed unchanged.
+    The stationary point s*(t) varies smoothly in t, and ln s* is a straight
+    line in ln t for Brownian and stable positions (slope -1/2 and -1/alpha).
+    So the safeguarded Newton iteration of each call starts from the line
+    through the last two interior points in (ln t, ln s*), clamped to
+    [X_MIN, X_MAX]; after one interior point it starts from that s*.  A
+    boundary limit records no point.
     """
 
     def __init__(self, combination: FactorCombination, beta: float):
         self.combination = combination
         self.beta = beta
-        self.s0 = None
+        self.points = []  # the last two interior (ln t, ln s*), oldest first
+
+    def _seed(self, t: float) -> Optional[float]:
+        """The predicted s*(t), or None before the first interior point."""
+        if not self.points:
+            return None
+        x1, y1 = self.points[-1]
+        y = y1
+        if len(self.points) == 2 and t > 0.0:
+            x0, y0 = self.points[0]
+            if x0 != x1:
+                y = y1 + (y1 - y0) / (x1 - x0) * (math.log(t) - x1)
+        return math.exp(min(max(y, X_MIN), X_MAX))
 
     def __call__(self, t: float) -> float:
-        s, _, _ = solve_stationary(self.combination, t, self.beta, s0=self.s0)
+        s, _, _ = solve_stationary(self.combination, t, self.beta, s0=self._seed(t))
         if 0.0 < s < math.inf:
-            self.s0 = s
+            self.points = self.points[-1:] + [(math.log(t), math.log(s))]
         return s
 
 

@@ -1,4 +1,6 @@
 """Reference computations shared by the tests; they share no code with the library."""
+import math
+
 import mpmath as mp
 import numpy as np
 
@@ -66,3 +68,42 @@ def evar_oracle(combination, t, beta, dps=40):
                 hi = mid
         s = mp.exp((lo + hi) / 2)
         return float((-t * exponent_and_gap(s)[0] - log_beta) / s)
+
+
+def cevar_oracle(combination, T, beta, knots=None, dps=15):
+    """CEVaR: integral_0^T EVaR_{1-beta}(X_t) omega(t) dt, with mp.quad (tanh-sinh).
+
+    omega is 1/T, or linear between ``knots`` (t_k, w_k) spanning [0, T].  The
+    range breaks at the knots and, for a compound-Poisson-only position, at
+    the onset -ln(beta) / sum(lambda_j), where EVaR leaves its linear s -> inf
+    limit.  On each piece [a, b], t = a + (b - a) u^2 makes the sqrt(t) and
+    t^(1/alpha) onsets smooth in u, and each node takes :func:`evar_oracle`.
+    Its nodes are float EVaR values, so ``dps`` = 15 suffices: 20 and 25 give
+    the same float on the positions of the tests.
+    """
+    active = [f for f, d in zip(combination.factors, combination.weights) if d > 0]
+    cuts = {0.0, float(T)} | {float(t) for t, _ in knots or ()}
+    if all(f.kind == "compound_poisson_exp" for f in active) and beta < 1.0:
+        onset = -math.log(beta) / sum(f.lam for f in active)
+        if onset < T:
+            cuts.add(onset)
+    cuts = sorted(cuts)
+    with mp.workdps(dps):
+        def omega(t):
+            if knots is None:
+                return 1 / mp.mpf(T)
+            for (t0, w0), (t1, w1) in zip(knots, knots[1:]):
+                if t <= t1:
+                    return w0 + (w1 - w0) * (t - t0) / (t1 - t0)
+            return mp.mpf(knots[-1][1])
+
+        total = mp.mpf(0)
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            width = mp.mpf(b) - a
+
+            def integrand(u):
+                t = a + width * u * u
+                return evar_oracle(combination, t, beta, dps=dps + 5) * omega(t) * 2 * width * u
+
+            total += mp.quad(integrand, [0, 1])
+        return float(total)

@@ -78,6 +78,15 @@ def test_portfolio_validation():
         FactorPortfolio([[1.0]], f, [0.0], 1.0, 1.0)
 
 
+def test_portfolio_rejects_non_finite_inputs():
+    f = [BrownianWithDrift(0.0, 1.0)]
+    for value in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="exposures .* finite"):
+            FactorPortfolio([[value]], f, [0.0], 1.0, 0.05)
+        with pytest.raises(ValueError, match="premium .* finite"):
+            FactorPortfolio([[1.0]], f, [value], 1.0, 0.05)
+
+
 def test_portfolio_combination_exposures():
     p, _ = brownian_portfolio()
     comb = p.combination(None)

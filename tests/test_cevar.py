@@ -22,7 +22,7 @@ from levyrisk import (
     stable_allocation,
 )
 from levyrisk.errors import QuadratureBudgetError
-from oracles import composite_simpson
+from oracles import cevar_oracle, composite_simpson
 
 
 def brownian_cevar_closed_form(mu, sigma, T, beta):
@@ -290,6 +290,35 @@ def test_compound_poisson_cevar_matches_u_simpson_oracle():
     assert cevar(CevarQuery(comb, T, beta)) == pytest.approx(oracle, rel=1e-7)
 
 
+# Portfolios for the mpmath oracle, T = 2 and beta = 0.05, no premiums: one per
+# shape family, and a compound-Poisson table weight whose onset t0 = ln(20)/3
+# and middle knot both break the range.
+ORACLE_PORTFOLIOS = {
+    "brownian+gamma": ([[1.0, 0.5], [0.3, 1.5]],
+                       [BrownianWithDrift(0.3, 1.1), GammaSubordinator(2.0, 3.0, 0.1)], None),
+    "stable+compound_poisson": ([[0.5, 0.2], [0.3, 0.4]],
+                                [AlphaStableSubordinator(0.6, 0.1),
+                                 CompoundPoissonExp(1.5, 2.0, -0.2)], None),
+    "gamma+compound_poisson": ([[0.6, 0.3], [0.3, 0.2]],
+                               [GammaSubordinator(1.5, 2.0, 0.05),
+                                CompoundPoissonExp(2.0, 1.0, 0.1)], None),
+    "compound_poisson-table": ([[1.0], [0.5]], [CompoundPoissonExp(2.0, 1.0)],
+                               [(0.0, 0.5), (0.7, 1.5), (2.0, 1.0)]),
+}
+
+
+@pytest.mark.parametrize("case", ORACLE_PORTFOLIOS)
+def test_cevar_and_allocation_total_match_the_mpmath_oracle(case):
+    # The default tolerance promises 1e-10 relative to the max-norm.
+    A, factors, knots = ORACLE_PORTFOLIOS[case]
+    weight = WeightFunction.table(knots).normalized(2.0) if knots else WeightFunction()
+    portfolio = FactorPortfolio(A, factors, [0.0] * len(A), 2.0, 0.05, weight=weight)
+    comb = portfolio.combination()
+    truth = cevar_oracle(comb, 2.0, 0.05, knots=weight.knots or None)
+    assert abs(cevar(CevarQuery(comb, 2.0, 0.05, weight=weight)) - truth) <= 1e-10 * abs(truth)
+    assert abs(allocate(portfolio).total_cevar - truth) <= 1e-10 * abs(truth)
+
+
 def count_cevar_nodes(monkeypatch):
     """Integrand nodes per quadrature call made by ``cevar``, appended as they finish."""
     counts = []
@@ -311,18 +340,20 @@ def count_cevar_nodes(monkeypatch):
 
 def test_compound_poisson_onset_is_a_breakpoint(monkeypatch):
     # EVaR is linear up to t0 = -ln(beta)/lambda and smooth past it, so with a
-    # segment break at t0 neither segment needs halving.  Without the break
-    # the quadrature halved down to the kink: 624 nodes.
+    # segment break at t0 neither segment needs halving: each costs its three
+    # starting K21 panels, 63 nodes.  Without the break the quadrature halved
+    # down to the kink.
     counts = count_cevar_nodes(monkeypatch)
     comb = combo((CompoundPoissonExp(lam=2.0, eta=1.0), 1.0))
     cevar(CevarQuery(comb, 2.0, 0.05))
-    assert counts == [2 * 96]
+    assert counts == [2 * 63]
 
 
 def test_cevar_cost_does_not_depend_on_the_draw(monkeypatch):
     # Stable + compound Poisson positions with random parameters.  Starting
-    # each segment as one panel, these cost 48 or 112 nodes depending on the
-    # draw; from two panels, all cost the same.
+    # each segment as fewer panels, the cost depended on the draw (48 or 112
+    # nodes with one Gauss-Legendre panel, 42 or 84 with two K21 panels);
+    # from three K21 panels, all cost the same.
     counts = count_cevar_nodes(monkeypatch)
     rng = np.random.default_rng(3)
     for _ in range(30):
@@ -376,6 +407,25 @@ def test_curve_stable_log_log_slope_is_inverse_alpha():
         logs = np.log([abs(v) for _, v, _ in rows])
         slope = np.polyfit(np.log(grid), logs, 1)[0]
         assert slope == pytest.approx(1.0 / alpha, rel=1e-3)
+
+
+@pytest.mark.parametrize("factor", [BrownianWithDrift(0.2, 1.4), AlphaStableSubordinator(0.6, 0.1)])
+def test_curve_warm_start_is_exact_for_brownian_and_stable(factor, monkeypatch):
+    # ln s* is linear in ln t (slope -1/2 or -1/alpha), so once two interior
+    # points are known the predicted seed is the root: one evaluation each.
+    evar_module = sys.modules["levyrisk.evar"]
+    solve = evar_module.solve_stationary
+    iterations = []
+
+    def counted_solve(*args, **kwargs):
+        result = solve(*args, **kwargs)
+        iterations.append(result[1])
+        return result
+
+    monkeypatch.setattr(evar_module, "solve_stationary", counted_solve)
+    evar_curve(CevarQuery(combo((factor, 0.8)), 2.0, 0.05), np.linspace(0.0, 2.0, 41))
+    assert len(iterations) == 41 and iterations[0] == 0  # t = 0 is the s -> inf limit
+    assert iterations[3:] == [1] * 38
 
 
 def test_curve_rejects_points_outside_horizon():

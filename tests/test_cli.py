@@ -271,6 +271,19 @@ def test_exit_code_parse_error(tmp_path):
         assert main(["--config", cfg, "--command", "evar"]) == 2, text
 
 
+def test_non_finite_exposure_or_premium_is_a_config_error(tmp_path):
+    # NaN passes a "< 0" check, so these used to reach the solver.
+    for value in ("nan", "inf"):
+        for text, line in ((MINIMAL.replace("[matrix]\n1.0", f"[matrix]\n{value}"), 5),
+                           (MINIMAL.replace("[premiums]\n0.0", f"[premiums]\n{value}"), 8)):
+            with pytest.raises(ConfigError, match="finite") as exc_info:
+                parse_config(text)
+            assert exc_info.value.line == line
+            cfg = write(tmp_path, text)
+            for command in ("evar", "allocate"):
+                assert main(["--config", cfg, "--command", command]) == 2, text
+
+
 def test_untyped_error_in_a_command_is_not_a_config_error(tmp_path, monkeypatch):
     # Exit 2 is for the library's typed errors; a bare ValueError is a defect
     # and must surface, not read as a bad config.

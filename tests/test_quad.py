@@ -1,0 +1,70 @@
+"""The nested G10/K21 rule and the panel driver of ``levyrisk._quad``."""
+import math
+
+import numpy as np
+import pytest
+
+from levyrisk._quad import _RULE, adaptive_simpson
+from levyrisk.errors import QuadratureBudgetError
+
+U = np.array([u for u, _, _ in _RULE])
+KRONROD = np.array([wk for _, wk, _ in _RULE])
+GAUSS = KRONROD - np.array([dw for _, _, dw in _RULE])
+
+
+def test_rule_nodes_ascend_in_the_unit_interval():
+    assert len(_RULE) == 21
+    assert 0.0 < U[0] and U[-1] < 1.0 and np.all(np.diff(U) > 0)
+
+
+def test_kronrod_weights_sum_to_one():
+    assert KRONROD.sum() == pytest.approx(1.0, abs=1e-15)
+    assert np.all(KRONROD > 0)
+
+
+def test_gauss_nodes_are_nested_legendre_nodes():
+    x, w = np.polynomial.legendre.leggauss(10)
+    nested = GAUSS != 0.0
+    assert nested.sum() == 10
+    assert np.allclose(U[nested], (x + 1.0) / 2.0, rtol=0, atol=1e-15)
+    assert np.allclose(GAUSS[nested], w / 2.0, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("degree", range(32))
+def test_exact_degrees(degree):
+    exact = 1.0 / (degree + 1)
+    assert abs(KRONROD @ U ** degree - exact) <= 1e-15
+    if degree <= 19:
+        assert abs(GAUSS @ U ** degree - exact) <= 1e-15
+    else:
+        # The error estimate |K21 - G10| sees degree 20 and above.
+        assert abs(GAUSS @ U ** degree - exact) > 1e-13
+
+
+def test_segments_start_as_three_panels_evaluated_left_to_right():
+    ts = []
+
+    def f(t):
+        ts.append(t)
+        return 3.0 * t * t
+
+    assert adaptive_simpson(f, 0.0, 2.0, None, breakpoints=[0.5]) == pytest.approx(8.0, rel=1e-15)
+    # u**2 substitution keeps a polynomial a polynomial, so no panel halves.
+    assert len(ts) == 2 * 3 * 21
+    assert np.all(np.diff(ts[:63]) > 0) and np.all(np.diff(ts[63:]) > 0)
+    assert 0.0 < ts[0] and ts[62] < 0.5 < ts[63] and ts[-1] < 2.0
+
+
+def test_budget_error_carries_partial():
+    # Under t = u^2, t**0.3 is u**0.6: not a polynomial, so 1e-30 is out of reach.
+    with pytest.raises(QuadratureBudgetError) as exc_info:
+        adaptive_simpson(lambda t: np.array([t ** 0.3, 1.0]), 0.0, 1.0, 1e-30, max_evals=500)
+    partial = exc_info.value.partial
+    assert partial is not None
+    assert partial == pytest.approx([1.0 / 1.3, 1.0], rel=1e-8)
+
+
+def test_budget_below_one_panel_has_no_partial():
+    with pytest.raises(QuadratureBudgetError) as exc_info:
+        adaptive_simpson(math.sqrt, 0.0, 1.0, None, max_evals=20)
+    assert exc_info.value.partial is None
