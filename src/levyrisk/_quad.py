@@ -15,6 +15,11 @@ evaluated and examined, left to right, so the result is deterministic.  There
 is no depth limit: halving stops when the tolerance is met or the budget runs
 out (:class:`QuadratureBudgetError`), so accuracy is never lost silently.
 
+The integrand is called once per node with a float t and may return a float,
+a sequence of floats or a numpy array.  A panel collects its 21 values in one
+array and takes K21 and K21 - G10 as two dot products with the weights scaled
+by the panel's u, so the work per node outside ``f`` is one list entry.
+
 The routine keeps the name ``adaptive_simpson`` because ``bench/tracing.py``
 wraps it by that name; a rename belongs in the same change as the tracer's.
 """
@@ -50,14 +55,17 @@ _WG = (0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
 
 
 def _rule_on_unit_interval():
-    """(u, Kronrod weight, Kronrod minus Gauss weight) per node, u ascending on [0, 1]."""
+    """Arrays of the nodes u, ascending on [0, 1], their Kronrod weights and
+    their Kronrod minus Gauss weights."""
     half = [(x, wk, wk - (_WG[k // 2] if k % 2 else 0.0))
             for k, (x, wk) in enumerate(zip(_XK, _WK))]
     nodes = [(-x, wk, dw) for x, wk, dw in half] + [(x, wk, dw) for x, wk, dw in half[-2::-1]]
-    return tuple(((1.0 + x) / 2.0, wk / 2.0, dw / 2.0) for x, wk, dw in nodes)
+    return (np.array([(1.0 + x) / 2.0 for x, _, _ in nodes]),
+            np.array([wk / 2.0 for _, wk, _ in nodes]),
+            np.array([dw / 2.0 for _, _, dw in nodes]))
 
 
-_RULE = _rule_on_unit_interval()
+_U, _KRONROD, _GAP = _rule_on_unit_interval()
 
 
 def _norm(x):
@@ -68,10 +76,11 @@ def adaptive_simpson(f, a, b, tol, breakpoints=None, max_evals=200_000):
     """Integrate f over [a, b] to absolute tolerance ``tol``.
 
     ``f`` is called once per node with a float t in (a, b) and may return a
-    float or a numpy array (integrated component-wise, error in the max
-    norm).  ``breakpoints`` inside [a, b] split it into segments.  With
-    ``tol=None`` the tolerance is relative, 1e-10 * (1 + max-norm of the
-    summed |panels| of the first pass).  Raises
+    float, a sequence of floats or a numpy array (integrated component-wise,
+    error in the max norm); a float and a one-element sequence or array of
+    the same value give the same result.  ``breakpoints`` inside [a, b]
+    split it into segments.  With ``tol=None`` the tolerance is relative,
+    1e-10 * (1 + max-norm of the summed |panels| of the first pass).  Raises
     :class:`QuadratureBudgetError` when ``max_evals`` evaluations do not
     suffice; its ``partial`` is the sum of the accepted panels plus the K21
     value of every unresolved one.
@@ -91,14 +100,10 @@ def adaptive_simpson(f, a, b, tol, breakpoints=None, max_evals=200_000):
             )
         evals += NODES
         h = u1 - u0
-        kronrod = gap = 0.0
-        for x, wk, dw in _RULE:
-            u = u0 + h * x
-            y = u * f(t0 + width * u * u)
-            kronrod = kronrod + wk * y
-            gap = gap + dw * y
-        scale = 2.0 * width * h
-        return (t0, width, u0, u1, kronrod * scale, _norm(gap * scale))
+        u = u0 + h * _U
+        y = np.asarray([f(t) for t in (t0 + width * u * u).tolist()], dtype=float)
+        u *= 2.0 * width * h
+        return (t0, width, u0, u1, (_KRONROD * u) @ y, _norm((_GAP * u) @ y))
 
     for t0, t1 in zip(pts[:-1], pts[1:]):
         for u0, u1 in ((0.0, 1.0 / 3.0), (1.0 / 3.0, 2.0 / 3.0), (2.0 / 3.0, 1.0)):

@@ -148,27 +148,26 @@ class AllocationReport:
 
 
 class _EulerKernel:
-    """K_t^i = -t * sum_j a_ij phi_j'(s D_j) at the point s from solve_stationary.
+    """The factor terms -t * phi_j'(s D_j) of K_t = A @ terms at the point s.
 
-    D_j = sum_k a_kj and the drift slopes are fixed per portfolio, so they
-    are computed once.  At s -> inf phi_j' tends to the slope of phi_j, which
-    gives the drift limit -t * A @ slopes; t = 0 gives zeros.  A portfolio
-    keeps beta < 1, so s is never the s -> 0+ limit.
+    The terms are plain floats, one per factor; each caller applies the
+    exposures A itself, once per node or once per curve.  D_j = sum_k a_kj
+    and the drift slopes are fixed per portfolio, so they are computed once.
+    At s -> inf phi_j' tends to the slope of phi_j, which gives -t * slope_j;
+    t = 0 gives zeros.  A portfolio keeps beta < 1, so s is never the s -> 0+
+    limit.
     """
 
     def __init__(self, portfolio: FactorPortfolio):
-        self.A = portfolio.A
-        self.factors = portfolio.factors
-        self.D = portfolio.column_sums()
-        self.slopes = np.array([f.slope_at_infinity() for f in portfolio.factors])
+        self.pairs = list(zip(portfolio.factors, portfolio.column_sums().tolist()))
+        self.slopes = [f.slope_at_infinity() for f in portfolio.factors]
 
-    def __call__(self, t: float, s: float) -> np.ndarray:
+    def __call__(self, t: float, s: float) -> list:
         if t == 0.0:
-            return np.zeros(self.A.shape[0])
+            return [0.0] * len(self.slopes)
         if s == math.inf:
-            return -t * (self.A @ self.slopes)
-        dphi = np.array([f.dphi(s * Dj) for f, Dj in zip(self.factors, self.D)])
-        return -t * (self.A @ dphi)
+            return [-t * slope for slope in self.slopes]
+        return [-t * f.dphi(s * d) for f, d in self.pairs]
 
 
 def euler_contributions(portfolio: FactorPortfolio, t: float) -> np.ndarray:
@@ -180,23 +179,31 @@ def euler_contributions(portfolio: FactorPortfolio, t: float) -> np.ndarray:
     if not (t > 0):
         raise ValueError(f"t must be positive, got {t}")
     s, _, _ = solve_stationary(portfolio.combination(None), t, portfolio.beta)
-    return _EulerKernel(portfolio)(t, s)
+    return portfolio.A @ _EulerKernel(portfolio)(t, s)
 
 
 def allocate(portfolio: FactorPortfolio, quad_tol: Optional[float] = None) -> AllocationReport:
     """Integrate the Euler contributions into the allocation L^i.
 
     L^i = integral_0^T K_t^i omega(t) dt + c^i * integral_0^T t omega(t) dt.
-    The same pass integrates the aggregate EVaR g(s*), so the default relative
-    tolerance scales with the largest component, usually the aggregate.  The
-    report's K-curve holds CURVE_POINTS equally spaced horizons.
+    The same pass integrates the aggregate EVaR g(s*).  Each node weights the
+    m factor terms and g(s*) by omega(t) and makes one product with the
+    (n+1) x (m+1) block matrix [[A, 0], [0, 1]], so the quadrature sees the n
+    department contributions and the aggregate, and its error estimate and
+    default relative tolerance are in the max norm over them (usually the
+    aggregate is the largest).  The report's K-curve holds CURVE_POINTS
+    equally spaced horizons.
     """
     T, beta = portfolio.T, portfolio.beta
     comb = portfolio.combination(None)
     kernel = _EulerKernel(portfolio)
+    n, m = portfolio.A.shape
+    block = np.zeros((n + 1, m + 1))
+    block[:n, :m] = portfolio.A
+    block[n, m] = 1.0
     integral = horizon_integral(
         comb, beta, portfolio.weight, T, quad_tol,
-        lambda t, s: np.append(kernel(t, s), evar_at(comb, t, beta, s)),
+        lambda t, s, w: block @ ([w * k for k in kernel(t, s)] + [w * evar_at(comb, t, beta, s)]),
     )
 
     tmom = portfolio.weight.time_moment(T)
@@ -219,17 +226,18 @@ def euler_curve(portfolio: FactorPortfolio):
 
     ``grid`` holds CURVE_POINTS equally spaced horizons on [0, T], each solved
     once along one warm-started path; s_star is None at the s -> inf limit.
+    The factor terms of all horizons meet A in one product.
     """
     kernel = _EulerKernel(portfolio)
     path = WarmStart(portfolio.combination(None), portfolio.beta)
     grid = np.linspace(0.0, portfolio.T, CURVE_POINTS)
-    K_curve = np.zeros((CURVE_POINTS, portfolio.n))
+    terms = []
     s_star_curve = []
-    for idx, t in enumerate(grid):
+    for t in grid.tolist():
         s = path(t)
-        K_curve[idx] = kernel(t, s)
-        s_star_curve.append((float(t), None if s == math.inf else s))
-    return grid, K_curve, s_star_curve
+        terms.append(kernel(t, s))
+        s_star_curve.append((t, None if s == math.inf else s))
+    return grid, np.array(terms) @ portfolio.A.T, s_star_curve
 
 
 def directional_derivative_check(portfolio: FactorPortfolio, i: int, t: float,

@@ -125,12 +125,13 @@ class CevarQuery:
 
 def horizon_integral(combination: FactorCombination, beta: float, weight: WeightFunction,
                      T: float, tol: Optional[float], point):
-    """integral_0^T point(t, s*(t)) omega(t) dt along the warm-started path s*(t).
+    """integral_0^T point(t, s*(t), omega(t)) dt along the warm-started path s*(t).
 
-    ``point`` maps a horizon and its point from :func:`solve_stationary` to a
-    float or a numpy array.  The segments break at the weight knots and at the
-    compound-Poisson onset, where the integrands have kinks; ``tol=None`` asks
-    the quadrature for its relative default.
+    ``point`` maps a horizon, its point from :func:`solve_stationary` and the
+    weight density there to the weighted integrand: a float, a sequence of
+    floats or a numpy array.  The segments break at the weight knots and at
+    the compound-Poisson onset, where the integrands have kinks; ``tol=None``
+    asks the quadrature for its relative default.
     """
     weight.check_span(T)
     path = WarmStart(combination, beta)
@@ -138,7 +139,7 @@ def horizon_integral(combination: FactorCombination, beta: float, weight: Weight
     breaks = weight.breakpoints(T) + ([onset] if onset is not None and onset < T else [])
 
     def integrand(t):
-        return point(t, path(t)) * weight.density(t, T)
+        return point(t, path(t), weight.density(t, T))
 
     return adaptive_simpson(integrand, 0.0, T, tol, breakpoints=breaks)
 
@@ -147,7 +148,7 @@ def cevar(query: CevarQuery) -> float:
     """Adaptive-quadrature value of integral_0^T EVaR_{1-beta}(X_t) omega(t) dt."""
     comb, beta = query.combination, query.beta
     return horizon_integral(comb, beta, query.weight, query.T, query.quad_tol,
-                            lambda t, s: evar_at(comb, t, beta, s))
+                            lambda t, s, w: evar_at(comb, t, beta, s) * w)
 
 
 def evar_curve(query: CevarQuery, grid: Sequence[float]):

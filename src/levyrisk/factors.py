@@ -108,10 +108,10 @@ class GammaSubordinator(LevyFactor):
     kind = "gamma"
 
     def __post_init__(self):
-        if not (self.a > 0):
-            raise ValueError(f"a must be positive, got {self.a}")
-        if not (self.b > 0):
-            raise ValueError(f"b must be positive, got {self.b}")
+        if not 0.0 < self.a < math.inf:
+            raise ValueError(f"a must be positive and finite, got {self.a}")
+        if not 0.0 < self.b < math.inf:
+            raise ValueError(f"b must be positive and finite, got {self.b}")
         if not math.isfinite(self.mu):
             raise ValueError(f"mu must be finite, got {self.mu}")
 
@@ -192,10 +192,10 @@ class CompoundPoissonExp(LevyFactor):
     kind = "compound_poisson_exp"
 
     def __post_init__(self):
-        if not (self.lam > 0):
-            raise ValueError(f"lambda must be positive, got {self.lam}")
-        if not (self.eta > 0):
-            raise ValueError(f"eta must be positive, got {self.eta}")
+        if not 0.0 < self.lam < math.inf:
+            raise ValueError(f"lambda must be positive and finite, got {self.lam}")
+        if not 0.0 < self.eta < math.inf:
+            raise ValueError(f"eta must be positive and finite, got {self.eta}")
         if not math.isfinite(self.mu):
             raise ValueError(f"mu must be finite, got {self.mu}")
 
@@ -296,19 +296,34 @@ class FactorCombination:
             self.factors + other.factors, self.weights + other.weights
         )
 
+    # Plain loops rather than sum(generator): these four run inside every
+    # solve, where a generator's overhead outweighs the terms of a small position.
+
     def phi(self, s):
-        return sum(f.phi(s * d) for f, d in self.active)
+        total = 0.0
+        for f, d in self.active:
+            total += f.phi(s * d)
+        return total
 
     def dphi(self, s):
         """d/ds of the combined exponent: sum_j d_j phi_j'(s d_j)."""
-        return sum(d * f.dphi(s * d) for f, d in self.active)
+        total = 0.0
+        for f, d in self.active:
+            total += d * f.dphi(s * d)
+        return total
 
     def d2phi(self, s):
-        return sum(d * d * f.d2phi(s * d) for f, d in self.active)
+        total = 0.0
+        for f, d in self.active:
+            total += d * d * f.d2phi(s * d)
+        return total
 
     def phi_gap(self, s):
         """phi(s) - s*phi'(s) with every factor's drift cancelled exactly."""
-        return sum(f.phi_gap(s * d) for f, d in self.active)
+        total = 0.0
+        for f, d in self.active:
+            total += f.phi_gap(s * d)
+        return total
 
     def mean_rate(self):
         """E[X_1] = sum_j d_j phi_j'(0+); +inf if any stable factor is active."""

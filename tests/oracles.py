@@ -35,6 +35,43 @@ def _exponent_and_gap(factor, s):
     raise ValueError(f"no closed form for factor kind {factor.kind!r}")
 
 
+def _derivative(factor, s):
+    """phi'(s) of one factor in closed form, s an mpf."""
+    p = {name: mp.mpf(value) for name, value in vars(factor).items()}
+    if factor.kind == "brownian":
+        return p["mu"] - p["sigma"] ** 2 * s
+    if factor.kind == "gamma":
+        return p["mu"] + p["a"] / (p["b"] + s)
+    if factor.kind == "stable":
+        return p["mu"] + p["alpha"] * s ** (p["alpha"] - 1)
+    if factor.kind == "compound_poisson_exp":
+        return p["mu"] + p["lam"] * p["eta"] / (p["eta"] + s) ** 2
+    raise ValueError(f"no closed form for factor kind {factor.kind!r}")
+
+
+def _stationary_point(active, t, log_beta, tol):
+    """s* of h(s) = t*gap(s) + ln(beta) for the (factor, d) pairs ``active``, in mp.
+
+    Bisection in x = ln(s) over [-700, 2000] until the bracket is narrower
+    than ``tol``; mp.inf when h(e^2000) < 0, i.e. the infimum is the s -> inf
+    limit.  h increases in s, so the root is unique.
+    """
+    def h(x):
+        s = mp.exp(x)
+        return t * sum(_exponent_and_gap(f, s * d)[1] for f, d in active) + log_beta
+
+    lo, hi = mp.mpf(-700), mp.mpf(2000)
+    if h(hi) < 0:
+        return mp.inf
+    while hi - lo > tol:
+        mid = (lo + hi) / 2
+        if h(mid) < 0:
+            lo = mid
+        else:
+            hi = mid
+    return mp.exp((lo + hi) / 2)
+
+
 def evar_oracle(combination, t, beta, dps=40):
     """EVaR_{1-beta} at horizon t > 0 of sum_j d_j W^j, in mpmath at ``dps`` digits.
 
@@ -49,61 +86,85 @@ def evar_oracle(combination, t, beta, dps=40):
     with mp.workdps(dps):
         t, log_beta = mp.mpf(t), mp.log(mp.mpf(beta))
         active = [(f, mp.mpf(d)) for f, d in zip(combination.factors, combination.weights) if d > 0]
-
-        def exponent_and_gap(s):
-            pairs = [_exponent_and_gap(f, s * d) for f, d in active]
-            return sum(p for p, _ in pairs), sum(g for _, g in pairs)
-
-        def h(x):
-            return t * exponent_and_gap(mp.exp(x))[1] + log_beta
-
-        lo, hi = mp.mpf(-700), mp.mpf(2000)
-        if h(hi) < 0:
+        s = _stationary_point(active, t, log_beta, mp.mpf(10) ** (-dps // 2))
+        if s == mp.inf:
             return float(-t * sum(d * mp.mpf(f.mu) for f, d in active))
-        while hi - lo > mp.mpf(10) ** (-dps // 2):
-            mid = (lo + hi) / 2
-            if h(mid) < 0:
-                lo = mid
-            else:
-                hi = mid
-        s = mp.exp((lo + hi) / 2)
-        return float((-t * exponent_and_gap(s)[0] - log_beta) / s)
+        phi = sum(_exponent_and_gap(f, s * d)[0] for f, d in active)
+        return float((-t * phi - log_beta) / s)
 
 
-def cevar_oracle(combination, T, beta, knots=None, dps=15):
-    """CEVaR: integral_0^T EVaR_{1-beta}(X_t) omega(t) dt, with mp.quad (tanh-sinh).
+def _horizon_quad(cuts, f):
+    """integral over [cuts[0], cuts[-1]] of f(t) with mp.quad, piece by piece in
+    u under t = a + (b - a) u^2."""
+    total = mp.mpf(0)
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        width = mp.mpf(b) - a
+        total += mp.quad(lambda u: f(a + width * u * u) * 2 * width * u, [0, 1])
+    return total
 
-    omega is 1/T, or linear between ``knots`` (t_k, w_k) spanning [0, T].  The
-    range breaks at the knots and, for a compound-Poisson-only position, at
-    the onset -ln(beta) / sum(lambda_j), where EVaR leaves its linear s -> inf
-    limit.  On each piece [a, b], t = a + (b - a) u^2 makes the sqrt(t) and
-    t^(1/alpha) onsets smooth in u, and each node takes :func:`evar_oracle`.
-    Its nodes are float EVaR values, so ``dps`` = 15 suffices: 20 and 25 give
-    the same float on the positions of the tests.
+
+def allocation_oracle(portfolio, dps=15):
+    """``(L, total)`` of ``allocate(portfolio)`` in mpmath.
+
+    L^i = integral_0^T K_t^i omega(t) dt + c^i integral_0^T t omega(t) dt, and
+    total = integral_0^T EVaR_{1-beta}(X_t) omega(t) dt + sum_i c^i integral_0^T
+    t omega(t) dt, the CEVaR that L allocates.
+
+    The range breaks at the weight knots and, for a compound-Poisson-only
+    position, at the onset -ln(beta) / sum(lambda_j), where the integrands
+    leave their linear s -> inf limit.  On each piece [a, b], t = a + (b - a) u^2
+    makes the sqrt(t) and t^(1/alpha) onsets smooth in u, and mp.quad
+    (tanh-sinh) integrates each component in u at ``dps`` digits.  The
+    components share their nodes, so each node is computed once, at ``dps`` + 5
+    digits:
+
+    * s* by the bisection of :func:`evar_oracle`, run to 10^-(dps + 2) in ln(s),
+      because K, unlike EVaR, is not stationary in s: its error follows that
+      of s*;
+    * K_t^i = -t sum_j a_ij phi_j'(s* D_j) with D_j = sum_k a_kj, and
+      EVaR = (-t*phi(s*) - ln(beta)) / s*;
+    * at the s -> inf limit phi_j' is the drift mu_j.
     """
-    active = [f for f, d in zip(combination.factors, combination.weights) if d > 0]
-    cuts = {0.0, float(T)} | {float(t) for t, _ in knots or ()}
-    if all(f.kind == "compound_poisson_exp" for f in active) and beta < 1.0:
-        onset = -math.log(beta) / sum(f.lam for f in active)
+    factors, knots = portfolio.factors, portfolio.weight.knots
+    T, beta = portfolio.T, portfolio.beta
+    A = [[mp.mpf(float(a)) for a in row] for row in portfolio.A]
+    cuts = {0.0, T} | {t for t, _ in knots}
+    if all(f.kind == "compound_poisson_exp" for f in factors):
+        onset = -math.log(beta) / sum(f.lam for f in factors)
         if onset < T:
             cuts.add(onset)
     cuts = sorted(cuts)
+    with mp.workdps(dps + 5):
+        active = [(f, mp.fsum(row[j] for row in A)) for j, f in enumerate(factors)]
+        log_beta = mp.log(mp.mpf(beta))
+    points = {}
+
+    def point(t):
+        """[K_t^1, ..., K_t^n, EVaR] at horizon t."""
+        if t not in points:
+            with mp.workdps(dps + 5):
+                s = _stationary_point(active, t, log_beta, mp.mpf(10) ** -(dps + 2))
+                if s == mp.inf:
+                    dphi = [mp.mpf(f.mu) for f, _ in active]
+                    value = -t * mp.fsum(d * p for (_, d), p in zip(active, dphi))
+                else:
+                    dphi = [_derivative(f, s * d) for f, d in active]
+                    phi = mp.fsum(_exponent_and_gap(f, s * d)[0] for f, d in active)
+                    value = (-t * phi - log_beta) / s
+                points[t] = [-t * mp.fsum(a * p for a, p in zip(row, dphi)) for row in A] + [value]
+        return points[t]
+
+    def omega(t):
+        if not knots:
+            return 1 / mp.mpf(T)
+        for (t0, w0), (t1, w1) in zip(knots, knots[1:]):
+            if t <= t1:
+                return w0 + (w1 - w0) * (t - t0) / (t1 - t0)
+        return mp.mpf(knots[-1][1])
+
     with mp.workdps(dps):
-        def omega(t):
-            if knots is None:
-                return 1 / mp.mpf(T)
-            for (t0, w0), (t1, w1) in zip(knots, knots[1:]):
-                if t <= t1:
-                    return w0 + (w1 - w0) * (t - t0) / (t1 - t0)
-            return mp.mpf(knots[-1][1])
-
-        total = mp.mpf(0)
-        for a, b in zip(cuts[:-1], cuts[1:]):
-            width = mp.mpf(b) - a
-
-            def integrand(u):
-                t = a + width * u * u
-                return evar_oracle(combination, t, beta, dps=dps + 5) * omega(t) * 2 * width * u
-
-            total += mp.quad(integrand, [0, 1])
-        return float(total)
+        moment = _horizon_quad(cuts, lambda t: t * omega(t))
+        integrals = [_horizon_quad(cuts, lambda t: point(t)[i] * omega(t)) for i in range(len(A) + 1)]
+        premiums = [mp.mpf(float(c)) for c in portfolio.premiums]
+        L = [float(integral + c * moment) for integral, c in zip(integrals, premiums)]
+        return np.array(L), float(integrals[-1] + mp.fsum(premiums) * moment)

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from levyrisk import (
     stable_allocation,
     stable_contributions,
 )
+from levyrisk.allocation import euler_curve
 from levyrisk.evar import solve_stationary
 
 
@@ -243,6 +245,35 @@ def test_allocate_report_structure():
     d = report.to_dict()
     assert d["schema_version"] == "1"
     assert len(d["L"]) == 3
+
+
+@pytest.mark.parametrize("p", [
+    FactorPortfolio(
+        np.array([[1.0, 0.5, 0.2, 0.1], [0.3, 1.5, 0.0, 0.4]]),
+        [BrownianWithDrift(0.3, 1.1), GammaSubordinator(2.0, 3.0, 0.1),
+         AlphaStableSubordinator(0.6, 0.1), CompoundPoissonExp(1.5, 2.0, -0.2)],
+        [0.0, 0.0], 2.0, 0.05,
+    ),
+    # Below the onset ~1.2 the rows are the s -> inf drift limit.
+    FactorPortfolio(
+        np.array([[1.0, 0.5], [0.2, 1.0]]),
+        [CompoundPoissonExp(2.0, 1.0, 0.1), CompoundPoissonExp(0.5, 2.0, 0.05)],
+        [0.1, 0.05], 2.0, 0.05,
+    ),
+], ids=["four-kinds", "cpois-only"])
+def test_euler_curve_rows_are_euler_contributions(p, monkeypatch):
+    # The curve applies A to the factor terms of all its horizons in one
+    # product.  Each row must be euler_contributions at the same point; that
+    # point is the curve's warm-started s*, because a cold solve may stop at a
+    # different iterate within the solver's tolerance.
+    grid, K_curve, s_star_curve = euler_curve(p)
+    assert not K_curve[0].any()
+    points = {t: math.inf if s is None else s for t, s in s_star_curve}
+    monkeypatch.setattr(sys.modules["levyrisk.allocation"], "solve_stationary",
+                        lambda comb, t, beta: (points[t], 0, None))
+    for t, row in zip(grid[1:].tolist(), K_curve[1:]):
+        expected = euler_contributions(p, t)
+        assert np.max(np.abs(row - expected)) <= 1e-15 * np.max(np.abs(row)), t
 
 
 def test_allocate_table_weight():

@@ -22,7 +22,7 @@ from levyrisk import (
     stable_allocation,
 )
 from levyrisk.errors import QuadratureBudgetError
-from oracles import cevar_oracle, composite_simpson
+from oracles import allocation_oracle, composite_simpson
 
 
 def brownian_cevar_closed_form(mu, sigma, T, beta):
@@ -309,14 +309,17 @@ ORACLE_PORTFOLIOS = {
 
 @pytest.mark.parametrize("case", ORACLE_PORTFOLIOS)
 def test_cevar_and_allocation_total_match_the_mpmath_oracle(case):
-    # The default tolerance promises 1e-10 relative to the max-norm.
+    # The default tolerance promises 1e-10 relative to the max-norm: of the
+    # CEVaR for cevar and allocate's total, and of L over the departments.
     A, factors, knots = ORACLE_PORTFOLIOS[case]
     weight = WeightFunction.table(knots).normalized(2.0) if knots else WeightFunction()
     portfolio = FactorPortfolio(A, factors, [0.0] * len(A), 2.0, 0.05, weight=weight)
-    comb = portfolio.combination()
-    truth = cevar_oracle(comb, 2.0, 0.05, knots=weight.knots or None)
-    assert abs(cevar(CevarQuery(comb, 2.0, 0.05, weight=weight)) - truth) <= 1e-10 * abs(truth)
-    assert abs(allocate(portfolio).total_cevar - truth) <= 1e-10 * abs(truth)
+    L, truth = allocation_oracle(portfolio)
+    report = allocate(portfolio)
+    assert abs(cevar(CevarQuery(portfolio.combination(), 2.0, 0.05, weight=weight)) - truth) \
+        <= 1e-10 * abs(truth)
+    assert abs(report.total_cevar - truth) <= 1e-10 * abs(truth)
+    assert np.max(np.abs(report.L - L)) <= 1e-10 * np.max(np.abs(L))
 
 
 def count_cevar_nodes(monkeypatch):

@@ -284,6 +284,22 @@ def test_non_finite_exposure_or_premium_is_a_config_error(tmp_path):
                 assert main(["--config", cfg, "--command", command]) == 2, text
 
 
+def test_infinite_factor_parameter_is_a_config_error(tmp_path):
+    # These used to reach the solver: an infinite a or lambda exited 3 (no
+    # stationary point), an infinite b or eta exited 0 with EVaR 0.
+    for factor in ("kind = gamma, a = inf, b = 1.0, mu = 0.0",
+                   "kind = gamma, a = 1.0, b = inf, mu = 0.0",
+                   "kind = compound_poisson_exp, lambda = inf, eta = 1.0, mu = 0.0",
+                   "kind = compound_poisson_exp, lambda = 1.0, eta = inf, mu = 0.0"):
+        text = MINIMAL.replace("kind = brownian, mu = 0.0, sigma = 1.0", factor)
+        with pytest.raises(ConfigError, match="finite") as exc_info:
+            parse_config(text)
+        assert exc_info.value.line == 2
+        cfg = write(tmp_path, text)
+        for command in ("evar", "cevar"):
+            assert main(["--config", cfg, "--command", command]) == 2, text
+
+
 def test_untyped_error_in_a_command_is_not_a_config_error(tmp_path, monkeypatch):
     # Exit 2 is for the library's typed errors; a bare ValueError is a defect
     # and must surface, not read as a bad config.

@@ -1,5 +1,6 @@
 import math
 from decimal import Decimal, localcontext
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -188,6 +189,34 @@ def test_parameter_validation():
         AlphaStableSubordinator(alpha=1.0)
     with pytest.raises(ValueError):
         CompoundPoissonExp(lam=1.0, eta=0.0)
+
+
+@pytest.mark.parametrize("build, name", [
+    (lambda v: GammaSubordinator(a=v, b=1.0), "a"),
+    (lambda v: GammaSubordinator(a=1.0, b=v), "b"),
+    (lambda v: CompoundPoissonExp(lam=v, eta=1.0), "lambda"),
+    (lambda v: CompoundPoissonExp(lam=1.0, eta=v), "eta"),
+], ids=["a", "b", "lambda", "eta"])
+def test_infinite_jump_parameter_is_rejected(build, name):
+    # An infinite a or lambda left no stationary point; an infinite b or eta
+    # gave the EVaR of a zero position.
+    with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+        build(math.inf)
+
+
+def test_combination_sums_are_left_to_right_sums_of_the_terms():
+    combo = FactorCombination(ALL_KINDS, [0.5, 1.0, 0.25, 2.0])
+    terms = {
+        "phi": lambda f, d, s: f.phi(s * d),
+        "dphi": lambda f, d, s: d * f.dphi(s * d),
+        "d2phi": lambda f, d, s: d * d * f.d2phi(s * d),
+        "phi_gap": lambda f, d, s: f.phi_gap(s * d),
+    }
+    # Over this grid every sum has points where another order rounds differently.
+    for s in np.geomspace(1e-3, 1e5, 25).tolist():
+        for name, term in terms.items():
+            expected = reduce(lambda acc, x: acc + x, [term(f, d, s) for f, d in combo.active])
+            assert getattr(combo, name)(s) == expected, (name, s)
 
 
 def test_factor_from_dict_round_trip():

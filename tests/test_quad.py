@@ -4,16 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from levyrisk._quad import _RULE, adaptive_simpson
+from levyrisk._quad import _GAP, _KRONROD, _U, adaptive_simpson
 from levyrisk.errors import QuadratureBudgetError
 
-U = np.array([u for u, _, _ in _RULE])
-KRONROD = np.array([wk for _, wk, _ in _RULE])
-GAUSS = KRONROD - np.array([dw for _, _, dw in _RULE])
+U, KRONROD, GAUSS = _U, _KRONROD, _KRONROD - _GAP
 
 
 def test_rule_nodes_ascend_in_the_unit_interval():
-    assert len(_RULE) == 21
+    assert len(U) == len(KRONROD) == len(GAUSS) == 21
     assert 0.0 < U[0] and U[-1] < 1.0 and np.all(np.diff(U) > 0)
 
 
@@ -53,6 +51,21 @@ def test_segments_start_as_three_panels_evaluated_left_to_right():
     assert len(ts) == 2 * 3 * 21
     assert np.all(np.diff(ts[:63]) > 0) and np.all(np.diff(ts[63:]) > 0)
     assert 0.0 < ts[0] and ts[62] < 0.5 < ts[63] and ts[-1] < 2.0
+
+
+def test_float_list_and_array_integrands_agree_exactly():
+    def g(t):
+        return math.exp(-t) * t ** 0.3
+
+    args = (0.0, 2.0, 1e-13)
+    as_float = adaptive_simpson(g, *args, breakpoints=[0.5])
+    as_list = adaptive_simpson(lambda t: [g(t)], *args, breakpoints=[0.5])
+    as_array = adaptive_simpson(lambda t: np.array([g(t)]), *args, breakpoints=[0.5])
+    assert as_list.shape == as_array.shape == (1,)
+    assert as_float == as_list[0] == as_array[0]
+    pair_list = adaptive_simpson(lambda t: [g(t), math.cos(t)], *args)
+    pair_array = adaptive_simpson(lambda t: np.array([g(t), math.cos(t)]), *args)
+    assert np.array_equal(pair_list, pair_array)
 
 
 def test_budget_error_carries_partial():
