@@ -7,14 +7,12 @@ from .allocation import (
     brownian_allocation,
     brownian_contributions,
     brownian_s_star,
-    directional_derivative_check,
-    diversification_check,
     euler_contributions,
     euler_curve,
     stable_allocation,
     stable_contributions,
 )
-from .cevar import CevarQuery, WeightFunction, cevar, evar_curve
+from .cevar import CevarQuery, WeightFunction, cevar
 from .errors import (
     ConfigError,
     DomainError,
@@ -25,10 +23,8 @@ from .errors import (
 from .evar import (
     EvarQuery,
     EvarResult,
-    dual_feasibility_check,
     evar,
     evar_closed_form_brownian,
-    evar_objective,
 )
 from .factors import (
     AlphaStableSubordinator,

@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .cevar import WeightFunction, horizon_integral
-from .evar import EvarQuery, WarmStart, evar, evar_at, solve_stationary
+from .evar import WarmStart, evar_at, solve_stationary
 from .factors import FactorCombination, LevyFactor
 
 __all__ = [
@@ -29,8 +29,6 @@ __all__ = [
     "euler_contributions",
     "allocate",
     "euler_curve",
-    "directional_derivative_check",
-    "diversification_check",
     "brownian_s_star",
     "brownian_contributions",
     "brownian_allocation",
@@ -117,9 +115,11 @@ class FactorPortfolio:
 class AllocationReport:
     """Per-department allocations with full-allocation diagnostics.
 
-    ``K_curve`` holds rows (t, s_star, K_1, ..., K_n) on ``grid``; the gap is
-    sum(L) minus (CEVaR of aggregate claims + total premium term), where the
-    CEVaR integrates g(s*) on the nodes of the Euler sweep.
+    ``grid`` holds the CURVE_POINTS horizons of the K-curve; row k of
+    ``K_curve`` (shape (CURVE_POINTS, n)) holds K_1, ..., K_n at grid[k], and
+    ``s_star_curve`` the pairs (t, s_star), s_star None at the s -> inf limit.
+    The gap is sum(L) minus (CEVaR of aggregate claims + total premium term),
+    where the CEVaR integrates g(s*) on the nodes of the Euler sweep.
     """
 
     L: np.ndarray
@@ -128,23 +128,6 @@ class AllocationReport:
     s_star_curve: list
     total_cevar: float
     full_allocation_gap: float
-
-    def to_dict(self) -> dict:
-        return {
-            "schema_version": "1",
-            "L": self.L.tolist(),
-            "total_cevar": self.total_cevar,
-            "full_allocation_gap": self.full_allocation_gap,
-            "grid": self.grid.tolist(),
-            "K_curve": self.K_curve.tolist(),
-            "s_star_curve": [
-                [t, s] for t, s in self.s_star_curve
-            ],
-        }
-
-    def curve_rows(self):
-        """Rows (t, s_star, K_1, ..., K_n), s_star None at the s -> inf limit."""
-        return [[t, s] + list(k) for (t, s), k in zip(self.s_star_curve, self.K_curve)]
 
 
 class _EulerKernel:
@@ -238,40 +221,6 @@ def euler_curve(portfolio: FactorPortfolio):
         terms.append(kernel(t, s))
         s_star_curve.append((t, None if s == math.inf else s))
     return grid, np.array(terms) @ portfolio.A.T, s_star_curve
-
-
-def directional_derivative_check(portfolio: FactorPortfolio, i: int, t: float,
-                                 epsilon: float = 1e-6):
-    """Analytic K_t^i against the one-sided finite difference of EVaR in e_i."""
-    if not (0 <= i < portfolio.n):
-        raise ValueError(f"department index {i} out of range")
-    if not (epsilon > 0):
-        raise ValueError("epsilon must be positive")
-    analytic = float(euler_contributions(portfolio, t)[i])
-    u0 = np.ones(portfolio.n)
-    u1 = u0.copy()
-    u1[i] += epsilon
-    base = evar(EvarQuery(portfolio.combination(u0), t, portfolio.beta)).value
-    bumped = evar(EvarQuery(portfolio.combination(u1), t, portfolio.beta)).value
-    finite_diff = (bumped - base) / epsilon
-    return analytic, finite_diff
-
-
-def diversification_check(portfolio: FactorPortfolio, h, t: float, tol: float = 1e-9):
-    """sum_i h_i K_t^i <= EVaR of the h-weighted aggregate (linear diversification)."""
-    h = np.asarray(h, dtype=float)
-    if h.shape != (portfolio.n,):
-        raise ValueError(f"h must have length {portfolio.n}")
-    if np.any(h < 0):
-        raise ValueError("h must be componentwise nonnegative")
-    K = euler_contributions(portfolio, t)
-    lhs = float(h @ K)
-    comb = portfolio.combination(h)
-    if comb.is_degenerate():
-        rhs = 0.0
-    else:
-        rhs = evar(EvarQuery(comb, t, portfolio.beta)).value
-    return lhs, rhs, lhs <= rhs + tol
 
 
 # ---------------------------------------------------------------------------

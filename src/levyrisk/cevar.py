@@ -14,7 +14,6 @@ __all__ = [
     "WeightFunction",
     "CevarQuery",
     "cevar",
-    "evar_curve",
 ]
 
 
@@ -149,17 +148,3 @@ def cevar(query: CevarQuery) -> float:
     comb, beta = query.combination, query.beta
     return horizon_integral(comb, beta, query.weight, query.T, query.quad_tol,
                             lambda t, s, w: evar_at(comb, t, beta, s) * w)
-
-
-def evar_curve(query: CevarQuery, grid: Sequence[float]):
-    """Pointwise EVaR along ``grid``: a list of (t, evar, s_star) tuples."""
-    for t in grid:
-        if not (0.0 <= t <= query.T):
-            raise ValueError(f"grid point {t} outside [0, {query.T}]")
-    comb, beta = query.combination, query.beta
-    path = WarmStart(comb, beta)
-    out = []
-    for t in grid:
-        s = path(t)
-        out.append((t, evar_at(comb, t, beta, s), s if 0.0 < s < math.inf else None))
-    return out

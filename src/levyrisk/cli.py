@@ -23,8 +23,8 @@ Config files are sectioned key-value text::
     0.0 0.5
     1.0 1.5
 
-Exit codes: 0 success, 2 parse/validation error in the config, 3 solver
-non-attainment, 4 quadrature budget exceeded, 5 validation-suite failure.
+Exit codes: 0 success, 2 error in the config, an option or the --out path,
+3 solver non-attainment, 4 quadrature budget exceeded, 5 validation failure.
 """
 from __future__ import annotations
 
@@ -35,9 +35,6 @@ import io
 import json
 import math
 import sys
-from typing import Optional, TextIO
-
-import numpy as np
 
 from .allocation import FactorPortfolio, allocate, euler_curve
 from .cevar import CevarQuery, WeightFunction, cevar
@@ -225,68 +222,37 @@ def serialize_portfolio(portfolio: FactorPortfolio, seed: int = 0,
     return "\n".join(lines) + "\n"
 
 
-def _write(out: Optional[str], payload: str) -> None:
-    if out:
-        with open(out, "w", newline="") as handle:
-            handle.write(payload)
-    else:
-        sys.stdout.write(payload)
-
-
-def _csv_text(header, rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
-
-
-def _table(header, rows) -> str:
+def _render(fmt: str, payload: dict, header, rows) -> str:
+    """The report text: ``payload`` under the schema version in JSON, otherwise
+    ``rows`` under ``header`` (CSV, or a right-aligned table)."""
+    if fmt == "json":
+        return json.dumps({"schema_version": SCHEMA_VERSION, **payload}, indent=2) + "\n"
+    if fmt == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+        return buf.getvalue()
     cols = [header] + [[("" if v is None else f"{v}") for v in row] for row in rows]
     widths = [max(len(r[i]) for r in cols) for i in range(len(header))]
-    lines = []
-    for r in cols:
-        lines.append("  ".join(v.rjust(w) for v, w in zip(r, widths)))
-    return "\n".join(lines) + "\n"
+    return "".join("  ".join(v.rjust(w) for v, w in zip(r, widths)) + "\n" for r in cols)
 
 
-def _format_evar(result, fmt):
-    fields = ["value", "s_star", "attained", "iterations", "residual"]
-    values = [result.value, result.s_star, result.attained, result.iterations,
-              result.residual]
-    if fmt == "json":
-        payload = {"schema_version": SCHEMA_VERSION}
-        payload.update(dict(zip(fields, values)))
-        return json.dumps(payload, indent=2) + "\n"
-    if fmt == "csv":
-        return _csv_text(fields, [values])
-    return _table(fields, [values])
-
-
-def _format_curve(K_curve, s_star_curve, fmt):
+def _curve(K_curve, s_star_curve):
+    """Header and rows (t, s_star, K_1, ..., K_n) of the K-curve."""
     header = ["t", "s_star"] + [f"K_{i}" for i in range(1, K_curve.shape[1] + 1)]
-    rows = [[t, s] + list(k) for (t, s), k in zip(s_star_curve, K_curve)]
-    if fmt == "json":
-        return json.dumps(
-            {"schema_version": SCHEMA_VERSION, "columns": header, "rows": rows},
-            indent=2,
-        ) + "\n"
-    if fmt == "csv":
-        return _csv_text(header, rows)
-    return _table(header, rows)
+    return header, [[t, s] + list(k) for (t, s), k in zip(s_star_curve, K_curve)]
 
 
-def _format_allocation(report, fmt):
-    if fmt == "json":
-        return json.dumps(report.to_dict(), indent=2) + "\n"
-    if fmt == "csv":
-        return _format_curve(report.K_curve, report.s_star_curve, "csv")
-    header = ["department", "L"]
-    rows = [[i + 1, L] for i, L in enumerate(report.L)]
-    rows.append(["total", float(np.sum(report.L))])
-    rows.append(["cevar+premium", report.total_cevar])
-    rows.append(["gap", report.full_allocation_gap])
-    return _table(header, rows)
+def _positive_finite(text: str) -> float:
+    """The argparse type of the tolerance flags: a float in (0, inf)."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text!r}")
+    return value
 
 
 def run(args) -> int:
@@ -327,40 +293,50 @@ def run(args) -> int:
             sys.stderr.write(f"error: {exc}\n")
             return EXIT_CONFIG
 
+    fmt, code = args.format, EXIT_OK
     try:
         if args.command == "evar":
             query = EvarQuery(portfolio.combination(None), portfolio.T, portfolio.beta)
-            result = evar(query, tol=args.tol_stationarity)
-            _write(args.out, _format_evar(result, args.format))
+            payload = dataclasses.asdict(evar(query, tol=args.tol_stationarity))
+            header, rows = list(payload), [list(payload.values())]
         elif args.command == "cevar":
             query = CevarQuery(
                 portfolio.combination(None), portfolio.T, portfolio.beta,
                 weight=portfolio.weight, quad_tol=args.tol_quad,
             )
             value = cevar(query)
-            if args.format == "json":
-                payload = {"schema_version": SCHEMA_VERSION, "value": value,
-                           "time_moment": portfolio.weight.time_moment(portfolio.T)}
-                _write(args.out, json.dumps(payload, indent=2) + "\n")
-            elif args.format == "csv":
-                _write(args.out, _csv_text(["value"], [[value]]))
-            else:
-                _write(args.out, _table(["value"], [[value]]))
+            payload = {"value": value, "time_moment": portfolio.weight.time_moment(portfolio.T)}
+            header, rows = ["value"], [[value]]
         elif args.command == "allocate":
             report = allocate(portfolio, quad_tol=args.tol_quad)
-            _write(args.out, _format_allocation(report, args.format))
+            payload = {
+                "L": report.L.tolist(),
+                "total_cevar": report.total_cevar,
+                "full_allocation_gap": report.full_allocation_gap,
+                "grid": report.grid.tolist(),
+                "K_curve": report.K_curve.tolist(),
+                "s_star_curve": [[t, s] for t, s in report.s_star_curve],
+            }
+            if fmt == "csv":
+                header, rows = _curve(report.K_curve, report.s_star_curve)
+            else:
+                header = ["department", "L"]
+                rows = [[i + 1, L] for i, L in enumerate(report.L)]
+                rows.append(["total", float(report.L.sum())])
+                rows.append(["cevar+premium", report.total_cevar])
+                rows.append(["gap", report.full_allocation_gap])
         elif args.command == "curve":
             _, K_curve, s_star_curve = euler_curve(portfolio)
-            _write(args.out, _format_curve(K_curve, s_star_curve, args.format))
+            header, rows = _curve(K_curve, s_star_curve)
+            payload = {"columns": header, "rows": rows}
         elif args.command == "validate":
             config = SimulationConfig(seed=seed, n_paths=run_opts["n_paths"])
             checks = validation_report(config, beta=portfolio.beta)
-            payload = {"schema_version": SCHEMA_VERSION, "seed": seed,
-                       "checks": checks,
+            payload = {"seed": seed, "checks": checks,
                        "pass": all(c["pass"] for c in checks)}
-            _write(args.out, json.dumps(payload, indent=2) + "\n")
+            fmt, header, rows = "json", None, None  # the report is JSON only
             if not payload["pass"]:
-                return EXIT_VALIDATION
+                code = EXIT_VALIDATION
         else:  # pragma: no cover - argparse restricts choices
             raise AssertionError(args.command)
     except NoStationaryPointError as exc:
@@ -372,7 +348,18 @@ def run(args) -> int:
     except LevyRiskError as exc:  # DomainError: the config's values leave the domain
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_CONFIG
-    return EXIT_OK
+
+    rendered = _render(fmt, payload, header, rows)
+    if not args.out:
+        sys.stdout.write(rendered)
+        return code
+    try:
+        with open(args.out, "w", newline="") as handle:
+            handle.write(rendered)
+    except OSError as exc:
+        sys.stderr.write(f"error: cannot write report: {exc}\n")
+        return EXIT_CONFIG
+    return code
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -390,9 +377,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=None,
                         help="override the config's simulation seed")
     parser.add_argument("--out", default=None, help="write the report to this path")
-    parser.add_argument("--tol-stationarity", type=float, default=None,
-                        dest="tol_stationarity")
-    parser.add_argument("--tol-quad", type=float, default=None, dest="tol_quad")
+    parser.add_argument("--tol-stationarity", type=_positive_finite)
+    parser.add_argument("--tol-quad", type=_positive_finite)
     return parser
 
 

@@ -43,11 +43,8 @@ from .factors import FactorCombination, LevyFactor
 __all__ = [
     "EvarQuery",
     "EvarResult",
-    "DualCheck",
     "evar",
-    "evar_objective",
     "evar_closed_form_brownian",
-    "dual_feasibility_check",
     "solve_stationary",
     "evar_at",
     "WarmStart",
@@ -103,22 +100,6 @@ class EvarResult:
     attained: str
     iterations: int
     residual: float
-
-
-@dataclass(frozen=True)
-class DualCheck:
-    """Tilted-density entropy against the dual feasibility budget."""
-
-    entropy: float
-    bound: float
-    ok: bool
-
-
-def evar_objective(query: EvarQuery, s: float) -> float:
-    """g(s) = (-t*phi(s) - ln(beta)) / s for s > 0."""
-    if not (s > 0.0):
-        raise ValueError(f"s must be positive, got {s}")
-    return (-query.t * query.combination.phi(s) - math.log(query.beta)) / s
 
 
 def solve_stationary(
@@ -317,22 +298,3 @@ def evar_closed_form_brownian(mu: float, sigma: float, t: float, beta: float) ->
     if not (0.0 < beta <= 1.0):
         raise ValueError(f"beta must lie in (0, 1], got {beta}")
     return -mu * t + sigma * math.sqrt(-2.0 * t * math.log(beta))
-
-
-def dual_feasibility_check(query: EvarQuery, s: float, tol: float = 1e-8) -> DualCheck:
-    """Exponential-tilt spot check of the dual (robust) representation.
-
-    The tilted density f_s = exp(-s*X_t)/E[exp(-s*X_t)] has relative entropy
-    ``-s*t*phi'(s) + t*phi(s)`` and dual candidate value ``-t*phi'(s)``.  When
-    the entropy fits the budget -ln(beta), the candidate must not exceed EVaR.
-    """
-    if not (s > 0.0):
-        raise ValueError(f"s must be positive, got {s}")
-    comb, t = query.combination, query.t
-    entropy = t * comb.phi_gap(s)
-    bound = -t * comb.dphi(s)
-    if entropy <= -math.log(query.beta):
-        ok = bound <= evar(query).value + tol
-    else:
-        ok = True
-    return DualCheck(entropy=entropy, bound=bound, ok=ok)

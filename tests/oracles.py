@@ -1,8 +1,17 @@
-"""Reference computations shared by the tests; they share no code with the library."""
+"""Reference computations and check helpers shared by the tests.
+
+The mpmath oracles share no code with the library.  The check helpers at the
+end (the EVaR objective, the dual spot check, the directional-derivative and
+diversification checks) call ``evar`` and ``euler_contributions``: they test
+properties of the library's results rather than recompute them.
+"""
 import math
+from dataclasses import dataclass
 
 import mpmath as mp
 import numpy as np
+
+from levyrisk import EvarQuery, FactorPortfolio, euler_contributions, evar
 
 
 def composite_simpson(f, a, b, n: int):
@@ -168,3 +177,76 @@ def allocation_oracle(portfolio, dps=15):
         premiums = [mp.mpf(float(c)) for c in portfolio.premiums]
         L = [float(integral + c * moment) for integral, c in zip(integrals, premiums)]
         return np.array(L), float(integrals[-1] + mp.fsum(premiums) * moment)
+
+
+# ---------------------------------------------------------------------------
+# Check helpers built on the library's own evar and euler_contributions
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class DualCheck:
+    """Tilted-density entropy against the dual feasibility budget."""
+
+    entropy: float
+    bound: float
+    ok: bool
+
+
+def evar_objective(query: EvarQuery, s: float) -> float:
+    """g(s) = (-t*phi(s) - ln(beta)) / s for s > 0."""
+    if not (s > 0.0):
+        raise ValueError(f"s must be positive, got {s}")
+    return (-query.t * query.combination.phi(s) - math.log(query.beta)) / s
+
+
+def dual_feasibility_check(query: EvarQuery, s: float, tol: float = 1e-8) -> DualCheck:
+    """Exponential-tilt spot check of the dual (robust) representation.
+
+    The tilted density f_s = exp(-s*X_t)/E[exp(-s*X_t)] has relative entropy
+    ``-s*t*phi'(s) + t*phi(s)`` and dual candidate value ``-t*phi'(s)``.  When
+    the entropy fits the budget -ln(beta), the candidate must not exceed EVaR.
+    """
+    if not (s > 0.0):
+        raise ValueError(f"s must be positive, got {s}")
+    comb, t = query.combination, query.t
+    entropy = t * comb.phi_gap(s)
+    bound = -t * comb.dphi(s)
+    if entropy <= -math.log(query.beta):
+        ok = bound <= evar(query).value + tol
+    else:
+        ok = True
+    return DualCheck(entropy=entropy, bound=bound, ok=ok)
+
+
+def directional_derivative_check(portfolio: FactorPortfolio, i: int, t: float,
+                                 epsilon: float = 1e-6):
+    """Analytic K_t^i against the one-sided finite difference of EVaR in e_i."""
+    if not (0 <= i < portfolio.n):
+        raise ValueError(f"department index {i} out of range")
+    if not (epsilon > 0):
+        raise ValueError("epsilon must be positive")
+    analytic = float(euler_contributions(portfolio, t)[i])
+    u0 = np.ones(portfolio.n)
+    u1 = u0.copy()
+    u1[i] += epsilon
+    base = evar(EvarQuery(portfolio.combination(u0), t, portfolio.beta)).value
+    bumped = evar(EvarQuery(portfolio.combination(u1), t, portfolio.beta)).value
+    finite_diff = (bumped - base) / epsilon
+    return analytic, finite_diff
+
+
+def diversification_check(portfolio: FactorPortfolio, h, t: float, tol: float = 1e-9):
+    """sum_i h_i K_t^i <= EVaR of the h-weighted aggregate (linear diversification)."""
+    h = np.asarray(h, dtype=float)
+    if h.shape != (portfolio.n,):
+        raise ValueError(f"h must have length {portfolio.n}")
+    if np.any(h < 0):
+        raise ValueError("h must be componentwise nonnegative")
+    K = euler_contributions(portfolio, t)
+    lhs = float(h @ K)
+    comb = portfolio.combination(h)
+    if comb.is_degenerate():
+        rhs = 0.0
+    else:
+        rhs = evar(EvarQuery(comb, t, portfolio.beta)).value
+    return lhs, rhs, lhs <= rhs + tol

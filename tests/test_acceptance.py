@@ -24,7 +24,6 @@ from levyrisk import (
     allocate,
     brownian_allocation,
     cevar,
-    directional_derivative_check,
     empirical_evar,
     empirical_exponent_check,
     euler_contributions,
@@ -34,7 +33,7 @@ from levyrisk import (
     stable_allocation,
     var_inf_bound_check,
 )
-from oracles import composite_simpson
+from oracles import composite_simpson, directional_derivative_check
 
 
 @pytest.fixture

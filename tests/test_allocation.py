@@ -18,8 +18,6 @@ from levyrisk import (
     brownian_contributions,
     brownian_s_star,
     cevar,
-    directional_derivative_check,
-    diversification_check,
     euler_contributions,
     evar,
     stable_allocation,
@@ -27,6 +25,7 @@ from levyrisk import (
 )
 from levyrisk.allocation import euler_curve
 from levyrisk.evar import solve_stationary
+from oracles import directional_derivative_check, diversification_check
 
 
 def brownian_portfolio(T=2.0, beta=0.05):
@@ -240,11 +239,7 @@ def test_allocate_report_structure():
     assert report.grid.shape == (65,)
     assert report.K_curve.shape == (65, 3)
     assert report.s_star_curve[0] == (0.0, None)
-    rows = report.curve_rows()
-    assert len(rows) == 65 and len(rows[0]) == 2 + 3
-    d = report.to_dict()
-    assert d["schema_version"] == "1"
-    assert len(d["L"]) == 3
+    assert report.L.shape == (3,)
 
 
 @pytest.mark.parametrize("p", [

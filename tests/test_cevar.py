@@ -16,9 +16,9 @@ from levyrisk import (
     WeightFunction,
     allocate,
     cevar,
+    euler_curve,
     evar,
     evar_closed_form_brownian,
-    evar_curve,
     stable_allocation,
 )
 from levyrisk.errors import QuadratureBudgetError
@@ -378,26 +378,25 @@ def test_cevar_query_validation():
 
 
 # ---------------------------------------------------------------------------
-# evar curve
+# EVaR along the horizon
 # ---------------------------------------------------------------------------
 
 def test_curve_at_zero_time():
     comb = combo((BrownianWithDrift(0.0, 1.0), 1.0))
-    rows = evar_curve(CevarQuery(comb, 1.0, 0.05), [0.0])
-    assert rows == [(0.0, 0.0, None)]
+    result = evar(EvarQuery(comb, 0.0, 0.05))
+    assert (result.value, result.s_star) == (0.0, None)
 
 
 def test_curve_matches_brownian_closed_form():
     mu, sigma, beta = 0.2, 1.4, 0.05
     comb = combo((BrownianWithDrift(mu, sigma), 1.0))
-    grid = np.linspace(0.0, 2.0, 41)
-    rows = evar_curve(CevarQuery(comb, 2.0, beta), grid)
-    for t, value, s_star in rows:
-        assert value == pytest.approx(
+    for t in np.linspace(0.0, 2.0, 41):
+        result = evar(EvarQuery(comb, t, beta))
+        assert result.value == pytest.approx(
             evar_closed_form_brownian(mu, sigma, t, beta), rel=1e-10, abs=1e-12
         )
         if t > 0:
-            assert s_star == pytest.approx(
+            assert result.s_star == pytest.approx(
                 math.sqrt(-2.0 * math.log(beta)) / (sigma * math.sqrt(t)), rel=1e-8
             )
 
@@ -406,8 +405,7 @@ def test_curve_stable_log_log_slope_is_inverse_alpha():
     for alpha in (0.3, 0.5, 0.7):
         comb = combo((AlphaStableSubordinator(alpha), 1.0))
         grid = np.geomspace(0.01, 1.0, 25)
-        rows = evar_curve(CevarQuery(comb, 1.0, 0.05), grid)
-        logs = np.log([abs(v) for _, v, _ in rows])
+        logs = np.log([abs(evar(EvarQuery(comb, t, 0.05)).value) for t in grid])
         slope = np.polyfit(np.log(grid), logs, 1)[0]
         assert slope == pytest.approx(1.0 / alpha, rel=1e-3)
 
@@ -426,12 +424,6 @@ def test_curve_warm_start_is_exact_for_brownian_and_stable(factor, monkeypatch):
         return result
 
     monkeypatch.setattr(evar_module, "solve_stationary", counted_solve)
-    evar_curve(CevarQuery(combo((factor, 0.8)), 2.0, 0.05), np.linspace(0.0, 2.0, 41))
-    assert len(iterations) == 41 and iterations[0] == 0  # t = 0 is the s -> inf limit
-    assert iterations[3:] == [1] * 38
-
-
-def test_curve_rejects_points_outside_horizon():
-    comb = combo((BrownianWithDrift(0.0, 1.0), 1.0))
-    with pytest.raises(ValueError, match="outside"):
-        evar_curve(CevarQuery(comb, 1.0, 0.05), [0.5, 1.5])
+    euler_curve(FactorPortfolio([[0.8]], [factor], [0.0], 2.0, 0.05))
+    assert len(iterations) == 65 and iterations[0] == 0  # t = 0 is the s -> inf limit
+    assert iterations[3:] == [1] * 62

@@ -203,6 +203,18 @@ def test_curve_json_and_table_leave_s_star_blank_at_zero(tmp_path, capsys):
     assert float(second[left:right]) == payload["rows"][1][1]
 
 
+@pytest.mark.parametrize("command", ["evar", "cevar", "allocate", "curve", "validate"])
+def test_json_reports_lead_with_the_schema_version(command, tmp_path, capsys):
+    cfg = write(tmp_path, MINIMAL.replace("beta = 0.05", "beta = 0.05\nn_paths = 20000"))
+    assert main(["--config", cfg, "--command", command, "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith('{\n  "schema_version": "1",\n'), out[:80]
+    if command == "allocate":
+        assert list(json.loads(out)) == ["schema_version", "L", "total_cevar",
+                                          "full_allocation_gap", "grid", "K_curve",
+                                          "s_star_curve"]
+
+
 def test_T_override_beyond_the_weight_table(tmp_path, capsys):
     # The table weight spans [0, 1]; --T 2.0 is checked where the weight is used.
     cfg = write(tmp_path, MINIMAL + "\n[weight]\n0.0 1.0\n1.0 1.0\n")
@@ -317,6 +329,24 @@ def test_exit_code_negative_seed_override(tmp_path, capsys):
     for command in ("evar", "validate"):
         assert main(["--config", cfg, "--command", command, "--seed", "-1"]) == 2
         assert "seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--tol-stationarity", "--tol-quad"])
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+def test_tolerance_must_be_positive_and_finite(flag, value, tmp_path, capsys):
+    cfg = write(tmp_path, MINIMAL)
+    with pytest.raises(SystemExit) as exc_info:
+        main(["--config", cfg, "--command", "cevar", f"{flag}={value}"])
+    assert exc_info.value.code == 2
+    assert "positive finite" in capsys.readouterr().err
+
+
+def test_exit_code_unwritable_out(tmp_path, capsys):
+    cfg = write(tmp_path, MINIMAL)
+    out = tmp_path / "missing" / "r.json"
+    assert main(["--config", cfg, "--command", "evar", "--out", str(out)]) == 2
+    assert "error: cannot write report:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_exit_code_quadrature_budget(tmp_path):

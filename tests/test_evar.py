@@ -16,14 +16,12 @@ from levyrisk import (
     GammaSubordinator,
     NoStationaryPointError,
     cevar,
-    dual_feasibility_check,
     evar,
     evar_closed_form_brownian,
-    evar_objective,
 )
 from levyrisk.errors import LevyRiskError
 from levyrisk.evar import limit_onset, solve_stationary
-from oracles import evar_oracle
+from oracles import dual_feasibility_check, evar_objective, evar_oracle
 
 RNG = np.random.default_rng(20240817)
 

@@ -1,16 +1,20 @@
 """Each module's ``__all__`` resolves, and the package re-exports only those names.
 
 A deletion that leaves a stale ``__all__`` entry, or a package import of a name
-that no module exports, fails here rather than at a caller's ``import *``.
+that no module exports, fails here rather than at a caller's ``import *``.  A
+public name must also have a reader outside the tests.
 """
 import importlib
 import pkgutil
+import re
 import types
+from pathlib import Path
 
 import levyrisk
 
 MODULES = [importlib.import_module(f"levyrisk.{info.name}")
            for info in pkgutil.iter_modules(levyrisk.__path__)]
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_every_all_name_resolves():
@@ -29,3 +33,25 @@ def test_package_names_come_from_module_all():
               if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert public, "the package exports nothing"
     assert sorted(public - exported) == []
+
+
+def test_every_public_name_has_a_reader_outside_the_tests():
+    # A reference is any mention in README.md, in bench/, or in the package
+    # source outside the name's own def/class line and the export lists (the
+    # __all__ blocks and the package __init__).
+    texts = [(ROOT / "README.md").read_text()]
+    texts += [path.read_text() for path in (ROOT / "bench").rglob("*") if path.is_file()
+              and path.suffix in (".py", ".md")]
+    for module in MODULES:
+        source = Path(module.__file__).read_text()
+        texts.append(re.sub(r"^__all__ = \[.*?\]$", "", source, flags=re.S | re.M))
+    unread = []
+    for module in MODULES:
+        for name in module.__all__:
+            word = re.compile(rf"\b{re.escape(name)}\b")
+            own = re.compile(rf"^\s*(def|class) {re.escape(name)}\b")
+            if not any(word.search(line) and not own.match(line)
+                       for text in texts for line in text.splitlines()):
+                unread.append(f"{module.__name__}.{name}")
+    assert unread == []
+
