@@ -90,10 +90,6 @@ class FactorPortfolio:
     def n(self) -> int:
         return self.A.shape[0]
 
-    @property
-    def m(self) -> int:
-        return self.A.shape[1]
-
     def column_sums(self) -> np.ndarray:
         return self.A.sum(axis=0)
 

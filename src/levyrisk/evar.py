@@ -9,7 +9,10 @@ the combined Laplace exponent.  Since -phi is convex, the derivative numerator
 is nondecreasing in s, so the interior minimiser (when it exists) is the
 unique root of h = t*gap(s) + ln(beta), with gap = phi - s*phi'.
 :func:`solve_stationary` finds it by safeguarded Newton steps in x = ln(s)
-on [1e-300, 1e300].
+on [1e-300, 1e300], with one slope path: s^2 phi''(s) from each factor's
+``s2d2phi`` stays in float range at every x.  The returned s* is one Newton
+step past the accepted point, because the Euler contributions are first order
+in the error of s* (EVaR, being stationary in s, is not).
 
 Boundary limits.  :func:`solve_stationary` is the one place that decides
 where the infimum sits; :func:`evar`, the CEVaR integrand and the Euler
@@ -35,10 +38,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from .errors import DomainError, NoStationaryPointError
-from .factors import FactorCombination, LevyFactor
+from .factors import FactorCombination
 
 __all__ = [
     "EvarQuery",
@@ -56,11 +57,6 @@ X_MIN = math.log(1e-300)
 X_MAX = math.log(1e300)
 # The default stop: |h| <= RESIDUAL_EPS * |ln(beta)|.
 RESIDUAL_EPS = 1e-10
-# Within |x| <= X_PLAIN, phi'' of practical positions stays in float range and
-# gives Newton's slope.  Outside it phi'' under- or overflows, so the slope is
-# the secant through the previous evaluation, and phi_gap runs with numpy's
-# warnings off because numpy-scalar parameters would report its overflow.
-X_PLAIN = math.log(1e100)
 
 INTERIOR = "interior"
 LIMIT_AT_ZERO = "limit_at_zero"
@@ -81,18 +77,16 @@ class EvarQuery:
         if not (0.0 < self.beta <= 1.0):
             raise ValueError(f"beta must lie in (0, 1], got {self.beta}")
 
-    @classmethod
-    def of_factor(cls, factor: LevyFactor, t: float, beta: float) -> "EvarQuery":
-        return cls(FactorCombination.single(factor), t, beta)
-
 
 @dataclass(frozen=True)
 class EvarResult:
     """EVaR value with solver diagnostics.
 
     ``attained`` is "interior" when a stationary point was located, otherwise
-    the boundary whose limit supplies the infimum.  ``residual`` is the value
-    of the stationarity function h at ``s_star`` (0.0 for boundary limits).
+    the boundary whose limit supplies the infimum.  ``s_star`` is the solver's
+    Newton-corrected point, one step past the last point at which it evaluated
+    the stationarity function h; ``residual`` is h at that evaluated point (0.0
+    for boundary limits).
     """
 
     value: float
@@ -123,15 +117,20 @@ def solve_stationary(
     evaluation decides a root beyond it), and otherwise bisects.  ``s0`` is
     a warm start; the cold start is s = 1.
 
-    Stops when |h| <= ``tol`` (default RESIDUAL_EPS * |ln(beta)|) or when the
-    next step is a few ulps of x.  Returns ``(s, iterations, residual)``,
-    where ``iterations`` counts every evaluation of h.  At a boundary limit
-    (see the module docstring) ``s`` is ``math.inf`` or, only at beta = 1,
-    ``0.0``, with zero iterations and residual; :func:`evar_at` turns the
-    point into an EVaR value.  Raises :class:`NoStationaryPointError` with the
-    boundary beyond which the root lies: LIMIT_AT_ZERO when h > 0 at
-    s = 1e-300, LIMIT_AT_INFINITY when h < 0 at s = 1e300 and a Brownian
-    factor is active.
+    Every evaluation takes h and the slope the same way at every x: phi_gap
+    and s^2 phi'' of each kind stay in float range up to an inf, so there is
+    one slope path.  Stops when |h| <= ``tol`` (default RESIDUAL_EPS *
+    |ln(beta)|), returning the Newton-corrected point exp(x - F/F') from F and
+    F' at the accepted x (K is first order in the error of s*, EVaR is not),
+    or when the next step is a few ulps of x, returning the evaluated point.
+    Returns ``(s, iterations, residual)``, where ``iterations`` counts every
+    evaluation of h and ``residual`` is h at the last evaluated point.  At a
+    boundary limit (see the module docstring) ``s`` is ``math.inf`` or, only
+    at beta = 1, ``0.0``, with zero iterations and residual; :func:`evar_at`
+    turns the point into an EVaR value.  Raises
+    :class:`NoStationaryPointError` with the boundary beyond which the root
+    lies: LIMIT_AT_ZERO when h > 0 at s = 1e-300, LIMIT_AT_INFINITY when
+    h < 0 at s = 1e300 and a Brownian factor is active.
     """
     if t == 0.0 or combination.is_degenerate():
         return math.inf, 0, 0.0
@@ -148,23 +147,26 @@ def solve_stationary(
     lo_seen = hi_seen = False  # whether h was evaluated at lo / hi
     x = min(max(math.log(s0), X_MIN), X_MAX) if s0 is not None and s0 > 0.0 else 0.0
     step = older_step = hi - lo
-    x_prev = f_prev = None
     iterations = 0
     # The loop ends: each end of [X_MIN, X_MAX] is evaluated at most once, a
     # bisection halves the bracket, and Newton steps shrink by half every two
     # steps until they reach the ulps stop or give way to a bisection.
     while True:
         s = math.exp(x)
-        plain = -X_PLAIN <= x <= X_PLAIN
-        if plain:
-            tgap = t * combination.phi_gap(s)
-        else:
-            with np.errstate(all="ignore"):
-                tgap = float(t * combination.phi_gap(s))
+        tgap = t * combination.phi_gap(s)
         h = tgap - budget
         iterations += 1
+        # Newton's target for F and F'(x) = -s^2 phi''(s) / gap(s).  F' <= 2 holds
+        # for the factor kinds, so a larger value is round-off; for a plug-in
+        # exponent with a left-skewed tilt the cap only lengthens the step.  Where
+        # gap underflows to 0 there is no target and the safeguard below decides.
+        target = math.nan
+        if tgap > 0.0:
+            slope = -t * combination.s2d2phi(s) / tgap
+            if 0.0 < slope < math.inf:
+                target = x - (math.log(tgap) - log_budget) / min(slope, 2.0)
         if abs(h) <= tol:
-            return s, iterations, h
+            return (math.exp(target) if lo < target < hi else s), iterations, h
         if h < 0.0:
             if x == X_MAX:
                 # A root above 1e300 stands for the s -> inf limit, unless a
@@ -183,20 +185,6 @@ def solve_stationary(
                     boundary=LIMIT_AT_ZERO,
                 )
             hi, hi_seen = x, True
-        f = math.log(tgap) - log_budget if tgap > 0.0 else -math.inf
-        # F'(x) = -s^2 phi''(s) / gap(s); nan where it leaves float range.
-        slope = math.nan
-        if plain and tgap > 0.0:
-            try:
-                slope = -t * s * (s * combination.d2phi(s)) / tgap
-            except (OverflowError, ZeroDivisionError):
-                pass
-        if not 0.0 < slope < math.inf and x_prev is not None:
-            slope = (f - f_prev) / (x - x_prev)
-        x_prev, f_prev = x, f
-        # F' <= 2 holds for the factor kinds, so a larger value is round-off; for a
-        # plug-in exponent with a left-skewed tilt the cap only lengthens the step.
-        target = x - f / min(slope, 2.0) if 0.0 < slope < math.inf else math.nan
         if lo < target < hi and abs(target - x) <= 0.5 * older_step:
             x_next = target
         elif h < 0.0 and not hi_seen:

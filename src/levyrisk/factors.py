@@ -1,12 +1,15 @@
 """One-sided Levy claim factors represented by their Laplace exponents.
 
 Every factor fixes the convention ``E[exp(-s W_t)] = exp(-t phi(s))`` for
-s >= 0 and supplies analytic first and second derivatives of phi.  Linear
-combinations of independent factors are handled by :class:`FactorCombination`,
-whose exponent is the sum of the component exponents at scaled arguments.
+s >= 0 and supplies analytic first and second derivatives of phi.  Parameters
+are stored as Python floats, so an overflow at extreme s gives a silent inf
+rather than a numpy warning.  Linear combinations of independent factors are
+handled by :class:`FactorCombination`, whose exponent is the sum of the
+component exponents at scaled arguments.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -38,6 +41,12 @@ class LevyFactor:
 
     def d2phi(self, s: float) -> float:
         raise NotImplementedError
+
+    def s2d2phi(self, s: float) -> float:
+        """s^2 * phi''(s), in a form that stays in float range wherever
+        phi_gap does.  This default suits a bounded phi'' (the Brownian kind);
+        the kinds whose phi'' under- or overflows at extreme s override it."""
+        return s * (s * self.d2phi(s))
 
     def phi_gap(self, s: float) -> float:
         """phi(s) - s*phi'(s), in a form immune to drift cancellation.
@@ -74,6 +83,7 @@ class BrownianWithDrift(LevyFactor):
     kind = "brownian"
 
     def __post_init__(self):
+        _store_floats(self)
         if not (self.sigma > 0) or not math.isfinite(self.sigma):
             raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
         if not math.isfinite(self.mu):
@@ -108,6 +118,7 @@ class GammaSubordinator(LevyFactor):
     kind = "gamma"
 
     def __post_init__(self):
+        _store_floats(self)
         if not 0.0 < self.a < math.inf:
             raise ValueError(f"a must be positive and finite, got {self.a}")
         if not 0.0 < self.b < math.inf:
@@ -116,7 +127,7 @@ class GammaSubordinator(LevyFactor):
             raise ValueError(f"mu must be finite, got {self.mu}")
 
     def phi(self, s):
-        return self.mu * s + self.a * math.log1p(s / self.b)
+        return self.mu * s + self.a * _log1p_ratio(s, self.b)
 
     def dphi(self, s):
         return self.mu + self.a / (self.b + s)
@@ -125,10 +136,14 @@ class GammaSubordinator(LevyFactor):
         bs = self.b + s
         return -(self.a / bs) / bs
 
+    def s2d2phi(self, s):
+        r = s / (self.b + s)
+        return -self.a * r * r
+
     def phi_gap(self, s):
         z = s / self.b
         if z >= 1.0:
-            return self.a * (math.log1p(z) - s / (self.b + s))
+            return self.a * (_log1p_ratio(s, self.b) - s / (self.b + s))
         # The closed form cancels to ~z^2/2 as z -> 0.  With y = z/(2+z),
         # log1p(z) = 2*atanh(y) and z/(1+z) = 2y/(1+y), so the gap is the sum of
         # two positive terms, z^2/((1+z)(2+z)) and 2*(atanh(y) - y), the second
@@ -156,6 +171,7 @@ class AlphaStableSubordinator(LevyFactor):
     kind = "stable"
 
     def __post_init__(self):
+        _store_floats(self)
         if not (0.0 < self.alpha < 1.0):
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
         if not math.isfinite(self.mu):
@@ -171,6 +187,9 @@ class AlphaStableSubordinator(LevyFactor):
 
     def d2phi(self, s):
         return self.alpha * (self.alpha - 1.0) * s ** (self.alpha - 2.0)
+
+    def s2d2phi(self, s):
+        return self.alpha * (self.alpha - 1.0) * s ** self.alpha
 
     def phi_gap(self, s):
         return (1.0 - self.alpha) * s ** self.alpha
@@ -192,6 +211,7 @@ class CompoundPoissonExp(LevyFactor):
     kind = "compound_poisson_exp"
 
     def __post_init__(self):
+        _store_floats(self)
         if not 0.0 < self.lam < math.inf:
             raise ValueError(f"lambda must be positive and finite, got {self.lam}")
         if not 0.0 < self.eta < math.inf:
@@ -209,6 +229,11 @@ class CompoundPoissonExp(LevyFactor):
     def d2phi(self, s):
         es = self.eta + s
         return -2.0 * (self.lam / es) * (self.eta / es) / es
+
+    def s2d2phi(self, s):
+        es = self.eta + s
+        r = s / es
+        return -2.0 * self.lam * r * r * (self.eta / es)
 
     def phi_gap(self, s):
         es = self.eta + s
@@ -230,6 +255,18 @@ _KIND_MAP = {
     "stable": (AlphaStableSubordinator, ("alpha", "mu")),
     "compound_poisson_exp": (CompoundPoissonExp, ("lambda", "eta", "mu")),
 }
+
+
+def _store_floats(factor: LevyFactor) -> None:
+    """Replace each parameter of a factor dataclass by its Python float."""
+    for field in dataclasses.fields(factor):
+        object.__setattr__(factor, field.name, float(getattr(factor, field.name)))
+
+
+def _log1p_ratio(s: float, b: float) -> float:
+    """ln(1 + s/b), taken as ln(s) - ln(b) once s/b overflows."""
+    z = s / b
+    return math.log1p(z) if z < math.inf else math.log(s) - math.log(b)
 
 
 def _field(name: str) -> str:
@@ -296,7 +333,7 @@ class FactorCombination:
             self.factors + other.factors, self.weights + other.weights
         )
 
-    # Plain loops rather than sum(generator): these four run inside every
+    # Plain loops rather than sum(generator): these run inside every
     # solve, where a generator's overhead outweighs the terms of a small position.
 
     def phi(self, s):
@@ -316,6 +353,13 @@ class FactorCombination:
         total = 0.0
         for f, d in self.active:
             total += d * d * f.d2phi(s * d)
+        return total
+
+    def s2d2phi(self, s):
+        """s^2 * phi''(s) = sum_j (s d_j)^2 phi_j''(s d_j), in float range."""
+        total = 0.0
+        for f, d in self.active:
+            total += f.s2d2phi(s * d)
         return total
 
     def phi_gap(self, s):

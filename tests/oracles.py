@@ -1,9 +1,10 @@
 """Reference computations and check helpers shared by the tests.
 
-The mpmath oracles share no code with the library.  The check helpers at the
-end (the EVaR objective, the dual spot check, the directional-derivative and
-diversification checks) call ``evar`` and ``euler_contributions``: they test
-properties of the library's results rather than recompute them.
+The mpmath oracles share no code with the library.  The helpers at the end
+(the one-factor query, the EVaR objective, the dual spot check, the
+directional-derivative and diversification checks) build queries or call
+``evar`` and ``euler_contributions``: they test properties of the library's
+results rather than recompute them.
 """
 import math
 from dataclasses import dataclass
@@ -11,7 +12,7 @@ from dataclasses import dataclass
 import mpmath as mp
 import numpy as np
 
-from levyrisk import EvarQuery, FactorPortfolio, euler_contributions, evar
+from levyrisk import EvarQuery, FactorCombination, FactorPortfolio, euler_contributions, evar
 
 
 def composite_simpson(f, a, b, n: int):
@@ -190,6 +191,11 @@ class DualCheck:
     entropy: float
     bound: float
     ok: bool
+
+
+def factor_query(factor, t: float, beta: float) -> EvarQuery:
+    """The EVaR query of one factor held with unit weight."""
+    return EvarQuery(FactorCombination.single(factor), t, beta)
 
 
 def evar_objective(query: EvarQuery, s: float) -> float:

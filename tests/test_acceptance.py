@@ -33,7 +33,7 @@ from levyrisk import (
     stable_allocation,
     var_inf_bound_check,
 )
-from oracles import composite_simpson, directional_derivative_check
+from oracles import composite_simpson, directional_derivative_check, factor_query
 
 
 @pytest.fixture
@@ -109,7 +109,7 @@ def test_criterion_1_brownian_evar_closed_form(verdict):
         sigma = rng.uniform(0.1, 5)
         t = rng.uniform(0.01, 10)
         beta = rng.uniform(0.001, 0.99)
-        query = EvarQuery.of_factor(BrownianWithDrift(mu, sigma), t, beta)
+        query = factor_query(BrownianWithDrift(mu, sigma), t, beta)
         value = evar(query).value
         exact = evar_closed_form_brownian(mu, sigma, t, beta)
         if abs(value - exact) > 1e-10 * abs(exact):
@@ -245,9 +245,9 @@ def test_criterion_6_coherence_suite(verdict):
         t, beta = rng.uniform(0.1, 5), rng.uniform(0.01, 0.9)
         mu, sigma = rng.uniform(-1, 1), rng.uniform(0.2, 2)
         shift = rng.uniform(-2, 2)
-        base = evar(EvarQuery.of_factor(BrownianWithDrift(mu, sigma), t, beta)).value
+        base = evar(factor_query(BrownianWithDrift(mu, sigma), t, beta)).value
         moved = evar(
-            EvarQuery.of_factor(BrownianWithDrift(mu + shift / t, sigma), t, beta)
+            factor_query(BrownianWithDrift(mu + shift / t, sigma), t, beta)
         ).value
         if abs(moved - (base - shift)) > 1e-9 * (1.0 + abs(base)):
             ok = False

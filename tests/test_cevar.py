@@ -22,6 +22,7 @@ from levyrisk import (
     stable_allocation,
 )
 from levyrisk.errors import QuadratureBudgetError
+from levyrisk.evar import solve_stationary
 from oracles import allocation_oracle, composite_simpson
 
 
@@ -320,6 +321,24 @@ def test_cevar_and_allocation_total_match_the_mpmath_oracle(case):
         <= 1e-10 * abs(truth)
     assert abs(report.total_cevar - truth) <= 1e-10 * abs(truth)
     assert np.max(np.abs(report.L - L)) <= 1e-10 * np.max(np.abs(L))
+
+
+@pytest.mark.parametrize("case", ORACLE_PORTFOLIOS)
+def test_euler_curve_matches_points_solved_to_ulps(case):
+    # K is first order in the error of s*, so the curve's Newton-corrected
+    # points must give the K of points solved until the step is a few ulps.
+    A, factors, knots = ORACLE_PORTFOLIOS[case]
+    weight = WeightFunction.table(knots).normalized(2.0) if knots else WeightFunction()
+    portfolio = FactorPortfolio(A, factors, [0.0] * len(A), 2.0, 0.05, weight=weight)
+    comb = portfolio.combination()
+    grid, K_curve, _ = euler_curve(portfolio)
+    terms = []
+    for t in grid[1:].tolist():  # K = 0 at t = 0
+        s = solve_stationary(comb, t, 0.05, tol=0.0)[0]
+        terms.append([-t * (f.slope_at_infinity() if s == math.inf else f.dphi(s * d))
+                      for f, d in comb.active])
+    K = np.array(terms) @ portfolio.A.T
+    assert np.max(np.abs(K_curve[1:] - K)) <= 1e-13 * np.max(np.abs(K))
 
 
 def count_cevar_nodes(monkeypatch):

@@ -61,7 +61,7 @@ def write(tmp_path, text, name="p.cfg"):
 
 def test_parse_minimal_config():
     portfolio, opts = parse_config(MINIMAL)
-    assert portfolio.n == 1 and portfolio.m == 1
+    assert portfolio.n == 1 and portfolio.A.shape[1] == 1
     assert portfolio.T == 1.0 and portfolio.beta == 0.05
     assert portfolio.premiums[0] == 0.0
     assert opts == {"seed": 0, "n_paths": 100_000}
@@ -69,7 +69,7 @@ def test_parse_minimal_config():
 
 def test_parse_mixed_config_with_weight():
     portfolio, opts = parse_config(MIXED)
-    assert portfolio.n == 2 and portfolio.m == 2
+    assert portfolio.n == 2 and portfolio.A.shape[1] == 2
     assert portfolio.weight.kind == "table"
     assert portfolio.weight.mass(2.0) == pytest.approx(1.0)
     assert opts["seed"] == 3

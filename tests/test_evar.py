@@ -21,13 +21,13 @@ from levyrisk import (
 )
 from levyrisk.errors import LevyRiskError
 from levyrisk.evar import limit_onset, solve_stationary
-from oracles import dual_feasibility_check, evar_objective, evar_oracle
+from oracles import dual_feasibility_check, evar_objective, evar_oracle, factor_query
 
 RNG = np.random.default_rng(20240817)
 
 
 def brownian_query(mu, sigma, t, beta):
-    return EvarQuery.of_factor(BrownianWithDrift(mu=mu, sigma=sigma), t, beta)
+    return factor_query(BrownianWithDrift(mu=mu, sigma=sigma), t, beta)
 
 
 # ---------------------------------------------------------------------------
@@ -91,12 +91,12 @@ def test_beta_one_gives_negative_mean():
     assert res.attained == "limit_at_zero"
     assert res.value == pytest.approx(-0.7 * 3.0)
     g = GammaSubordinator(a=2.0, b=4.0, mu=0.1)
-    res = evar(EvarQuery.of_factor(g, 2.0, 1.0))
+    res = evar(factor_query(g, 2.0, 1.0))
     assert res.value == pytest.approx(-2.0 * (0.1 + 0.5))
 
 
 def test_beta_one_with_stable_diverges():
-    q = EvarQuery.of_factor(AlphaStableSubordinator(alpha=0.5), 1.0, 1.0)
+    q = factor_query(AlphaStableSubordinator(alpha=0.5), 1.0, 1.0)
     with pytest.raises(ValueError, match="diverges"):
         evar(q)
     with pytest.raises(LevyRiskError, match="diverges"):
@@ -114,17 +114,17 @@ def test_zero_time_and_degenerate_position():
 def test_compound_poisson_boundary_infimum():
     # For t*lambda < -ln(beta) the objective decreases toward -t*mu at s->inf.
     cp = CompoundPoissonExp(lam=0.5, eta=1.0, mu=0.2)
-    res = evar(EvarQuery.of_factor(cp, 1.0, 0.05))  # t*lam = 0.5 < ln 20
+    res = evar(factor_query(cp, 1.0, 0.05))  # t*lam = 0.5 < ln 20
     assert res.attained == "limit_at_infinity"
     assert res.value == pytest.approx(-0.2)
     # With t*lambda > -ln(beta) an interior point exists.
-    res = evar(EvarQuery.of_factor(cp, 10.0, 0.05))
+    res = evar(factor_query(cp, 10.0, 0.05))
     assert res.attained == "interior"
 
 
 def test_stable_against_grid_oracle():
     alpha, t, beta = 0.5, 1.0, 0.05
-    res = evar(EvarQuery.of_factor(AlphaStableSubordinator(alpha=alpha), t, beta))
+    res = evar(factor_query(AlphaStableSubordinator(alpha=alpha), t, beta))
     grid = np.logspace(-6, 6, 100_000)
     objective = (-t * grid**alpha - math.log(beta)) / grid
     assert res.value == pytest.approx(float(objective.min()), rel=1e-8)
@@ -146,7 +146,7 @@ def test_stable_root_far_below_one():
     # 5.6e-14 over these horizons; the drift cancels in h.
     alpha, beta = 0.4, 0.05
     for t in (1e5, 4e5, 1e6):
-        res = evar(EvarQuery.of_factor(AlphaStableSubordinator(alpha, mu=0.1), t, beta))
+        res = evar(factor_query(AlphaStableSubordinator(alpha, mu=0.1), t, beta))
         s_star = (-math.log(beta) / (t * (1.0 - alpha))) ** (1.0 / alpha)
         assert res.attained == "interior" and math.isfinite(res.value)
         assert res.s_star == pytest.approx(s_star, rel=1e-12)
@@ -171,14 +171,18 @@ def test_brownian_evar_as_beta_tends_to_one():
     assert abs(res.value - expected) <= 1e-12 * abs(expected)
 
 
-# Numpy-scalar parameters turn an overflow at extreme s into a RuntimeWarning,
-# which the suite makes an error.
+# Factors store their parameters as Python floats, so numpy-scalar parameters
+# check that they behave like floats: an overflow at extreme s must stay a
+# silent inf, not a RuntimeWarning (which the suite makes an error).  The gamma
+# factor with b = 1e-3 overflows s/b below s = 1e300 at exposure 1e6.
 EXTREME_FACTORS = (
     BrownianWithDrift(np.float64(0.1), np.float64(1.0)),
     GammaSubordinator(np.float64(2.0), np.float64(3.0), np.float64(0.1)),
     AlphaStableSubordinator(np.float64(0.4), np.float64(0.1)),
     CompoundPoissonExp(np.float64(2.0), np.float64(1.0), np.float64(0.1)),
+    GammaSubordinator(np.float64(2.0), np.float64(1e-3), np.float64(0.1)),
 )
+EXTREME_IDS = ("brownian", "gamma", "stable", "compound_poisson_exp", "gamma-b=1e-3")
 
 
 EXTREME_BETAS = (1e-300, 1e-12, 0.05, 1.0 - 1e-12)  # ascending
@@ -191,10 +195,10 @@ EXTREME_MEASURES = {
 }
 
 
-@pytest.mark.parametrize("factor", EXTREME_FACTORS, ids=lambda f: f.kind)
+@pytest.mark.parametrize("factor", EXTREME_FACTORS, ids=EXTREME_IDS)
 def test_extremes_give_homogeneous_values_or_typed_errors(factor):
-    # The factor alone and paired with each later kind, so that every kind and
-    # every pair of kinds runs once over the four tests.  Per position, 36
+    # The factor alone and paired with each later one, so that every factor and
+    # every pair of factors runs once over the five tests.  Per position, 36
     # points of exposures, confidence levels and horizons at the extremes, for
     # each measure.  A value is finite and keeps homogeneity (X against 2X),
     # translation (every mu + SHIFT) and beta-monotonicity; otherwise the
@@ -456,7 +460,7 @@ def test_zero_weight_stable_factor_leaves_the_gamma_position(gap_calls):
     gamma = GammaSubordinator(a=2.0, b=3.0, mu=0.1)
     comb = FactorCombination([AlphaStableSubordinator(0.5), gamma], [0.0, 1.0])
     check = dual_feasibility_check(EvarQuery(comb, 1.0, 0.05), 5.0)
-    assert check == dual_feasibility_check(EvarQuery.of_factor(gamma, 1.0, 0.05), 5.0)
+    assert check == dual_feasibility_check(factor_query(gamma, 1.0, 0.05), 5.0)
     assert check.ok and check.bound == pytest.approx(-0.35, rel=1e-15)
     alone = solve_stationary(FactorCombination.single(gamma), 1.0, 0.05)
     gap_calls.clear()

@@ -2,7 +2,8 @@
 
 A deletion that leaves a stale ``__all__`` entry, or a package import of a name
 that no module exports, fails here rather than at a caller's ``import *``.  A
-public name must also have a reader outside the tests.
+public name, and each public method of an exported class, must also have a
+reader outside the tests.
 """
 import importlib
 import pkgutil
@@ -45,13 +46,25 @@ def test_every_public_name_has_a_reader_outside_the_tests():
     for module in MODULES:
         source = Path(module.__file__).read_text()
         texts.append(re.sub(r"^__all__ = \[.*?\]$", "", source, flags=re.S | re.M))
+    lines = [line for text in texts for line in text.splitlines()]
     unread = []
     for module in MODULES:
         for name in module.__all__:
             word = re.compile(rf"\b{re.escape(name)}\b")
             own = re.compile(rf"^\s*(def|class) {re.escape(name)}\b")
-            if not any(word.search(line) and not own.match(line)
-                       for text in texts for line in text.splitlines()):
+            if not any(word.search(line) and not own.match(line) for line in lines):
                 unread.append(f"{module.__name__}.{name}")
+            # A public method, property, classmethod or staticmethod of an
+            # exported class is read through an attribute: any mention of ``.name``.
+            value = getattr(module, name)
+            if not isinstance(value, type) or value.__module__ != module.__name__:
+                continue
+            for attr, member in vars(value).items():
+                if attr.startswith("_") or not isinstance(
+                        member, (types.FunctionType, property, classmethod, staticmethod)):
+                    continue
+                dotted = re.compile(rf"\.{re.escape(attr)}\b")
+                if not any(dotted.search(line) for line in lines):
+                    unread.append(f"{module.__name__}.{name}.{attr}")
     assert unread == []
 

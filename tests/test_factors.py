@@ -89,6 +89,11 @@ def test_second_deriv_matches_finite_differences(factor):
         assert laplace_exponent(factor, s, order=2) == pytest.approx(
             fd, rel=1e-5, abs=1e-12
         )
+        assert factor.s2d2phi(s) == pytest.approx(s * s * factor.d2phi(s), rel=1e-13)
+    # s^2 phi'' stays in float range where phi'' does not; the Brownian kind's
+    # -sigma^2 s^2 overflows at s = 1e300 together with its phi_gap.
+    if factor.kind != "brownian":
+        assert math.isfinite(factor.s2d2phi(1e300))
 
 
 @settings(max_examples=200, deadline=None)
@@ -211,6 +216,7 @@ def test_combination_sums_are_left_to_right_sums_of_the_terms():
         "dphi": lambda f, d, s: d * f.dphi(s * d),
         "d2phi": lambda f, d, s: d * d * f.d2phi(s * d),
         "phi_gap": lambda f, d, s: f.phi_gap(s * d),
+        "s2d2phi": lambda f, d, s: f.s2d2phi(s * d),
     }
     # Over this grid every sum has points where another order rounds differently.
     for s in np.geomspace(1e-3, 1e5, 25).tolist():
