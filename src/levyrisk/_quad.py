@@ -11,14 +11,17 @@ and Kahaner, 1983).  Each segment starts as three panels, u in [0, 1/3],
 tolerance depended on the parameters, so the cost jumped with them.  A panel
 is accepted, as its K21 value, when its error estimate fits its share of
 ``tol`` (tol / #segments times its width in u); otherwise both halves are
-evaluated and examined, left to right, so the result is deterministic.  There
-is no depth limit: halving stops when the tolerance is met or the budget runs
-out (:class:`QuadratureBudgetError`), so accuracy is never lost silently.
+evaluated.  There is no depth limit: halving stops when the tolerance is met
+or the budget runs out (:class:`QuadratureBudgetError`), so accuracy is never
+lost silently.
 
-The integrand is called once per node with a float t and may return a float,
-a sequence of floats or a numpy array.  A panel collects its 21 values in one
-array and takes K21 and K21 - G10 as two dot products with the weights scaled
-by the panel's u, so the work per node outside ``f`` is one list entry.
+The work is batched by level.  The integrand takes a 1-D array of nodes and
+returns an array of shape (N,), or (k, N) for k quantities at once.  The
+starting panels of all segments are one call; after that each level of
+halving is one call over every panel still pending, in the order of the
+panels along [a, b].  Whether a panel is accepted depends on that panel
+alone, so the panels evaluated do not depend on the order, and the accepted
+values are summed level by level in that order: the result is deterministic.
 
 The routine keeps the name ``adaptive_simpson`` because ``bench/tracing.py``
 wraps it by that name; a rename belongs in the same change as the tracer's.
@@ -68,58 +71,54 @@ def _rule_on_unit_interval():
 _U, _KRONROD, _GAP = _rule_on_unit_interval()
 
 
-def _norm(x):
-    return float(np.max(np.abs(x)))
-
-
 def adaptive_simpson(f, a, b, tol, breakpoints=None, max_evals=200_000):
     """Integrate f over [a, b] to absolute tolerance ``tol``.
 
-    ``f`` is called once per node with a float t in (a, b) and may return a
-    float, a sequence of floats or a numpy array (integrated component-wise,
-    error in the max norm); a float and a one-element sequence or array of
-    the same value give the same result.  ``breakpoints`` inside [a, b]
+    ``f`` maps a 1-D array of N nodes in (a, b) to an array of shape (N,) or
+    (k, N); the result is a float or an array of shape (k,), integrated
+    component-wise with the error in the max norm, and shapes (N,) and (1, N)
+    of the same values give the same result.  ``breakpoints`` inside [a, b]
     split it into segments.  With ``tol=None`` the tolerance is relative,
-    1e-10 * (1 + max-norm of the summed |panels| of the first pass).  Raises
+    1e-10 * (1 + max-norm of the summed |panels| of the first level).  Raises
     :class:`QuadratureBudgetError` when ``max_evals`` evaluations do not
     suffice; its ``partial`` is the sum of the accepted panels plus the K21
     value of every unresolved one.
     """
     pts = sorted({float(a), float(b)} | {float(p) for p in breakpoints or ()})
-    pts = [p for p in pts if a <= p <= b]
+    pts = np.array([p for p in pts if a <= p <= b])
+    segments = len(pts) - 1
+    # The pending panels: segment start, segment width, and the ends in u.
+    t0 = np.repeat(pts[:-1], 3)
+    width = np.repeat(np.diff(pts), 3)
+    u0 = np.array([0.0, 1.0 / 3.0, 2.0 / 3.0] * segments)
+    u1 = np.array([1.0 / 3.0, 2.0 / 3.0, 1.0] * segments)
     evals = 0
     accepted = 0.0
-    pending = []  # (t0, width, u0, u1, K21 value, |K21 - G10|)
-
-    def panel(t0, width, u0, u1):
-        nonlocal evals
-        if evals + NODES > max_evals:
+    unresolved = None  # the K21 values of the panels about to be halved
+    while True:
+        if evals + NODES * u0.size > max_evals:
             raise QuadratureBudgetError(
                 f"quadrature budget of {max_evals} evaluations exceeded on [{a}, {b}]",
-                partial=sum((p[4] for p in pending), accepted) if evals else None,
+                partial=accepted + unresolved.sum(axis=-1) if evals else None,
             )
-        evals += NODES
+        evals += NODES * u0.size
         h = u1 - u0
-        u = u0 + h * _U
-        y = np.asarray([f(t) for t in (t0 + width * u * u).tolist()], dtype=float)
-        u *= 2.0 * width * h
-        return (t0, width, u0, u1, (_KRONROD * u) @ y, _norm((_GAP * u) @ y))
-
-    for t0, t1 in zip(pts[:-1], pts[1:]):
-        for u0, u1 in ((0.0, 1.0 / 3.0), (1.0 / 3.0, 2.0 / 3.0), (2.0 / 3.0, 1.0)):
-            pending.append(panel(t0, t1 - t0, u0, u1))
-    if tol is None:
-        tol = DEFAULT_REL_TOL * (1.0 + _norm(sum(abs(p[4]) for p in pending)))
-    seg_tol = tol / (len(pts) - 1)
-    pending.reverse()  # leftmost panel last, so it is resolved first
-    while pending:
-        t0, width, u0, u1, value, error = pending[-1]
-        if error <= seg_tol * (u1 - u0):
-            accepted = accepted + value
-            pending.pop()
-            continue
-        um = 0.5 * (u0 + u1)
-        left = panel(t0, width, u0, um)
-        right = panel(t0, width, um, u1)
-        pending[-1:] = [right, left]
-    return accepted
+        u = u0[:, None] + h[:, None] * _U
+        y = np.asarray(f((t0[:, None] + width[:, None] * u * u).ravel()), dtype=float)
+        # dt = 2 * width * u du on the panel u0 + h * _U
+        y = y.reshape(y.shape[:-1] + u.shape) * u
+        scale = 2.0 * width * h
+        value = (y @ _KRONROD) * scale
+        error = np.abs(y @ _GAP) * scale
+        if error.ndim > 1:
+            error = error.max(axis=0)
+        if tol is None:
+            tol = DEFAULT_REL_TOL * (1.0 + float(np.max(np.abs(value).sum(axis=-1))))
+        halve = error > tol / segments * h
+        if not halve.any():
+            return accepted + value.sum(axis=-1)
+        accepted = accepted + value[..., ~halve].sum(axis=-1)
+        unresolved = value[..., halve]
+        t0, width = np.repeat(t0[halve], 2), np.repeat(width[halve], 2)
+        u0, u1 = np.repeat(u0[halve], 2), np.repeat(u1[halve], 2)
+        u0[1::2] = u1[::2] = 0.5 * (u0[1::2] + u1[::2])

@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .cevar import WeightFunction, horizon_integral
-from .evar import WarmStart, evar_at, solve_stationary
+from .evar import WarmStart, solve_stationary
 from .factors import FactorCombination, LevyFactor
 
 __all__ = [
@@ -115,7 +115,12 @@ class AllocationReport:
     ``K_curve`` (shape (CURVE_POINTS, n)) holds K_1, ..., K_n at grid[k], and
     ``s_star_curve`` the pairs (t, s_star), s_star None at the s -> inf limit.
     The gap is sum(L) minus (CEVaR of aggregate claims + total premium term),
-    where the CEVaR integrates g(s*) on the nodes of the Euler sweep.
+    where the CEVaR integrates g(s*) on the nodes of the Euler sweep.  On the
+    stationary curve the contributions sum to g(s*) identically, so the gap
+    measures round-off only; it is no check of accuracy.  The independent
+    checks are acceptance criterion 3 (``euler_contributions`` against
+    ``evar`` pointwise in t), the t-space CEVaR of ``bench/checks.py`` and the
+    mpmath ``allocation_oracle`` of the tests.
     """
 
     L: np.ndarray
@@ -130,7 +135,7 @@ class _EulerKernel:
     """The factor terms -t * phi_j'(s D_j) of K_t = A @ terms at the point s.
 
     The terms are plain floats, one per factor; each caller applies the
-    exposures A itself, once per node or once per curve.  D_j = sum_k a_kj
+    exposures A itself, once per point or once per curve.  D_j = sum_k a_kj
     and the drift slopes are fixed per portfolio, so they are computed once.
     At s -> inf phi_j' tends to the slope of phi_j, which gives -t * slope_j;
     t = 0 gives zeros.  A portfolio keeps beta < 1, so s is never the s -> 0+
@@ -165,24 +170,18 @@ def allocate(portfolio: FactorPortfolio, quad_tol: Optional[float] = None) -> Al
     """Integrate the Euler contributions into the allocation L^i.
 
     L^i = integral_0^T K_t^i omega(t) dt + c^i * integral_0^T t omega(t) dt.
-    The same pass integrates the aggregate EVaR g(s*).  Each node weights the
-    m factor terms and g(s*) by omega(t) and makes one product with the
-    (n+1) x (m+1) block matrix [[A, 0], [0, 1]], so the quadrature sees the n
-    department contributions and the aggregate, and its error estimate and
+    K_t = A @ k(t) with the factor terms k_j(t) = -t * phi_j'(s* D_j), and the
+    aggregate EVaR is D @ k(t), so one pass of
+    :func:`levyrisk.cevar.horizon_integral` integrates the n contributions and
+    the aggregate through the (n+1) x m matrix [A; D]; its error estimate and
     default relative tolerance are in the max norm over them (usually the
     aggregate is the largest).  The report's K-curve holds CURVE_POINTS
     equally spaced horizons.
     """
-    T, beta = portfolio.T, portfolio.beta
-    comb = portfolio.combination(None)
-    kernel = _EulerKernel(portfolio)
-    n, m = portfolio.A.shape
-    block = np.zeros((n + 1, m + 1))
-    block[:n, :m] = portfolio.A
-    block[n, m] = 1.0
+    T = portfolio.T
     integral = horizon_integral(
-        comb, beta, portfolio.weight, T, quad_tol,
-        lambda t, s, w: block @ ([w * k for k in kernel(t, s)] + [w * evar_at(comb, t, beta, s)]),
+        portfolio.combination(None), portfolio.beta, portfolio.weight, T, quad_tol,
+        np.vstack([portfolio.A, portfolio.column_sums()]),
     )
 
     tmom = portfolio.weight.time_moment(T)

@@ -1,13 +1,14 @@
 """Cumulative EVaR: the weighted time-integral of EVaR over [0, T]."""
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple
 
+import numpy as np
+
 from ._quad import adaptive_simpson
-from .evar import WarmStart, evar_at, limit_onset
+from .evar import X_MAX, evar_at, solve_stationary
 from .factors import FactorCombination
 
 __all__ = [
@@ -15,6 +16,10 @@ __all__ = [
     "CevarQuery",
     "cevar",
 ]
+
+# The horizon integral in x = ln(s) ends at s*(EPS * T) when that point is
+# interior (see horizon_integral); the dropped part of [0, T] is ~EPS of it.
+EPS = 1e-18
 
 
 @dataclass(frozen=True)
@@ -57,18 +62,11 @@ class WeightFunction:
             if abs(mass - 1.0) > tol:
                 raise ValueError(f"weight is not normalised: integral = {mass!r}")
 
-    def density(self, t: float, T: float) -> float:
+    def density(self, t, T: float):
+        """omega at t, a float or a numpy array of horizons."""
         if self.kind == "uniform":
             return 1.0 / T
-        ts = [k[0] for k in self.knots]
-        ws = [k[1] for k in self.knots]
-        if t <= ts[0]:
-            return ws[0]
-        if t >= ts[-1]:
-            return ws[-1]
-        i = bisect.bisect_right(ts, t) - 1
-        frac = (t - ts[i]) / (ts[i + 1] - ts[i])
-        return ws[i] + frac * (ws[i + 1] - ws[i])
+        return np.interp(t, [k[0] for k in self.knots], [k[1] for k in self.knots])
 
     def mass(self, T: float) -> float:
         """Integral of omega over [0, T]; trapezoid is exact for table kind."""
@@ -79,15 +77,20 @@ class WeightFunction:
             acc += 0.5 * (w0 + w1) * (t1 - t0)
         return acc
 
-    def time_moment(self, T: float) -> float:
-        """Integral of t*omega(t) over [0, T]; exact per linear segment."""
+    def time_moment(self, T: float, upper: Optional[float] = None) -> float:
+        """Integral of t*omega(t) over [0, min(upper, T)] (over [0, T] by
+        default); exact per linear segment."""
         if self.kind == "uniform":
-            return T / 2.0
+            return T / 2.0 if upper is None else min(upper, T) ** 2 / (2.0 * T)
         acc = 0.0
         for (t0, w0), (t1, w1) in zip(self.knots, self.knots[1:]):
+            if upper is not None and t0 >= upper:
+                break
             dt = t1 - t0
             c1 = (w1 - w0) / dt
             c0 = w0 - c1 * t0
+            if upper is not None:
+                t1 = min(t1, upper)
             acc += c0 * (t1 * t1 - t0 * t0) / 2.0 + c1 * (t1 ** 3 - t0 ** 3) / 3.0
         return acc
 
@@ -123,28 +126,78 @@ class CevarQuery:
 
 
 def horizon_integral(combination: FactorCombination, beta: float, weight: WeightFunction,
-                     T: float, tol: Optional[float], point):
-    """integral_0^T point(t, s*(t), omega(t)) dt along the warm-started path s*(t).
+                     T: float, tol: Optional[float], exposures: np.ndarray):
+    """integral_0^T exposures @ k(t) omega(t) dt along the stationary curve, for
+    beta < 1 and a nonzero position.
 
-    ``point`` maps a horizon, its point from :func:`solve_stationary` and the
-    weight density there to the weighted integrand: a float, a sequence of
-    floats or a numpy array.  The segments break at the weight knots and at
-    the compound-Poisson onset, where the integrands have kinks; ``tol=None``
-    asks the quadrature for its relative default.
+    k(t) holds the factor terms -t * phi_j'(s*(t) d_j) of the active factors,
+    -t * slope_j where the infimum sits at s -> inf; ``exposures``, of shape
+    (m,) or (k, m), makes the quantities.  With the weights d_j it gives the
+    EVaR, and with the exposure matrix the Euler contributions.
+
+    The stationarity equation t * gap(s) = -ln(beta) is linear in t, so the
+    curve has the explicit inverse tau(s) = -ln(beta) / gap(s), decreasing in
+    s, and the integral runs in x = ln(s), where dt = -tau * F'(x) dx with
+    F'(x) = -s^2 phi''(s) / gap(s) in (0, 2]: every node is one explicit
+    evaluation on an array of points, and the only solves are s*(T), the end
+    of the range and s*(t_k) at the interior weight knots, whose kinks break
+    the range into segments.  The range ends at ln s*(EPS * T) when that
+    point is interior, and the rest of [0, T], at most ~EPS of the integral,
+    is dropped.  Otherwise it ends at X_MAX, and on [0, tau(e^X_MAX)] the
+    infimum is the s -> inf limit, linear in t and integrated exactly by the
+    weight's truncated time moment; this covers the compound-Poisson onset
+    and gamma roots above 1e300.  A horizon whose s*(T) is that limit takes
+    no nodes.  One more break at x = ln(s*(T) / EPS) parts the steep head of
+    a long range from its slow tail: as one segment, a gamma range up to
+    X_MAX met the absolute floor of the default tolerance at its first level
+    with only ~1e-8 relative accuracy for a tiny position.  ``tol=None`` asks
+    the quadrature for its relative default.
     """
+    pairs = combination.active
+
+    def limit(upper=None):
+        slopes = [-f.slope_at_infinity() for f, _ in pairs]
+        return exposures @ slopes * weight.time_moment(T, upper)
+
     weight.check_span(T)
-    path = WarmStart(combination, beta)
-    onset = limit_onset(combination, beta)
-    breaks = weight.breakpoints(T) + ([onset] if onset is not None and onset < T else [])
+    s_T = solve_stationary(combination, T, beta)[0]
+    if s_T == math.inf:
+        return limit()
+    budget = -math.log(beta)
+    s_hi = solve_stationary(combination, EPS * T, beta)[0]
+    if s_hi < math.inf:
+        t_lo, linear = EPS * T, 0.0
+    else:
+        s_hi = math.exp(X_MAX)
+        t_lo = budget / combination.phi_gap(s_hi)
+        linear = limit(t_lo)
+    x_T = math.log(s_T)
+    breaks = [x_T - math.log(EPS)] + [math.log(solve_stationary(combination, t, beta)[0])
+                                      for t in weight.breakpoints(T) if t_lo < t < T]
 
-    def integrand(t):
-        return point(t, path(t), weight.density(t, T))
+    def integrand(x):
+        s = np.exp(x)
+        gap = combination.phi_gap(s)
+        tau = budget / gap
+        fprime = -combination.s2d2phi(s) / gap  # F'(x), so dt = -tau * F' dx
+        terms = np.array([-f.dphi(s * d) for f, d in pairs])  # k / t
+        return exposures @ terms * (tau * tau * fprime * weight.density(tau, T))
 
-    return adaptive_simpson(integrand, 0.0, T, tol, breakpoints=breaks)
+    return linear + adaptive_simpson(integrand, x_T, math.log(s_hi), tol, breakpoints=breaks)
 
 
 def cevar(query: CevarQuery) -> float:
-    """Adaptive-quadrature value of integral_0^T EVaR_{1-beta}(X_t) omega(t) dt."""
+    """Adaptive-quadrature value of integral_0^T EVaR_{1-beta}(X_t) omega(t) dt.
+
+    On the stationary curve EVaR is -t * phi'(s*); at beta = 1 it is -t * mean
+    and for a zero position 0, linear in t with no quadrature.
+    """
     comb, beta = query.combination, query.beta
+    if beta == 1.0 or comb.is_degenerate():
+        query.weight.check_span(query.T)
+        # solve_stationary returns the s -> 0+ or s -> inf point; evar_at raises
+        # DomainError at beta = 1 for an active stable factor (infinite mean).
+        s = solve_stationary(comb, 1.0, beta)[0]
+        return evar_at(comb, 1.0, beta, s) * query.weight.time_moment(query.T)
     return horizon_integral(comb, beta, query.weight, query.T, query.quad_tol,
-                            lambda t, s, w: evar_at(comb, t, beta, s) * w)
+                            np.array([d for _, d in comb.active]))

@@ -6,6 +6,11 @@ are stored as Python floats, so an overflow at extreme s gives a silent inf
 rather than a numpy warning.  Linear combinations of independent factors are
 handled by :class:`FactorCombination`, whose exponent is the sum of the
 component exponents at scaled arguments.
+
+The exponents take a float s, and the horizon integral also calls ``phi_gap``,
+``dphi`` and ``s2d2phi`` with a numpy array of s; the two of them whose float
+form branches on s (the gamma ``phi_gap`` and the stable ``dphi``) have an
+array form too.
 """
 from __future__ import annotations
 
@@ -13,6 +18,8 @@ import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Sequence
+
+import numpy as np
 
 from .errors import DomainError
 
@@ -141,19 +148,16 @@ class GammaSubordinator(LevyFactor):
         return -self.a * r * r
 
     def phi_gap(self, s):
+        if isinstance(s, np.ndarray):
+            # The two forms below, chosen elementwise.
+            gap = _log1p_ratio(s, self.b) - s / (self.b + s)
+            small = s < self.b
+            gap[small] = _gap_series(s[small] / self.b)
+            return self.a * gap
         z = s / self.b
         if z >= 1.0:
             return self.a * (_log1p_ratio(s, self.b) - s / (self.b + s))
-        # The closed form cancels to ~z^2/2 as z -> 0.  With y = z/(2+z),
-        # log1p(z) = 2*atanh(y) and z/(1+z) = 2y/(1+y), so the gap is the sum of
-        # two positive terms, z^2/((1+z)(2+z)) and 2*(atanh(y) - y), the second
-        # summed as 2*y^3 * sum_k w^k/(2k+3) with w = y^2 <= 1/9: 15 terms.
-        y = z / (2.0 + z)
-        w = y * y
-        p = 1/3 + w * (1/5 + w * (1/7 + w * (1/9 + w * (1/11 + w * (1/13 + w * (1/15 + w * (
-            1/17 + w * (1/19 + w * (1/21 + w * (1/23 + w * (1/25 + w * (1/27 + w * (
-                1/29 + w * (1/31))))))))))))))
-        return self.a * (z * z / ((1.0 + z) * (2.0 + z)) + 2.0 * y * w * p)
+        return self.a * _gap_series(z)
 
     def mean_rate(self):
         return self.mu + self.a / self.b
@@ -181,7 +185,7 @@ class AlphaStableSubordinator(LevyFactor):
         return self.mu * s + s ** self.alpha
 
     def dphi(self, s):
-        if s == 0.0:
+        if not isinstance(s, np.ndarray) and s == 0.0:
             return math.inf
         return self.mu + self.alpha * s ** (self.alpha - 1.0)
 
@@ -263,10 +267,30 @@ def _store_floats(factor: LevyFactor) -> None:
         object.__setattr__(factor, field.name, float(getattr(factor, field.name)))
 
 
-def _log1p_ratio(s: float, b: float) -> float:
+def _log1p_ratio(s, b: float):
     """ln(1 + s/b), taken as ln(s) - ln(b) once s/b overflows."""
+    if isinstance(s, np.ndarray):
+        with np.errstate(over="ignore"):
+            z = s / b
+        return np.where(z < math.inf, np.log1p(z), np.log(s) - math.log(b))
     z = s / b
     return math.log1p(z) if z < math.inf else math.log(s) - math.log(b)
+
+
+def _gap_series(z):
+    """ln(1 + z) - z/(1 + z) for 0 <= z < 1, where the closed form cancels.
+
+    It cancels to ~z^2/2 as z -> 0.  With y = z/(2+z), log1p(z) = 2*atanh(y)
+    and z/(1+z) = 2y/(1+y), so the gap is the sum of two positive terms,
+    z^2/((1+z)(2+z)) and 2*(atanh(y) - y), the second summed as
+    2*y^3 * sum_k w^k/(2k+3) with w = y^2 <= 1/9: 15 terms.
+    """
+    y = z / (2.0 + z)
+    w = y * y
+    p = 1/3 + w * (1/5 + w * (1/7 + w * (1/9 + w * (1/11 + w * (1/13 + w * (1/15 + w * (
+        1/17 + w * (1/19 + w * (1/21 + w * (1/23 + w * (1/25 + w * (1/27 + w * (
+            1/29 + w * (1/31))))))))))))))
+    return z * z / ((1.0 + z) * (2.0 + z)) + 2.0 * y * w * p
 
 
 def _field(name: str) -> str:

@@ -274,14 +274,19 @@ def _path_infima(cp: CompoundPoissonExp, premium: float, horizon: float,
         if kmax > 0:
             # Conditional on the count, jump times are sorted uniforms; pad
             # the unused slots with +inf before sorting so each row keeps
-            # exactly its own count of draws.
-            mask = np.arange(kmax)[None, :] < counts[:, None]
+            # exactly its own count of draws.  The arrays are reused in place:
+            # the cumulative jumps overwrite the jumps and the drawdown
+            # c_eff * t - S overwrites the times.
+            unused = np.arange(kmax)[None, :] >= counts[:, None]
             times = rng.uniform(0.0, horizon, (size, kmax))
-            times = np.sort(np.where(mask, times, np.inf), axis=1)
+            times[unused] = np.inf
+            times.sort(axis=1)
             jumps = rng.exponential(1.0 / cp.eta, (size, kmax))
-            cum = np.cumsum(jumps, axis=1)
-            drawdown = np.where(mask, c_eff * times - cum, np.inf)
-            infima[pos:pos + size] = np.minimum(0.0, drawdown.min(axis=1))
+            np.cumsum(jumps, axis=1, out=jumps)
+            times *= c_eff
+            times -= jumps
+            times[unused] = np.inf
+            infima[pos:pos + size] = np.minimum(0.0, times.min(axis=1))
         pos += size
         block += 1
     return infima

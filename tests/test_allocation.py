@@ -216,7 +216,8 @@ TABLE_WEIGHT = WeightFunction.table([(0.0, 0.4), (0.7, 1.2), (2.0, 0.6)]).normal
         [CompoundPoissonExp(2.0, 1.0, 0.1), GammaSubordinator(0.01, 1.0, 0.05)],
         [0.1, 0.2], 2.0, 0.05, weight=TABLE_WEIGHT,
     ), True, id="cpois+gamma-table"),
-    # The onset -ln(beta)/sum(lambda) ~ 1.2 < T adds a break to the knots.
+    # Below the onset -ln(beta)/sum(lambda) ~ 1.2 < T the integral takes the
+    # s -> inf limit as one time moment.
     pytest.param(FactorPortfolio(
         np.array([[1.0, 0.5], [0.2, 1.0]]),
         [CompoundPoissonExp(2.0, 1.0, 0.1), CompoundPoissonExp(0.5, 2.0, 0.05)],

@@ -66,6 +66,20 @@ def test_table_time_moment_matches_fine_trapezoid():
     assert w.mass(2.0) == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("weight", [
+    WeightFunction(),
+    WeightFunction.table([(0.0, 0.2), (0.5, 1.9), (1.3, 0.7), (2.0, 1.1)]).normalized(2.0),
+], ids=["uniform", "table"])
+@pytest.mark.parametrize("upper", [0.0, 0.3, 0.5, 1.7, 2.0, 5.0])
+def test_truncated_time_moment_matches_fine_trapezoid(weight, upper):
+    # integral of t * omega(t) over [0, min(upper, T)]; a kink of the table
+    # inside a cell costs the trapezoid O(h^2), far below the tolerance.
+    ts = np.linspace(0.0, min(upper, 2.0), 200_001)
+    moment = np.trapezoid(ts * weight.density(ts, 2.0), ts)
+    assert weight.time_moment(2.0, upper) == pytest.approx(moment, abs=1e-8)
+    assert weight.time_moment(2.0, 2.0) == weight.time_moment(2.0)
+
+
 def test_table_weight_validation():
     with pytest.raises(ValueError, match="two knots"):
         WeightFunction.table([(0.0, 1.0)])
@@ -197,50 +211,66 @@ def test_cevar_budget_error_carries_partial():
     assert partial == pytest.approx(expected, rel=1e-6)
 
 
-def test_boundary_nodes_are_solved_once(monkeypatch):
-    # Compound Poisson only: below t = -ln(beta)/lambda the infimum is the
-    # s -> inf limit, which the solver decides without evaluating h; each
-    # node may run the solver once.
-    solves, nodes = [], []
-    original = sys.modules["levyrisk.evar"].solve_stationary
+def count_integral_solves(monkeypatch):
+    """The horizons at which the horizon integral solves for s*, in order.
 
-    def counted_solve(*args, **kwargs):
-        solves.append(args[1])
-        return original(*args, **kwargs)
-
-    for name, module in list(sys.modules.items()):
-        if name.startswith("levyrisk.") and getattr(module, "solve_stationary", None) is original:
-            monkeypatch.setattr(module, "solve_stationary", counted_solve)
+    Only ``levyrisk.cevar``'s name is patched, so the K-curve's solves in
+    ``euler_curve`` are not counted."""
+    horizons = []
     cevar_module = sys.modules["levyrisk.cevar"]
-    quad = cevar_module.adaptive_simpson
+    solve = cevar_module.solve_stationary
 
-    def counted_quad(f, *args, **kwargs):
-        def node(t):
-            nodes.append(t)
-            return f(t)
-        return quad(node, *args, **kwargs)
+    def counted_solve(comb, t, *args, **kwargs):
+        horizons.append(t)
+        return solve(comb, t, *args, **kwargs)
 
-    monkeypatch.setattr(cevar_module, "adaptive_simpson", counted_quad)
-    comb = combo((CompoundPoissonExp(lam=2.0, eta=1.0), 1.0))
-    cevar(CevarQuery(comb, 2.0, 0.05))
-    assert 0 < len(solves) <= len(nodes)
+    monkeypatch.setattr(cevar_module, "solve_stationary", counted_solve)
+    return horizons
+
+
+TABLE_KNOTS = [(0.0, 0.4), (0.5, 1.2), (1.1, 0.9), (2.0, 0.6)]  # two interior knots
+
+
+@pytest.mark.parametrize("factors", [
+    [BrownianWithDrift(0.3, 1.1), GammaSubordinator(2.0, 3.0, 0.1)],
+    [AlphaStableSubordinator(0.6, 0.1), CompoundPoissonExp(1.5, 2.0, -0.2)],
+    [GammaSubordinator(0.87, 2.0, 0.05), CompoundPoissonExp(2.0, 1.0, 0.1)],
+    [CompoundPoissonExp(2.0, 1.0, 0.1), CompoundPoissonExp(0.5, 2.0, 0.05)],
+], ids=["brownian+gamma", "stable+cpois", "gamma+cpois", "cpois-only"])
+@pytest.mark.parametrize("knots", [None, TABLE_KNOTS], ids=["uniform", "table"])
+def test_integral_solves_only_at_segment_ends(factors, knots, monkeypatch):
+    # The nodes of the x = ln(s) integral need no solve: only s*(T), the end
+    # of the range and each interior weight knot do.
+    horizons = count_integral_solves(monkeypatch)
+    weight = WeightFunction.table(knots).normalized(2.0) if knots else WeightFunction()
+    interior_knots = len(knots) - 2 if knots else 0
+    portfolio = FactorPortfolio([[1.0, 0.5], [0.3, 1.5]], factors, [0.1, 0.2], 2.0, 0.05,
+                                weight=weight)
+    cevar(CevarQuery(portfolio.combination(), 2.0, 0.05, weight=weight))
+    assert 0 < len(horizons) <= 2 + interior_knots
+    horizons.clear()
+    allocate(portfolio)
+    assert 0 < len(horizons) <= 2 + interior_knots
+
+
+def test_integrals_are_deterministic():
+    factors = [AlphaStableSubordinator(0.6, 0.1), CompoundPoissonExp(1.5, 2.0, -0.2)]
+    weight = WeightFunction.table(TABLE_KNOTS).normalized(2.0)
+    portfolio = FactorPortfolio([[1.0, 0.5], [0.3, 1.5]], factors, [0.1, 0.2], 2.0, 0.05,
+                                weight=weight)
+    query = CevarQuery(portfolio.combination(), 2.0, 0.05, weight=weight)
+    first, second = allocate(portfolio), allocate(portfolio)
+    assert cevar(query) == cevar(query)
+    assert np.array_equal(first.L, second.L) and first.total_cevar == second.total_cevar
 
 
 def test_default_tolerance_integrates_each_quantity_once(monkeypatch):
     calls = []  # (result shape, tol) per quadrature call
-    nodes = []  # integrand evaluations per quadrature call
     quad = sys.modules["levyrisk._quad"].adaptive_simpson
 
     def counted_quad(f, a, b, tol, *args, **kwargs):
-        ts = []
-
-        def counted_f(t):
-            ts.append(t)
-            return f(t)
-
-        result = quad(counted_f, a, b, tol, *args, **kwargs)
+        result = quad(f, a, b, tol, *args, **kwargs)
         calls.append((np.shape(result), tol))
-        nodes.append(len(ts))
         return result
 
     # cevar and allocate both integrate through levyrisk.cevar's quadrature.
@@ -250,29 +280,14 @@ def test_default_tolerance_integrates_each_quantity_once(monkeypatch):
     assert calls == [((), None)]
 
     calls.clear()
-    nodes.clear()
-    solves = []
-    evar_module = sys.modules["levyrisk.evar"]
-    solve = evar_module.solve_stationary
-
-    def counted_solve(*args, **kwargs):
-        result = solve(*args, **kwargs)
-        solves.append((args[1], result[1]))
-        return result
-
-    monkeypatch.setattr(evar_module, "solve_stationary", counted_solve)
     portfolio = FactorPortfolio(
         np.array([[1.0, 0.5], [0.3, 1.5]]),
         [BrownianWithDrift(0.3, 1.1), GammaSubordinator(2.0, 3.0, 0.1)],
         [0.1, 0.2], 2.0, 0.05,
     )
-    report = allocate(portfolio)
+    allocate(portfolio)
     # One pass integrates the Euler contributions and the aggregate EVaR.
     assert calls == [((3,), None)]
-    # One solve per node and per curve point; the one at t = 0 returns the
-    # s -> inf limit with no evaluation.
-    assert len(solves) == nodes[0] + len(report.grid)
-    assert [iterations for t, iterations in solves if t == 0.0] == [0]
 
 
 def test_compound_poisson_cevar_matches_u_simpson_oracle():
@@ -341,42 +356,52 @@ def test_euler_curve_matches_points_solved_to_ulps(case):
     assert np.max(np.abs(K_curve[1:] - K)) <= 1e-13 * np.max(np.abs(K))
 
 
-def count_cevar_nodes(monkeypatch):
-    """Integrand nodes per quadrature call made by ``cevar``, appended as they finish."""
+def count_cevar_levels(monkeypatch):
+    """Per quadrature call made by ``cevar``, appended as they finish: the
+    integrand's calls (one per level of halving) and its nodes."""
     counts = []
     quad = sys.modules["levyrisk._quad"].adaptive_simpson
 
     def counted_quad(f, *args, **kwargs):
-        n = [0]
+        calls, nodes = [0], [0]
 
-        def node(t):
-            n[0] += 1
-            return f(t)
-        result = quad(node, *args, **kwargs)
-        counts.append(n[0])
+        def counted_f(x):
+            calls[0] += 1
+            nodes[0] += x.size
+            return f(x)
+        result = quad(counted_f, *args, **kwargs)
+        counts.append((calls[0], nodes[0]))
         return result
 
     monkeypatch.setattr(sys.modules["levyrisk.cevar"], "adaptive_simpson", counted_quad)
     return counts
 
 
-def test_compound_poisson_onset_is_a_breakpoint(monkeypatch):
-    # EVaR is linear up to t0 = -ln(beta)/lambda and smooth past it, so with a
-    # segment break at t0 neither segment needs halving: each costs its three
-    # starting K21 panels, 63 nodes.  Without the break the quadrature halved
-    # down to the kink.
-    counts = count_cevar_nodes(monkeypatch)
-    comb = combo((CompoundPoissonExp(lam=2.0, eta=1.0), 1.0))
-    cevar(CevarQuery(comb, 2.0, 0.05))
-    assert counts == [2 * 63]
+@pytest.mark.parametrize("T", [0.5, 1.0])
+@pytest.mark.parametrize("knots", [None, [(0.0, 1.0), (0.3, 2.0), (1.0, 0.5)]],
+                         ids=["uniform", "table"])
+def test_compound_poisson_below_the_onset_takes_no_nodes(T, knots, monkeypatch):
+    # Up to t0 = -ln(beta) / sum(lambda) = ln(20)/2.5 ~ 1.2 the infimum sits at
+    # s -> inf and EVaR is -t * slope: the integral is one time moment.
+    counts = count_cevar_levels(monkeypatch)
+    weight = WeightFunction.table([(t * T, w) for t, w in knots]).normalized(T) if knots \
+        else WeightFunction()
+    comb = combo((CompoundPoissonExp(2.0, 1.0, 0.1), 1.0), (CompoundPoissonExp(0.5, 2.0, 0.05), 1.0))
+    value = cevar(CevarQuery(comb, T, 0.05, weight=weight))
+    assert value == -comb.slope_at_infinity() * weight.time_moment(T)
+    portfolio = FactorPortfolio([[1.0, 0.5], [0.0, 0.5]], [f for f, _ in comb.active],
+                                [0.0, 0.0], T, 0.05, weight=weight)
+    report = allocate(portfolio)
+    slopes = np.array([f.slope_at_infinity() for f in portfolio.factors])
+    assert np.array_equal(report.L, portfolio.A @ -slopes * weight.time_moment(T))
+    assert counts == []
 
 
 def test_cevar_cost_does_not_depend_on_the_draw(monkeypatch):
-    # Stable + compound Poisson positions with random parameters.  Starting
-    # each segment as fewer panels, the cost depended on the draw (48 or 112
-    # nodes with one Gauss-Legendre panel, 42 or 84 with two K21 panels);
-    # from three K21 panels, all cost the same.
-    counts = count_cevar_nodes(monkeypatch)
+    # Stable + compound Poisson positions with random parameters.  With the
+    # nodes batched by level, the cost of an integral is its integrand calls,
+    # one per level, and every draw takes the same number.
+    counts = count_cevar_levels(monkeypatch)
     rng = np.random.default_rng(3)
     for _ in range(30):
         comb = combo(
@@ -385,7 +410,7 @@ def test_cevar_cost_does_not_depend_on_the_draw(monkeypatch):
              rng.uniform(0.2, 1.0)),
         )
         cevar(CevarQuery(comb, 2.0, 0.05))
-    assert len(counts) == 30 and len(set(counts)) == 1
+    assert len(counts) == 30 and len({calls for calls, _ in counts}) == 1
 
 
 def test_cevar_query_validation():

@@ -149,6 +149,23 @@ def test_gamma_phi_gap_to_a_few_ulps(a):
         assert ulps <= (4 if z < 1.0 else 8), z
 
 
+@pytest.mark.parametrize("factor", ALL_KINDS + [GammaSubordinator(a=2.0, b=1e-3, mu=0.1)],
+                         ids=lambda f: f"{f.kind}-b={f.b}" if f.kind == "gamma" else f.kind)
+def test_array_forms_match_the_float_forms(factor):
+    # The horizon integral calls phi_gap, dphi and s2d2phi on arrays of s.
+    # Across float range (for the Brownian kind, where s^2 stays finite),
+    # including the gamma series below s = b and s/b overflowing at b = 1e-3,
+    # every entry equals the float form's value (a RuntimeWarning would fail
+    # the suite).
+    top = 1e150 if factor.kind == "brownian" else 1e306
+    s = np.concatenate([np.geomspace(1e-300, top, 241), np.linspace(1e-3, 4.0, 41)])
+    for method in ("phi_gap", "dphi", "s2d2phi"):
+        values = getattr(factor, method)(s)
+        assert values.shape == s.shape
+        expected = np.array([getattr(factor, method)(x) for x in s.tolist()])
+        assert np.allclose(values, expected, rtol=1e-15, atol=0.0), method
+
+
 def test_combine_identity_and_zero():
     f = GammaSubordinator(a=1.0, b=2.0, mu=0.3)
     single = FactorCombination([f], [1.0])

@@ -1,4 +1,4 @@
-"""The nested G10/K21 rule and the panel driver of ``levyrisk._quad``."""
+"""The nested G10/K21 rule and the level-batched panel driver of ``levyrisk._quad``."""
 import math
 
 import numpy as np
@@ -40,22 +40,43 @@ def test_exact_degrees(degree):
 
 
 def test_segments_start_as_three_panels_evaluated_left_to_right():
-    ts = []
+    calls = []
 
     def f(t):
-        ts.append(t)
+        calls.append(t)
         return 3.0 * t * t
 
     assert adaptive_simpson(f, 0.0, 2.0, None, breakpoints=[0.5]) == pytest.approx(8.0, rel=1e-15)
-    # u**2 substitution keeps a polynomial a polynomial, so no panel halves.
-    assert len(ts) == 2 * 3 * 21
-    assert np.all(np.diff(ts[:63]) > 0) and np.all(np.diff(ts[63:]) > 0)
+    # u**2 substitution keeps a polynomial a polynomial, so no panel halves:
+    # the starting panels of both segments are one call.
+    assert len(calls) == 1
+    ts = calls[0]
+    assert ts.shape == (2 * 3 * 21,)
+    assert np.all(np.diff(ts) > 0)
     assert 0.0 < ts[0] and ts[62] < 0.5 < ts[63] and ts[-1] < 2.0
 
 
+def test_each_level_of_halving_is_one_call():
+    calls = []
+
+    def f(t):
+        calls.append(t)
+        return np.exp(-t) * t ** 0.3
+
+    value = adaptive_simpson(f, 0.0, 2.0, 1e-13, breakpoints=[0.5])
+    assert value == pytest.approx(0.71108574607130133, rel=1e-13)
+    sizes = [t.size for t in calls]
+    # Every call after the first evaluates both halves of each pending panel.
+    assert len(sizes) > 1 and sizes[0] == 126 and all(n % 42 == 0 for n in sizes[1:])
+    assert all(np.all(np.diff(t) > 0) for t in calls)
+    assert adaptive_simpson(f, 0.0, 2.0, 1e-13, breakpoints=[0.5]) == value
+
+
 def test_float_list_and_array_integrands_agree_exactly():
+    # An integrand of shape (N,) and a list or array of shape (1, N) of the
+    # same values give the same result; k rows are integrated component-wise.
     def g(t):
-        return math.exp(-t) * t ** 0.3
+        return np.exp(-t) * t ** 0.3
 
     args = (0.0, 2.0, 1e-13)
     as_float = adaptive_simpson(g, *args, breakpoints=[0.5])
@@ -63,15 +84,17 @@ def test_float_list_and_array_integrands_agree_exactly():
     as_array = adaptive_simpson(lambda t: np.array([g(t)]), *args, breakpoints=[0.5])
     assert as_list.shape == as_array.shape == (1,)
     assert as_float == as_list[0] == as_array[0]
-    pair_list = adaptive_simpson(lambda t: [g(t), math.cos(t)], *args)
-    pair_array = adaptive_simpson(lambda t: np.array([g(t), math.cos(t)]), *args)
+    pair_list = adaptive_simpson(lambda t: [g(t), np.cos(t)], *args)
+    pair_array = adaptive_simpson(lambda t: np.array([g(t), np.cos(t)]), *args)
     assert np.array_equal(pair_list, pair_array)
+    assert pair_array[1] == pytest.approx(math.sin(2.0), rel=1e-13)
 
 
 def test_budget_error_carries_partial():
     # Under t = u^2, t**0.3 is u**0.6: not a polynomial, so 1e-30 is out of reach.
     with pytest.raises(QuadratureBudgetError) as exc_info:
-        adaptive_simpson(lambda t: np.array([t ** 0.3, 1.0]), 0.0, 1.0, 1e-30, max_evals=500)
+        adaptive_simpson(lambda t: np.array([t ** 0.3, np.ones_like(t)]), 0.0, 1.0, 1e-30,
+                         max_evals=500)
     partial = exc_info.value.partial
     assert partial is not None
     assert partial == pytest.approx([1.0 / 1.3, 1.0], rel=1e-8)
@@ -79,5 +102,5 @@ def test_budget_error_carries_partial():
 
 def test_budget_below_one_panel_has_no_partial():
     with pytest.raises(QuadratureBudgetError) as exc_info:
-        adaptive_simpson(math.sqrt, 0.0, 1.0, None, max_evals=20)
+        adaptive_simpson(np.sqrt, 0.0, 1.0, None, max_evals=20)
     assert exc_info.value.partial is None
