@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .cevar import WeightFunction, horizon_integral
-from .evar import WarmStart, solve_stationary
+from .evar import solve_curve, solve_stationary
 from .factors import FactorCombination, LevyFactor
 
 __all__ = [
@@ -115,7 +115,8 @@ class AllocationReport:
     ``K_curve`` (shape (CURVE_POINTS, n)) holds K_1, ..., K_n at grid[k], and
     ``s_star_curve`` the pairs (t, s_star), s_star None at the s -> inf limit.
     The gap is sum(L) minus (CEVaR of aggregate claims + total premium term),
-    where the CEVaR integrates g(s*) on the nodes of the Euler sweep.  On the
+    where the CEVaR integrates g(s*) on the nodes of the Euler sweep, whose
+    curve points also seed the K-curve's lockstep solve.  On the
     stationary curve the contributions sum to g(s*) identically, so the gap
     measures round-off only; it is no check of accuracy.  The independent
     checks are acceptance criterion 3 (``euler_contributions`` against
@@ -131,27 +132,17 @@ class AllocationReport:
     full_allocation_gap: float
 
 
-class _EulerKernel:
-    """The factor terms -t * phi_j'(s D_j) of K_t = A @ terms at the point s.
-
-    The terms are plain floats, one per factor; each caller applies the
-    exposures A itself, once per point or once per curve.  D_j = sum_k a_kj
-    and the drift slopes are fixed per portfolio, so they are computed once.
-    At s -> inf phi_j' tends to the slope of phi_j, which gives -t * slope_j;
-    t = 0 gives zeros.  A portfolio keeps beta < 1, so s is never the s -> 0+
-    limit.
-    """
-
-    def __init__(self, portfolio: FactorPortfolio):
-        self.pairs = list(zip(portfolio.factors, portfolio.column_sums().tolist()))
-        self.slopes = [f.slope_at_infinity() for f in portfolio.factors]
-
-    def __call__(self, t: float, s: float) -> list:
-        if t == 0.0:
-            return [0.0] * len(self.slopes)
-        if s == math.inf:
-            return [-t * slope for slope in self.slopes]
-        return [-t * f.dphi(s * d) for f, d in self.pairs]
+def _factor_terms(portfolio: FactorPortfolio, t: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """The factor terms -t * phi_j'(s D_j) of K_t = A @ terms, shape (len(t), m),
+    at arrays t and s: one array dphi per factor, -t * slope_j at s = inf and
+    zeros at t = 0 (a portfolio keeps beta < 1, so s is never 0)."""
+    terms = np.zeros((t.size, len(portfolio.factors)))
+    interior = s < math.inf
+    limit = ~interior & (t > 0.0)
+    for j, (f, d) in enumerate(zip(portfolio.factors, portfolio.column_sums().tolist())):
+        terms[interior, j] = -t[interior] * f.dphi(s[interior] * d)
+        terms[limit, j] = -t[limit] * f.slope_at_infinity()
+    return terms
 
 
 def euler_contributions(portfolio: FactorPortfolio, t: float) -> np.ndarray:
@@ -163,7 +154,7 @@ def euler_contributions(portfolio: FactorPortfolio, t: float) -> np.ndarray:
     if not (t > 0):
         raise ValueError(f"t must be positive, got {t}")
     s, _, _ = solve_stationary(portfolio.combination(None), t, portfolio.beta)
-    return portfolio.A @ _EulerKernel(portfolio)(t, s)
+    return portfolio.A @ _factor_terms(portfolio, np.array([t]), np.array([s]))[0]
 
 
 def allocate(portfolio: FactorPortfolio, quad_tol: Optional[float] = None) -> AllocationReport:
@@ -179,7 +170,7 @@ def allocate(portfolio: FactorPortfolio, quad_tol: Optional[float] = None) -> Al
     equally spaced horizons.
     """
     T = portfolio.T
-    integral = horizon_integral(
+    integral, points, t_limit = horizon_integral(
         portfolio.combination(None), portfolio.beta, portfolio.weight, T, quad_tol,
         np.vstack([portfolio.A, portfolio.column_sums()]),
     )
@@ -188,7 +179,7 @@ def allocate(portfolio: FactorPortfolio, quad_tol: Optional[float] = None) -> Al
     L = integral[:-1] + portfolio.premiums * tmom
     total = float(integral[-1]) + float(portfolio.premiums.sum()) * tmom
     gap = float(L.sum() - total)
-    grid, K_curve, s_star_curve = euler_curve(portfolio)
+    grid, K_curve, s_star_curve = _curve(portfolio, points, t_limit)
     return AllocationReport(
         L=L,
         grid=grid,
@@ -202,20 +193,23 @@ def allocate(portfolio: FactorPortfolio, quad_tol: Optional[float] = None) -> Al
 def euler_curve(portfolio: FactorPortfolio):
     """The K-curve: ``(grid, K_curve, s_star_curve)`` as in an AllocationReport.
 
-    ``grid`` holds CURVE_POINTS equally spaced horizons on [0, T], each solved
-    once along one warm-started path; s_star is None at the s -> inf limit.
-    The factor terms of all horizons meet A in one product.
+    ``grid`` holds CURVE_POINTS equally spaced horizons on [0, T]; s_star is
+    None at the s -> inf limit.  :func:`levyrisk.evar.solve_curve` solves them
+    from the one curve point at s*(T), where ``allocate`` has its integral's.
     """
-    kernel = _EulerKernel(portfolio)
-    path = WarmStart(portfolio.combination(None), portfolio.beta)
+    comb, T = portfolio.combination(None), portfolio.T
+    s_T = solve_stationary(comb, T, portfolio.beta)[0]
+    if s_T == math.inf:
+        return _curve(portfolio, ((), (), ()), math.inf)
+    return _curve(portfolio, ([math.log(s_T)], [T], [-comb.s2d2phi(s_T) / comb.phi_gap(s_T)]), 0.0)
+
+
+def _curve(portfolio: FactorPortfolio, points, t_limit: float):
+    """The K-curve solved from curve points; all factor terms meet A at once."""
     grid = np.linspace(0.0, portfolio.T, CURVE_POINTS)
-    terms = []
-    s_star_curve = []
-    for t in grid.tolist():
-        s = path(t)
-        terms.append(kernel(t, s))
-        s_star_curve.append((t, None if s == math.inf else s))
-    return grid, np.array(terms) @ portfolio.A.T, s_star_curve
+    s = solve_curve(portfolio.combination(None), grid, portfolio.beta, points, t_limit)
+    s_star_curve = [(t, None if si == math.inf else si) for t, si in zip(grid.tolist(), s.tolist())]
+    return grid, _factor_terms(portfolio, grid, s) @ portfolio.A.T, s_star_curve
 
 
 # ---------------------------------------------------------------------------

@@ -152,6 +152,10 @@ def horizon_integral(combination: FactorCombination, beta: float, weight: Weight
     X_MAX met the absolute floor of the default tolerance at its first level
     with only ~1e-8 relative accuracy for a tiny position.  ``tol=None`` asks
     the quadrature for its relative default.
+
+    Returns ``(value, points, t_limit)`` for :func:`levyrisk.evar.solve_curve`:
+    ``points`` holds (x, tau, F'(x)) of the nodes (exact curve points) and of
+    (x_T, T); t_limit is tau(e^X_MAX) if the range ends there, inf if s*(T) = inf, else 0.
     """
     pairs = combination.active
 
@@ -162,28 +166,31 @@ def horizon_integral(combination: FactorCombination, beta: float, weight: Weight
     weight.check_span(T)
     s_T = solve_stationary(combination, T, beta)[0]
     if s_T == math.inf:
-        return limit()
+        return limit(), ((), (), ()), math.inf
     budget = -math.log(beta)
     s_hi = solve_stationary(combination, EPS * T, beta)[0]
     if s_hi < math.inf:
-        t_lo, linear = EPS * T, 0.0
+        t_lo, t_limit, linear = EPS * T, 0.0, 0.0
     else:
         s_hi = math.exp(X_MAX)
-        t_lo = budget / combination.phi_gap(s_hi)
+        t_lo = t_limit = budget / combination.phi_gap(s_hi)
         linear = limit(t_lo)
     x_T = math.log(s_T)
     breaks = [x_T - math.log(EPS)] + [math.log(solve_stationary(combination, t, beta)[0])
                                       for t in weight.breakpoints(T) if t_lo < t < T]
+    points = [([x_T], [T], [-combination.s2d2phi(s_T) / combination.phi_gap(s_T)])]
 
     def integrand(x):
         s = np.exp(x)
         gap = combination.phi_gap(s)
         tau = budget / gap
         fprime = -combination.s2d2phi(s) / gap  # F'(x), so dt = -tau * F' dx
+        points.append((x, tau, fprime))
         terms = np.array([-f.dphi(s * d) for f, d in pairs])  # k / t
         return exposures @ terms * (tau * tau * fprime * weight.density(tau, T))
 
-    return linear + adaptive_simpson(integrand, x_T, math.log(s_hi), tol, breakpoints=breaks)
+    value = linear + adaptive_simpson(integrand, x_T, math.log(s_hi), tol, breakpoints=breaks)
+    return value, tuple(np.concatenate(arrays) for arrays in zip(*points)), t_limit
 
 
 def cevar(query: CevarQuery) -> float:
@@ -200,4 +207,4 @@ def cevar(query: CevarQuery) -> float:
         s = solve_stationary(comb, 1.0, beta)[0]
         return evar_at(comb, 1.0, beta, s) * query.weight.time_moment(query.T)
     return horizon_integral(comb, beta, query.weight, query.T, query.quad_tol,
-                            np.array([d for _, d in comb.active]))
+                            np.array([d for _, d in comb.active]))[0]

@@ -36,9 +36,12 @@ import json
 import math
 import sys
 
+import numpy as np
+
 from .allocation import FactorPortfolio, allocate, euler_curve
 from .cevar import CevarQuery, WeightFunction, cevar
-from .errors import ConfigError, LevyRiskError, NoStationaryPointError, QuadratureBudgetError
+from .errors import (ConfigError, DomainError, LevyRiskError, NoStationaryPointError,
+                     QuadratureBudgetError)
 from .evar import EvarQuery, evar
 from .factors import factor_from_dict
 from .montecarlo import SimulationConfig, validation_report
@@ -255,6 +258,7 @@ def _positive_finite(text: str) -> float:
     return value
 
 
+@np.errstate(all="ignore")  # a non-finite result is reported as DomainError instead
 def run(args) -> int:
     """Execute a parsed command line; returns the process exit code."""
     try:
@@ -339,6 +343,10 @@ def run(args) -> int:
                 code = EXIT_VALIDATION
         else:  # pragma: no cover - argparse restricts choices
             raise AssertionError(args.command)
+        try:  # overflow at extreme inputs leaves a number that JSON cannot hold
+            json.dumps(payload, allow_nan=False)
+        except ValueError:
+            raise DomainError("the result is not finite: the inputs leave float range") from None
     except NoStationaryPointError as exc:
         sys.stderr.write(f"error: no stationary point: {exc}\n")
         return EXIT_NO_STATIONARY

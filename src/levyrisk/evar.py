@@ -16,7 +16,8 @@ in the error of s* (EVaR, being stationary in s, is not).
 
 Boundary limits.  :func:`solve_stationary` is the one place that decides
 where the infimum sits; :func:`evar`, the CEVaR integrand and the Euler
-allocation all read its answer.  For beta < 1, h(0+) = ln(beta) < 0, so h has
+allocation all read its answer, and :func:`solve_curve` hands it every point
+it does not accept.  For beta < 1, h(0+) = ln(beta) < 0, so h has
 a root unless t*gap stays below -ln(beta) for every s:
 
 * s* -> inf: t = 0, a zero position, or a compound-Poisson-only position at
@@ -38,6 +39,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from .errors import DomainError, NoStationaryPointError
 from .factors import FactorCombination
 
@@ -48,7 +51,7 @@ __all__ = [
     "evar_closed_form_brownian",
     "solve_stationary",
     "evar_at",
-    "WarmStart",
+    "solve_curve",
 ]
 
 # The solve runs in x = ln(s) on [X_MIN, X_MAX].  A root above X_MAX stands for
@@ -57,6 +60,8 @@ X_MIN = math.log(1e-300)
 X_MAX = math.log(1e300)
 # The default stop: |h| <= RESIDUAL_EPS * |ln(beta)|.
 RESIDUAL_EPS = 1e-10
+# Lockstep rounds of solve_curve before its open points go to solve_stationary.
+CURVE_ROUNDS = 8
 
 INTERIOR = "interior"
 LIMIT_AT_ZERO = "limit_at_zero"
@@ -230,39 +235,65 @@ def evar_at(combination: FactorCombination, t: float, beta: float, s: float) -> 
     return -t * mean
 
 
-class WarmStart:
-    """Infimum points along a sequence of horizons, warm-started in turn.
+def solve_curve(combination: FactorCombination, t, beta: float, points, t_limit: float = 0.0):
+    """s*(t) at an array of horizons (beta < 1, a nonzero position), solved in
+    lockstep from ``points``, the arrays (x, tau, F'(x)) of exact curve points.
 
-    The stationary point s*(t) varies smoothly in t, and ln s* is a straight
-    line in ln t for Brownian and stable positions (slope -1/2 and -1/alpha).
-    So the safeguarded Newton iteration of each call starts from the line
-    through the last two interior points in (ln t, ln s*), clamped to
-    [X_MIN, X_MAX]; after one interior point it starts from that s*.  A
-    boundary limit records no point.
+    As dx/d ln(tau) = -1/F', a horizon starts from the cubic Hermite interpolant
+    of x in ln(tau) through the points, or the tangent line of the nearest one
+    outside them: from (x_T, T) alone x_T - ln(t/T)/F'(x_T), exact for Brownian
+    and stable positions.  A round evaluates t*gap and s^2 phi'' at the open
+    points as one array and accepts by :func:`solve_stationary`'s residual stop
+    and Newton-corrected s.  t <= limit_onset or t < ``t_limit`` is the s -> inf
+    limit, unevaluated.  A point whose step is not finite or leaves (X_MIN,
+    X_MAX), or open after CURVE_ROUNDS rounds, goes to :func:`solve_stationary`.
     """
+    t = np.asarray(t, dtype=float)
+    s = np.full(t.shape, math.inf)
+    todo = np.flatnonzero(t > max(t_limit, limit_onset(combination, beta) or 0.0))
+    tt = t[todo]
+    x = _curve_seeds(np.log(tt), *points)
+    budget = -math.log(beta)
+    handoff = []
+    for _ in range(CURVE_ROUNDS):
+        if not todo.size:
+            break
+        with np.errstate(all="ignore"):
+            se = np.exp(x)
+            tgap = tt * combination.phi_gap(se)
+            slope = -tt * combination.s2d2phi(se) / tgap
+            target = x - (np.log(tgap) - math.log(budget)) / np.minimum(slope, 2.0)
+        ok = (tgap > 0.0) & (0.0 < slope) & (slope < math.inf) & (X_MIN < target) & (target < X_MAX)
+        done = ok & (np.abs(tgap - budget) <= RESIDUAL_EPS * budget)
+        s[todo[done]] = np.exp(target[done])
+        handoff += zip(todo[~ok].tolist(), x[~ok].tolist())
+        ok &= ~done
+        todo, tt, x = todo[ok], tt[ok], target[ok]
+    for i, xi in sorted(handoff + list(zip(todo.tolist(), x.tolist()))):
+        s[i] = solve_stationary(combination, float(t[i]), beta, s0=math.exp(xi))[0]
+    return s
 
-    def __init__(self, combination: FactorCombination, beta: float):
-        self.combination = combination
-        self.beta = beta
-        self.points = []  # the last two interior (ln t, ln s*), oldest first
 
-    def _seed(self, t: float) -> Optional[float]:
-        """The predicted s*(t), or None before the first interior point."""
-        if not self.points:
-            return None
-        x1, y1 = self.points[-1]
-        y = y1
-        if len(self.points) == 2 and t > 0.0:
-            x0, y0 = self.points[0]
-            if x0 != x1:
-                y = y1 + (y1 - y0) / (x1 - x0) * (math.log(t) - x1)
-        return math.exp(min(max(y, X_MIN), X_MAX))
-
-    def __call__(self, t: float) -> float:
-        s, _, _ = solve_stationary(self.combination, t, self.beta, s0=self._seed(t))
-        if 0.0 < s < math.inf:
-            self.points = self.points[-1:] + [(math.log(t), math.log(s))]
-        return s
+def _curve_seeds(u, x, tau, fprime):
+    """The seeds of :func:`solve_curve` at u = ln(t); x = 0 without a usable point."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        knots, slopes = np.log(tau), -1.0 / np.asarray(fprime, dtype=float)
+    usable = np.isfinite(knots) & np.isfinite(slopes)
+    knots, first = np.unique(knots[usable], return_index=True)  # sorted, no repeats
+    if not knots.size:
+        return np.zeros(u.shape)
+    x, slopes = np.asarray(x, dtype=float)[usable][first], slopes[usable][first]
+    k = np.searchsorted(knots, u)
+    end = np.minimum(k, knots.size - 1)
+    seed = x[end] + slopes[end] * (u - knots[end])
+    inside = (k > 0) & (k < knots.size)
+    a, b = k[inside] - 1, k[inside]
+    w = knots[b] - knots[a]
+    p = (u[inside] - knots[a]) / w
+    q = 1.0 - p
+    seed[inside] = (q * q * ((1.0 + 2.0 * p) * x[a] + p * w * slopes[a])
+                    + p * p * ((3.0 - 2.0 * p) * x[b] - q * w * slopes[b]))
+    return np.clip(seed, X_MIN, X_MAX)
 
 
 def evar(query: EvarQuery, tol: Optional[float] = None) -> EvarResult:

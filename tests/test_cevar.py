@@ -21,7 +21,7 @@ from levyrisk import (
     evar_closed_form_brownian,
     stable_allocation,
 )
-from levyrisk.errors import QuadratureBudgetError
+from levyrisk.errors import NoStationaryPointError, QuadratureBudgetError
 from levyrisk.evar import solve_stationary
 from oracles import allocation_oracle, composite_simpson
 
@@ -338,6 +338,18 @@ def test_cevar_and_allocation_total_match_the_mpmath_oracle(case):
     assert np.max(np.abs(report.L - L)) <= 1e-10 * np.max(np.abs(L))
 
 
+def curve_solved_to_ulps(portfolio, grid):
+    """K at each grid horizon t > 0 from a scalar solve run until its step is
+    a few ulps (``tol=0.0``)."""
+    comb = portfolio.combination()
+    terms = []
+    for t in grid[1:].tolist():  # K = 0 at t = 0
+        s = solve_stationary(comb, t, portfolio.beta, tol=0.0)[0]
+        terms.append([-t * (f.slope_at_infinity() if s == math.inf else f.dphi(s * d))
+                      for f, d in comb.active])
+    return np.array(terms) @ portfolio.A.T
+
+
 @pytest.mark.parametrize("case", ORACLE_PORTFOLIOS)
 def test_euler_curve_matches_points_solved_to_ulps(case):
     # K is first order in the error of s*, so the curve's Newton-corrected
@@ -345,15 +357,99 @@ def test_euler_curve_matches_points_solved_to_ulps(case):
     A, factors, knots = ORACLE_PORTFOLIOS[case]
     weight = WeightFunction.table(knots).normalized(2.0) if knots else WeightFunction()
     portfolio = FactorPortfolio(A, factors, [0.0] * len(A), 2.0, 0.05, weight=weight)
-    comb = portfolio.combination()
     grid, K_curve, _ = euler_curve(portfolio)
-    terms = []
-    for t in grid[1:].tolist():  # K = 0 at t = 0
-        s = solve_stationary(comb, t, 0.05, tol=0.0)[0]
-        terms.append([-t * (f.slope_at_infinity() if s == math.inf else f.dphi(s * d))
-                      for f, d in comb.active])
-    K = np.array(terms) @ portfolio.A.T
+    K = curve_solved_to_ulps(portfolio, grid)
     assert np.max(np.abs(K_curve[1:] - K)) <= 1e-13 * np.max(np.abs(K))
+    assert np.max(np.abs(allocate(portfolio).K_curve[1:] - K)) <= 1e-13 * np.max(np.abs(K))
+
+
+# Positions whose curve points leave the first lockstep round: the steep bend
+# of a gamma + compound-Poisson position just above -ln(beta) / sum(lambda) =
+# ln(20)/2; gamma roots above 1e300 for t below ~2e-3 (the s -> inf limit,
+# through the integral's tau(1e300) or a hand-off to solve_stationary); a
+# compound-Poisson-only position below its onset ~1.2, where every row is the
+# drift limit; a table weight, whose knots break the integral into segments.
+FALLBACK_PORTFOLIOS = {
+    "gamma+cpois-onset": ([[0.6, 0.3], [0.3, 0.2]],
+                          [GammaSubordinator(0.05, 2.0, 0.05), CompoundPoissonExp(2.0, 1.0, 0.1)],
+                          3.0, None),
+    "gamma-b=1e-3": ([[1e6]], [GammaSubordinator(2.0, 1e-3)], 0.01, None),
+    "cpois-below-onset": ([[1.0, 0.5], [0.0, 0.5]],
+                          [CompoundPoissonExp(2.0, 1.0, 0.1), CompoundPoissonExp(0.5, 2.0, 0.05)],
+                          1.0, None),
+    "table": ([[1.0, 0.5], [0.3, 1.5]],
+              [BrownianWithDrift(0.3, 1.1), GammaSubordinator(2.0, 3.0, 0.1)], 2.0, TABLE_KNOTS),
+}
+
+
+@pytest.mark.parametrize("case", FALLBACK_PORTFOLIOS)
+def test_curve_fallbacks_match_points_solved_to_ulps(case):
+    # allocate seeds the curve from the integral's nodes, euler_curve from
+    # s*(T) alone; both must give the K of ulps-tight scalar solves.
+    A, factors, T, knots = FALLBACK_PORTFOLIOS[case]
+    weight = WeightFunction.table(knots).normalized(T) if knots else WeightFunction()
+    portfolio = FactorPortfolio(A, factors, [0.0] * len(A), T, 0.05, weight=weight)
+    report = allocate(portfolio)
+    grid, K_curve, s_star_curve = euler_curve(portfolio)
+    K = curve_solved_to_ulps(portfolio, grid)
+    scale = np.max(np.abs(K))
+    assert np.max(np.abs(report.K_curve[1:] - K)) <= 1e-13 * scale
+    assert np.max(np.abs(K_curve[1:] - K)) <= 1e-13 * scale
+    assert np.max(np.abs(K_curve - report.K_curve)) <= 1e-13 * scale
+    limits = [s is None for _, s in s_star_curve]
+    assert limits == [s is None for _, s in report.s_star_curve]
+    if case == "cpois-below-onset":
+        assert all(limits)
+
+
+def test_allocate_seeds_the_curve_from_the_integral(monkeypatch):
+    # Seeds interpolated through the integral's nodes lie within a Newton step
+    # or two of the roots: at most three array rounds a curve, no scalar solve.
+    rounds, handed_off, solving = [], [], [False]
+    allocation, evar_module = sys.modules["levyrisk.allocation"], sys.modules["levyrisk.evar"]
+    solve_curve, solve, phi_gap = (allocation.solve_curve, evar_module.solve_stationary,
+                                   FactorCombination.phi_gap)
+
+    def counted_curve(*args):
+        rounds.append(0)
+        solving[0] = True
+        try:
+            return solve_curve(*args)
+        finally:
+            solving[0] = False
+
+    def counted_phi_gap(self, s):
+        if solving[0] and isinstance(s, np.ndarray):
+            rounds[-1] += 1
+        return phi_gap(self, s)
+
+    def counted_solve(comb, t, *args, **kwargs):
+        handed_off.append(t)
+        return solve(comb, t, *args, **kwargs)
+
+    monkeypatch.setattr(allocation, "solve_curve", counted_curve)
+    monkeypatch.setattr(evar_module, "solve_stationary", counted_solve)
+    monkeypatch.setattr(FactorCombination, "phi_gap", counted_phi_gap)
+    cases = [(A, factors, 2.0, knots) for A, factors, knots in ORACLE_PORTFOLIOS.values()]
+    for A, factors, T, knots in cases + list(FALLBACK_PORTFOLIOS.values()):
+        weight = WeightFunction.table(knots).normalized(T) if knots else WeightFunction()
+        allocate(FactorPortfolio(A, factors, [0.0] * len(A), T, 0.05, weight=weight))
+    assert len(rounds) == 8 and max(rounds) <= 3 and handed_off == []
+
+
+def test_curve_raises_the_error_of_the_scalar_solve():
+    # s*(t) = sqrt(-2 ln(beta) / t) / d for a driftless Brownian position: about
+    # 5e299 at T = 1, so below t ~ 1/4 the root lies above 1e300 and the solve
+    # raises.  The curve hands those points to solve_stationary.
+    portfolio = FactorPortfolio([[4.9e-300]], [BrownianWithDrift(0.0, 1.0)], [0.0], 1.0, 0.05)
+    comb = portfolio.combination()
+    assert solve_stationary(comb, 1.0, 0.05)[0] < 1e300
+    with pytest.raises(NoStationaryPointError) as scalar:
+        for t in np.linspace(0.0, 1.0, 65).tolist():
+            solve_stationary(comb, t, 0.05)
+    with pytest.raises(NoStationaryPointError) as curve:
+        euler_curve(portfolio)
+    assert (str(curve.value), curve.value.boundary) == (str(scalar.value), scalar.value.boundary)
 
 
 def count_cevar_levels(monkeypatch):
@@ -455,19 +551,27 @@ def test_curve_stable_log_log_slope_is_inverse_alpha():
 
 
 @pytest.mark.parametrize("factor", [BrownianWithDrift(0.2, 1.4), AlphaStableSubordinator(0.6, 0.1)])
-def test_curve_warm_start_is_exact_for_brownian_and_stable(factor, monkeypatch):
-    # ln s* is linear in ln t (slope -1/2 or -1/alpha), so once two interior
-    # points are known the predicted seed is the root: one evaluation each.
-    evar_module = sys.modules["levyrisk.evar"]
-    solve = evar_module.solve_stationary
-    iterations = []
+def test_curve_lockstep_is_exact_for_brownian_and_stable(factor, monkeypatch):
+    # ln s* is linear in ln t (slope -1/2 or -1/alpha), so the seed line
+    # through s*(T) is the root at every horizon: one array evaluation accepts
+    # them all, and the only scalar solve is s*(T) itself.
+    horizons, array_calls = [], []
+    solve = solve_stationary
 
-    def counted_solve(*args, **kwargs):
-        result = solve(*args, **kwargs)
-        iterations.append(result[1])
-        return result
+    def counted_solve(comb, t, *args, **kwargs):
+        horizons.append(t)
+        return solve(comb, t, *args, **kwargs)
 
-    monkeypatch.setattr(evar_module, "solve_stationary", counted_solve)
+    for name in ("levyrisk.evar", "levyrisk.allocation"):
+        monkeypatch.setattr(sys.modules[name], "solve_stationary", counted_solve)
+    phi_gap = FactorCombination.phi_gap
+
+    def counted_phi_gap(self, s):
+        if isinstance(s, np.ndarray):
+            array_calls.append(s.size)
+        return phi_gap(self, s)
+
+    monkeypatch.setattr(FactorCombination, "phi_gap", counted_phi_gap)
     euler_curve(FactorPortfolio([[0.8]], [factor], [0.0], 2.0, 0.05))
-    assert len(iterations) == 65 and iterations[0] == 0  # t = 0 is the s -> inf limit
-    assert iterations[3:] == [1] * 62
+    assert horizons == [2.0]
+    assert array_calls == [64]  # t = 0 is the s -> inf limit

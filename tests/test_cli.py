@@ -1,9 +1,13 @@
+import contextlib
+import io
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from levyrisk import brownian_allocation, evar_closed_form_brownian
 from levyrisk.cli import main, parse_config, serialize_portfolio
@@ -372,3 +376,84 @@ def test_shipped_brownian_config_matches_closed_form(capsys):
     expected = brownian_allocation(portfolio.A, sigmas, portfolio.premiums,
                                    portfolio.T, portfolio.beta)
     np.testing.assert_allclose(payload["L"], expected, rtol=1e-8)
+
+
+@pytest.mark.parametrize("text,command", [
+    (MINIMAL.replace("T = 1.0", "T = 1e-320"), "cevar"),  # 0 * inf in the limit term
+    (MINIMAL.replace("kind = brownian, mu = 0.0, sigma = 1.0", "kind = stable, alpha = 0.6, mu = 1e308")
+     .replace("T = 1.0", "T = 2.0"), "allocate"),  # K = -2e308 near T
+], ids=["tiny-T", "huge-drift"])
+def test_non_finite_result_is_a_domain_error(text, command, tmp_path, capsys):
+    # These used to print NaN or -Infinity, which is not JSON, and exit 0.
+    assert main(["--config", write(tmp_path, text), "--command", command, "--format", "json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "not finite" in captured.err
+
+
+# ---------------------------------------------------------------------------
+# fuzzed configs
+# ---------------------------------------------------------------------------
+
+# A four-kind position with a table weight, next to the shipped config.
+FOUR_KINDS = """\
+[factors]
+kind = brownian, mu = 0.1, sigma = 1.2
+kind = gamma, a = 2.0, b = 3.0, mu = 0.05
+kind = stable, alpha = 0.6, mu = 0.1
+kind = compound_poisson_exp, lambda = 1.5, eta = 2.0, mu = -0.2
+
+[matrix]
+1.0 0.5 0.2 0.1
+0.3 1.5 0.0 0.4
+
+[premiums]
+0.1 0.2
+
+[run]
+T = 2.0
+beta = 0.05
+
+[weight]
+0.0 0.4
+0.8 1.2
+2.0 0.6
+"""
+with open(os.path.join(CONFIG_DIR, "brownian_common_sigma.cfg")) as _handle:
+    FUZZ_BASES = (_handle.read(), FOUR_KINDS)
+NUMBER = re.compile(r"-?\d+(?:\.\d*)?(?:e-?\d+)?")
+BAD_VALUES = ("nan", "inf", "-inf", "0", "-1", "1e-320", "1e400", "1e308", "1e-6", "1e6", "", "x")
+
+
+@st.composite
+def fuzzed_config(draw):
+    """A base config with one to three of its numbers replaced by a bad value."""
+    text = draw(st.sampled_from(FUZZ_BASES))
+    spans = [m.span() for m in NUMBER.finditer(text)]
+    chosen = draw(st.lists(st.sampled_from(spans), min_size=1, max_size=3, unique=True))
+    for start, end in sorted(chosen, reverse=True):
+        text = text[:start] + draw(st.sampled_from(BAD_VALUES)) + text[end:]
+    return text
+
+
+OVERRIDES = st.one_of(st.none(), st.sampled_from(BAD_VALUES[:-2]),
+                      st.floats(1e-12, 1.0 - 1e-12).map(repr), st.floats(1e-3, 10.0).map(repr))
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=fuzzed_config(), command=st.sampled_from(["evar", "cevar", "allocate", "curve"]),
+       beta=OVERRIDES, T=OVERRIDES)
+def test_fuzzed_configs_end_in_a_documented_exit_code(tmp_path_factory, text, command, beta, T):
+    # Every input ends in exit code 0, 2, 3, 4 or 5, never in a traceback (any
+    # exception, RuntimeWarnings included, fails the test).  argparse rejects
+    # an override such as "--T -inf" by exiting 2, as the process would.
+    path = tmp_path_factory.getbasetemp() / "fuzz.cfg"
+    path.write_text(text)
+    argv = ["--config", str(path), "--command", command, "--format", "json"]
+    argv += ["--beta", beta] if beta is not None else []
+    argv += ["--T", T] if T is not None else []
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 2, 3, 4, 5)
