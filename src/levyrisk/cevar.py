@@ -8,6 +8,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from ._quad import adaptive_simpson
+from .errors import DomainError
 from .evar import X_MAX, evar_at, solve_stationary
 from .factors import FactorCombination
 
@@ -147,10 +148,12 @@ def horizon_integral(combination: FactorCombination, beta: float, weight: Weight
     infimum is the s -> inf limit, linear in t and integrated exactly by the
     weight's truncated time moment; this covers the compound-Poisson onset
     and gamma roots above 1e300.  A horizon whose s*(T) is that limit takes
-    no nodes.  One more break at x = ln(s*(T) / EPS) parts the steep head of
-    a long range from its slow tail: as one segment, a gamma range up to
-    X_MAX met the absolute floor of the default tolerance at its first level
-    with only ~1e-8 relative accuracy for a tiny position.  ``tol=None`` asks
+    no nodes.  A range whose end overflows s^2 phi'' raises DomainError: that
+    is a Brownian factor at T below ~3e-290, where s*(EPS * T) nears 1e154.
+    One more break at x = ln(s*(T) / EPS) parts the steep head of a long
+    range from its slow tail: as one segment, a gamma range up to X_MAX met
+    the absolute floor of the default tolerance at its first level with only
+    ~1e-8 relative accuracy for a tiny position.  ``tol=None`` asks
     the quadrature for its relative default.
 
     Returns ``(value, points, t_limit)`` for :func:`levyrisk.evar.solve_curve`:
@@ -170,11 +173,18 @@ def horizon_integral(combination: FactorCombination, beta: float, weight: Weight
     budget = -math.log(beta)
     s_hi = solve_stationary(combination, EPS * T, beta)[0]
     if s_hi < math.inf:
-        t_lo, t_limit, linear = EPS * T, 0.0, 0.0
+        t_lo, t_limit = EPS * T, 0.0
     else:
         s_hi = math.exp(X_MAX)
         t_lo = t_limit = budget / combination.phi_gap(s_hi)
-        linear = limit(t_lo)
+    if not math.isfinite(combination.s2d2phi(s_hi)):
+        # Only a Brownian factor gets here: sigma^2 s^2 overflows near the end of
+        # the range, and its s -> inf limit is infinite.
+        raise DomainError(
+            f"T = {T!r} is too short: s^2 phi''(s) is not finite at s = {s_hi:.4g}, "
+            "the end of the horizon integral"
+        )
+    linear = limit(t_limit) if t_limit else 0.0
     x_T = math.log(s_T)
     breaks = [x_T - math.log(EPS)] + [math.log(solve_stationary(combination, t, beta)[0])
                                       for t in weight.breakpoints(T) if t_lo < t < T]
@@ -187,7 +197,8 @@ def horizon_integral(combination: FactorCombination, beta: float, weight: Weight
         fprime = -combination.s2d2phi(s) / gap  # F'(x), so dt = -tau * F' dx
         points.append((x, tau, fprime))
         terms = np.array([-f.dphi(s * d) for f, d in pairs])  # k / t
-        return exposures @ terms * (tau * tau * fprime * weight.density(tau, T))
+        # tau * omega ~ 1 and tau * F' ~ tau: tau * tau would underflow below 1e-154.
+        return exposures @ terms * ((tau * weight.density(tau, T)) * (tau * fprime))
 
     value = linear + adaptive_simpson(integrand, x_T, math.log(s_hi), tol, breakpoints=breaks)
     return value, tuple(np.concatenate(arrays) for arrays in zip(*points)), t_limit

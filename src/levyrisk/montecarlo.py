@@ -35,7 +35,10 @@ __all__ = [
     "validation_report",
 ]
 
-_BLOCK = 10_000  # paths per RNG substream; fixes serial/parallel agreement
+# Paths per RNG substream: one substream per 10k paths, so the draws do not
+# depend on how the work is split.
+_BLOCK = 10_000
+_PANEL = 1_000  # rows per ruin-path panel: ~1 MB each of times and jumps, inside L2
 
 
 @dataclass(frozen=True)
@@ -260,36 +263,50 @@ def _path_infima(cp: CompoundPoissonExp, premium: float, horizon: float,
     """Per-path inf over [0, horizon] of C_t = c_eff*t - (compound Poisson).
 
     C increases between jumps, so the infimum is attained immediately after a
-    jump: inf = min(0, min_k(c_eff*t_k - S_k)).
+    jump: inf = min(0, min_k(c_eff*t_k - S_k)).  Each block of _BLOCK paths
+    draws from its own substream in a fixed order: the counts, then every
+    jump time, then every jump size.  A block draws all its times at once and
+    is then walked in panels of _PANEL rows; each panel sorts its times, draws
+    its jumps (consecutive fills continue the same stream, so the draws do not
+    depend on _PANEL) and reduces them to its rows' infima while it is in
+    cache.  The working set is one block's time array plus one panel, and a
+    block's arrays are released before the next block draws.
     """
     c_eff = premium - cp.mu
     infima = np.zeros(n_paths)
-    pos = 0
-    block = 0
-    while pos < n_paths:
-        size = min(_BLOCK, n_paths - pos)
-        rng = _rng(seed, 1000 + block)
-        counts = rng.poisson(cp.lam * horizon, size)
-        kmax = int(counts.max()) if size else 0
-        if kmax > 0:
-            # Conditional on the count, jump times are sorted uniforms; pad
-            # the unused slots with +inf before sorting so each row keeps
-            # exactly its own count of draws.  The arrays are reused in place:
-            # the cumulative jumps overwrite the jumps and the drawdown
-            # c_eff * t - S overwrites the times.
-            unused = np.arange(kmax)[None, :] >= counts[:, None]
-            times = rng.uniform(0.0, horizon, (size, kmax))
-            times[unused] = np.inf
-            times.sort(axis=1)
-            jumps = rng.exponential(1.0 / cp.eta, (size, kmax))
-            np.cumsum(jumps, axis=1, out=jumps)
-            times *= c_eff
-            times -= jumps
-            times[unused] = np.inf
-            infima[pos:pos + size] = np.minimum(0.0, times.min(axis=1))
-        pos += size
-        block += 1
+    for block, pos in enumerate(range(0, n_paths, _BLOCK)):
+        _block_infima(_rng(seed, 1000 + block), cp, c_eff, horizon,
+                      infima[pos:pos + _BLOCK])
     return infima
+
+
+def _block_infima(rng, cp: CompoundPoissonExp, c_eff: float, horizon: float,
+                  out: np.ndarray) -> None:
+    """Write the infima of one block's paths into ``out`` (zeros on entry).
+
+    random() * horizon and standard_exponential() * (1 / eta) are the draws of
+    uniform(0, horizon) and exponential(1 / eta), bit for bit.  The unused
+    slots of a row are padded with +inf before the sort, so each row keeps
+    exactly its own count of jumps; they stay +inf in c_eff * t - S because
+    c_eff > 0 on every caller (the net profit condition).
+    """
+    counts = rng.poisson(cp.lam * horizon, out.size)
+    kmax = int(counts.max())
+    if kmax == 0:
+        return
+    times = rng.random((out.size, kmax))
+    times *= horizon
+    slots = np.arange(kmax)
+    for lo in range(0, out.size, _PANEL):
+        panel = times[lo:lo + _PANEL]
+        np.copyto(panel, np.inf, where=slots >= counts[lo:lo + _PANEL, None])
+        panel.sort(axis=1)
+        panel *= c_eff
+        cum = rng.standard_exponential(panel.shape)
+        cum *= 1.0 / cp.eta
+        np.cumsum(cum, axis=1, out=cum)
+        panel -= cum
+        np.minimum(0.0, panel.min(axis=1), out=out[lo:lo + _PANEL])
 
 
 def _ruin_horizon(R: float) -> float:

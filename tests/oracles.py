@@ -1,10 +1,11 @@
 """Reference computations and check helpers shared by the tests.
 
-The mpmath oracles share no code with the library.  The helpers at the end
-(the one-factor query, the EVaR objective, the dual spot check, the
-directional-derivative and diversification checks) build queries or call
-``evar`` and ``euler_contributions``: they test properties of the library's
-results rather than recompute them.
+The mpmath oracles and the whole-block ruin-path reference share no code with
+the library.  The helpers at the end (the one-factor query, the EVaR
+objective, the dual spot check, the directional-derivative and
+diversification checks) build queries or call ``evar`` and
+``euler_contributions``: they test properties of the library's results
+rather than recompute them.
 """
 import math
 from dataclasses import dataclass
@@ -178,6 +179,34 @@ def allocation_oracle(portfolio, dps=15):
         premiums = [mp.mpf(float(c)) for c in portfolio.premiums]
         L = [float(integral + c * moment) for integral, c in zip(integrals, premiums)]
         return np.array(L), float(integrals[-1] + mp.fsum(premiums) * moment)
+
+
+def path_infima_reference(lam, eta, mu, premium, horizon, n_paths, seed):
+    """Per-path infima of c_eff*t - (compound Poisson) on [0, horizon], one
+    whole 10k-path block at a time.
+
+    The plain form of ``montecarlo._path_infima``, with the same substreams
+    and draw order: per block the Poisson counts, then every jump time as
+    uniform(0, horizon), then every jump as exponential(1/eta).  The library
+    walks each block in row panels; its output must equal this bit for bit.
+    """
+    c_eff = premium - mu
+    infima = np.zeros(n_paths)
+    for block, pos in enumerate(range(0, n_paths, 10_000)):
+        size = min(10_000, n_paths - pos)
+        rng = np.random.default_rng(np.random.SeedSequence([seed, 1000 + block]))
+        counts = rng.poisson(lam * horizon, size)
+        kmax = int(counts.max())
+        if kmax > 0:
+            unused = np.arange(kmax)[None, :] >= counts[:, None]
+            times = rng.uniform(0.0, horizon, (size, kmax))
+            times[unused] = np.inf
+            times.sort(axis=1)
+            jumps = rng.exponential(1.0 / eta, (size, kmax))
+            drawdown = c_eff * times - np.cumsum(jumps, axis=1)
+            drawdown[unused] = np.inf
+            infima[pos:pos + size] = np.minimum(0.0, drawdown.min(axis=1))
+    return infima
 
 
 # ---------------------------------------------------------------------------

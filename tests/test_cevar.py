@@ -21,7 +21,7 @@ from levyrisk import (
     evar_closed_form_brownian,
     stable_allocation,
 )
-from levyrisk.errors import NoStationaryPointError, QuadratureBudgetError
+from levyrisk.errors import LevyRiskError, NoStationaryPointError, QuadratureBudgetError
 from levyrisk.evar import solve_stationary
 from oracles import allocation_oracle, composite_simpson
 
@@ -124,6 +124,27 @@ def test_brownian_cevar_randomized():
         assert cevar(q) == pytest.approx(
             brownian_cevar_closed_form(mu, sigma, T, beta), rel=1e-8
         )
+
+
+@pytest.mark.parametrize("T", [1e-150, 1e-160, 1e-200, 1e-250, 1e-285])
+def test_brownian_cevar_at_tiny_horizons(T):
+    # tau * tau underflows below tau ~ 1e-154, so the integrand must not form it.
+    portfolio = FactorPortfolio([[1.0]], [BrownianWithDrift(0.0, 1.0)], [0.0], T, 0.05)
+    exact = brownian_cevar_closed_form(0.0, 1.0, T, 0.05)
+    value = cevar(CevarQuery(portfolio.combination(None), T, 0.05))
+    L = allocate(portfolio).L[0]
+    assert abs(value / exact - 1.0) <= 1e-12
+    assert abs(L / exact - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("T", [1e-291, 1e-300])
+def test_brownian_horizon_beyond_float_range_raises(T):
+    # s*(1e-18 * T) lies near 1e154, where sigma^2 s^2 overflows.
+    portfolio = FactorPortfolio([[1.0]], [BrownianWithDrift(0.0, 1.0)], [0.0], T, 0.05)
+    with pytest.raises(LevyRiskError, match="not finite"):
+        cevar(CevarQuery(portfolio.combination(None), T, 0.05))
+    with pytest.raises(LevyRiskError, match="not finite"):
+        allocate(portfolio)
 
 
 def test_cevar_matches_independent_smooth_substitution_oracle():

@@ -379,7 +379,7 @@ def test_shipped_brownian_config_matches_closed_form(capsys):
 
 
 @pytest.mark.parametrize("text,command", [
-    (MINIMAL.replace("T = 1.0", "T = 1e-320"), "cevar"),  # 0 * inf in the limit term
+    (MINIMAL.replace("T = 1.0", "T = 1e-320"), "cevar"),  # s^2 phi'' overflows in the integral
     (MINIMAL.replace("kind = brownian, mu = 0.0, sigma = 1.0", "kind = stable, alpha = 0.6, mu = 1e308")
      .replace("T = 1.0", "T = 2.0"), "allocate"),  # K = -2e308 near T
 ], ids=["tiny-T", "huge-drift"])

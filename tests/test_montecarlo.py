@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +21,9 @@ from levyrisk import (
     var_inf_bound_check,
 )
 from levyrisk.evar import solve_stationary
+from levyrisk import montecarlo
 from levyrisk.montecarlo import _EmpiricalExponent, _sample_position
+from oracles import path_infima_reference
 
 ALL_KINDS = [
     BrownianWithDrift(mu=0.1, sigma=1.0),
@@ -236,6 +239,43 @@ def test_adjustment_coefficient_at_extreme_loadings():
 def test_adjustment_coefficient_requires_net_profit():
     with pytest.raises(ValueError, match="net profit"):
         adjustment_coefficient(CP, 1.0)  # c = lam/eta exactly: no safety loading
+
+
+# (lam, eta, mu, premium, horizon); the last horizon is so short that every
+# count is 0 and no jump is drawn.
+RUIN_SETS = [
+    (1.0, 1.0, 0.0, 1.5, 90.0),
+    (2.0, 0.5, 0.3, 5.0, 20.0),
+    (0.3, 3.0, -0.2, 0.5, 200.0),
+    (1.0, 1.0, 0.0, 1.5, 1e-9),
+]
+
+
+@pytest.mark.parametrize("n_paths", [1, 7, 10_000, 25_000])
+@pytest.mark.parametrize("lam, eta, mu, premium, horizon", RUIN_SETS)
+def test_path_infima_equal_the_whole_block_reference(lam, eta, mu, premium, horizon, n_paths):
+    cp = CompoundPoissonExp(lam=lam, eta=eta, mu=mu)
+    got = montecarlo._path_infima(cp, premium, horizon, n_paths, 11)
+    assert np.array_equal(got, path_infima_reference(lam, eta, mu, premium, horizon, n_paths, 11))
+
+
+@pytest.mark.parametrize("panel", [1, 333])
+def test_path_infima_do_not_depend_on_the_panel_rows(panel, monkeypatch):
+    expected = path_infima_reference(1.0, 1.0, 0.0, PREMIUM, 90.0, 12_345, 4)
+    monkeypatch.setattr(montecarlo, "_PANEL", panel)
+    assert np.array_equal(montecarlo._path_infima(CP, PREMIUM, 90.0, 12_345, 4), expected)
+
+
+def test_ruin_path_memory_is_one_block_and_one_panel():
+    # One block's 10k x ~130 jump times (~10.7 MB), one panel and the 0.8 MB
+    # output; it does not grow with the number of blocks.
+    tracemalloc.start()
+    try:
+        ruin_probability(CP, PREMIUM, 0.0, SimulationConfig(seed=3, n_paths=100_000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_ruin_probability_at_zero_reserve():
