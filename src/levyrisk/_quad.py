@@ -1,12 +1,13 @@
-"""Adaptive Gauss-Kronrod quadrature under the substitution t = a + (b - a) u**2.
+"""Adaptive Gauss-Kronrod quadrature under the substitution x = a + (b - a) u**2.
 
-Near t = 0 the EVaR integrands behave like sqrt(t) (Brownian) or t**(1/alpha)
-(stable), with an unbounded derivative.  On each segment [a, b] between
-breakpoints, t = a + (b - a) u**2 makes them smooth in u on [0, 1], and nested
-G10/K21 panels integrate in u: the 21-node Kronrod rule contains the 10-node
-Gauss rule, so one set of 21 evaluations gives the panel's value (K21) and its
-error estimate |K21 - G10| (QUADPACK: Piessens, de Doncker-Kapenga, Ueberhuber
-and Kahaner, 1983).  Each segment starts as three panels, u in [0, 1/3],
+The one caller, :func:`levyrisk.cevar.horizon_integral`, integrates in
+x = ln(s) upward from ln s*(T), and its integrands fall with tau(e^x) as x
+grows.  On each segment [a, b] between breakpoints, x = a + (b - a) u**2
+packs the nodes toward the left end a, where the integrands are largest, and
+nested G10/K21 panels integrate in u: the 21-node Kronrod rule contains the
+10-node Gauss rule, so one set of 21 evaluations gives the panel's value (K21)
+and its error estimate |K21 - G10| (QUADPACK: Piessens, de Doncker-Kapenga,
+Ueberhuber and Kahaner, 1983).  Each segment starts as three panels, u in [0, 1/3],
 [1/3, 2/3] and [2/3, 1]: with fewer, whether a starting panel met the
 tolerance depended on the parameters, so the cost jumped with them.  A panel
 is accepted, as its K21 value, when its error estimate fits its share of

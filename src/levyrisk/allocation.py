@@ -170,7 +170,7 @@ def allocate(portfolio: FactorPortfolio, quad_tol: Optional[float] = None) -> Al
     equally spaced horizons.
     """
     T = portfolio.T
-    integral, points, t_limit = horizon_integral(
+    integral, points = horizon_integral(
         portfolio.combination(None), portfolio.beta, portfolio.weight, T, quad_tol,
         np.vstack([portfolio.A, portfolio.column_sums()]),
     )
@@ -179,7 +179,7 @@ def allocate(portfolio: FactorPortfolio, quad_tol: Optional[float] = None) -> Al
     L = integral[:-1] + portfolio.premiums * tmom
     total = float(integral[-1]) + float(portfolio.premiums.sum()) * tmom
     gap = float(L.sum() - total)
-    grid, K_curve, s_star_curve = _curve(portfolio, points, t_limit)
+    grid, K_curve, s_star_curve = _curve(portfolio, points)
     return AllocationReport(
         L=L,
         grid=grid,
@@ -200,14 +200,14 @@ def euler_curve(portfolio: FactorPortfolio):
     comb, T = portfolio.combination(None), portfolio.T
     s_T = solve_stationary(comb, T, portfolio.beta)[0]
     if s_T == math.inf:
-        return _curve(portfolio, ((), (), ()), math.inf)
-    return _curve(portfolio, ([math.log(s_T)], [T], [-comb.s2d2phi(s_T) / comb.phi_gap(s_T)]), 0.0)
+        return _curve(portfolio, ((), (), ()))
+    return _curve(portfolio, ([math.log(s_T)], [T], [-comb.s2d2phi(s_T) / comb.phi_gap(s_T)]))
 
 
-def _curve(portfolio: FactorPortfolio, points, t_limit: float):
+def _curve(portfolio: FactorPortfolio, points):
     """The K-curve solved from curve points; all factor terms meet A at once."""
     grid = np.linspace(0.0, portfolio.T, CURVE_POINTS)
-    s = solve_curve(portfolio.combination(None), grid, portfolio.beta, points, t_limit)
+    s = solve_curve(portfolio.combination(None), grid, portfolio.beta, points)
     s_star_curve = [(t, None if si == math.inf else si) for t, si in zip(grid.tolist(), s.tolist())]
     return grid, _factor_terms(portfolio, grid, s) @ portfolio.A.T, s_star_curve
 

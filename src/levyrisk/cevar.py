@@ -145,20 +145,20 @@ def horizon_integral(combination: FactorCombination, beta: float, weight: Weight
     the range into segments.  The range ends at ln s*(EPS * T) when that
     point is interior, and the rest of [0, T], at most ~EPS of the integral,
     is dropped.  Otherwise it ends at X_MAX, and on [0, tau(e^X_MAX)] the
-    infimum is the s -> inf limit, linear in t and integrated exactly by the
-    weight's truncated time moment; this covers the compound-Poisson onset
-    and gamma roots above 1e300.  A horizon whose s*(T) is that limit takes
-    no nodes.  A range whose end overflows s^2 phi'' raises DomainError: that
-    is a Brownian factor at T below ~3e-290, where s*(EPS * T) nears 1e154.
+    infimum is the s -> inf limit of :mod:`levyrisk.evar`, linear in t and
+    integrated exactly by the weight's truncated time moment.  A horizon
+    whose s*(T) is that limit takes no nodes.  A range whose end overflows
+    s^2 phi'' or t*gap raises DomainError: that is a Brownian factor at T
+    below ~3e-290, where s*(EPS * T) nears 1e154.
     One more break at x = ln(s*(T) / EPS) parts the steep head of a long
     range from its slow tail: as one segment, a gamma range up to X_MAX met
     the absolute floor of the default tolerance at its first level with only
     ~1e-8 relative accuracy for a tiny position.  ``tol=None`` asks
     the quadrature for its relative default.
 
-    Returns ``(value, points, t_limit)`` for :func:`levyrisk.evar.solve_curve`:
-    ``points`` holds (x, tau, F'(x)) of the nodes (exact curve points) and of
-    (x_T, T); t_limit is tau(e^X_MAX) if the range ends there, inf if s*(T) = inf, else 0.
+    Returns ``(value, points)``, where ``points`` holds (x, tau, F'(x)) of the
+    nodes (exact curve points) and of (x_T, T), for
+    :func:`levyrisk.evar.solve_curve`.
     """
     pairs = combination.active
 
@@ -169,14 +169,15 @@ def horizon_integral(combination: FactorCombination, beta: float, weight: Weight
     weight.check_span(T)
     s_T = solve_stationary(combination, T, beta)[0]
     if s_T == math.inf:
-        return limit(), ((), (), ()), math.inf
+        return limit(), ((), (), ())
     budget = -math.log(beta)
     s_hi = solve_stationary(combination, EPS * T, beta)[0]
     if s_hi < math.inf:
-        t_lo, t_limit = EPS * T, 0.0
+        t_lo, linear = EPS * T, 0.0
     else:
         s_hi = math.exp(X_MAX)
-        t_lo = t_limit = budget / combination.phi_gap(s_hi)
+        t_lo = budget / combination.phi_gap(s_hi)
+        linear = limit(t_lo)
     if not math.isfinite(combination.s2d2phi(s_hi)):
         # Only a Brownian factor gets here: sigma^2 s^2 overflows near the end of
         # the range, and its s -> inf limit is infinite.
@@ -184,7 +185,6 @@ def horizon_integral(combination: FactorCombination, beta: float, weight: Weight
             f"T = {T!r} is too short: s^2 phi''(s) is not finite at s = {s_hi:.4g}, "
             "the end of the horizon integral"
         )
-    linear = limit(t_limit) if t_limit else 0.0
     x_T = math.log(s_T)
     breaks = [x_T - math.log(EPS)] + [math.log(solve_stationary(combination, t, beta)[0])
                                       for t in weight.breakpoints(T) if t_lo < t < T]
@@ -201,7 +201,7 @@ def horizon_integral(combination: FactorCombination, beta: float, weight: Weight
         return exposures @ terms * ((tau * weight.density(tau, T)) * (tau * fprime))
 
     value = linear + adaptive_simpson(integrand, x_T, math.log(s_hi), tol, breakpoints=breaks)
-    return value, tuple(np.concatenate(arrays) for arrays in zip(*points)), t_limit
+    return value, tuple(np.concatenate(arrays) for arrays in zip(*points))
 
 
 def cevar(query: CevarQuery) -> float:

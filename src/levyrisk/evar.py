@@ -20,18 +20,21 @@ allocation all read its answer, and :func:`solve_curve` hands it every point
 it does not accept.  For beta < 1, h(0+) = ln(beta) < 0, so h has
 a root unless t*gap stays below -ln(beta) for every s:
 
-* s* -> inf: t = 0, a zero position, or a compound-Poisson-only position at
-  t <= t0 = -ln(beta) / sum(lambda) (see :func:`limit_onset`), where gap(s)
-  rises only to sum(lambda); this is decided without evaluating h.  A root
-  above 1e300 (a gamma position at small t) stands for the same limit.
-  EVaR is -t * slope with slope = lim phi(s)/s, the combined drift, and the
-  Euler contributions are K^i = -t * sum_j a_ij * slope_j.  A Brownian factor
-  makes g grow without bound as s -> inf, so with one a root above 1e300
-  (only for exposures near 1e-300) raises :class:`NoStationaryPointError`.
+* s* -> inf: t = 0, a zero position, or h(1e300) <= 0, that is
+  t <= tau(1e300) = -ln(beta) / gap(1e300).  One rule covers a gamma position
+  at small t, whose root lies above 1e300, and a compound-Poisson-only
+  position at t <= -ln(beta) / sum(lambda), where gap(s) rises only to
+  sum(lambda) and h has no root at all.  EVaR is -t * slope with
+  slope = lim phi(s)/s, the combined drift, and the Euler contributions are
+  K^i = -t * sum_j a_ij * slope_j.  A Brownian factor makes g grow without
+  bound as s -> inf, so with one a root above 1e300 (only for exposures near
+  1e-300) raises :class:`NoStationaryPointError`.
 * s* -> 0+ only at beta = 1, where h >= 0 everywhere: EVaR is -t * mean, the
   negative mean.  With an active stable factor the mean is infinite and EVaR
   diverges (:class:`DomainError`, a ``ValueError``).
-* A root below 1e-300 raises :class:`NoStationaryPointError`.
+* A root below 1e-300 raises :class:`NoStationaryPointError`.  A root beyond
+  the point where t*gap overflows (a Brownian position at t near 1e-308)
+  raises :class:`DomainError`.
 """
 from __future__ import annotations
 
@@ -135,21 +138,21 @@ def solve_stationary(
     turns the point into an EVaR value.  Raises
     :class:`NoStationaryPointError` with the boundary beyond which the root
     lies: LIMIT_AT_ZERO when h > 0 at s = 1e-300, LIMIT_AT_INFINITY when
-    h < 0 at s = 1e300 and a Brownian factor is active.
+    h < 0 at s = 1e300 and a Brownian factor is active.  Raises
+    :class:`DomainError` when the ulps stop is reached next to a point where
+    t*gap overflowed: the root lies in the overflow.
     """
     if t == 0.0 or combination.is_degenerate():
         return math.inf, 0, 0.0
     budget = -math.log(beta)
     if budget == 0.0:
         return 0.0, 0, 0.0
-    onset = limit_onset(combination, beta)
-    if onset is not None and t <= onset:
-        return math.inf, 0, 0.0
     if tol is None:
         tol = RESIDUAL_EPS * budget
     log_budget = math.log(budget)
     lo, hi = X_MIN, X_MAX
     lo_seen = hi_seen = False  # whether h was evaluated at lo / hi
+    hi_inf = False  # whether t*gap overflowed at hi
     x = min(max(math.log(s0), X_MIN), X_MAX) if s0 is not None and s0 > 0.0 else 0.0
     step = older_step = hi - lo
     iterations = 0
@@ -189,7 +192,7 @@ def solve_stationary(
                     "h > 0 down to s = 1e-300: the root lies below the solver's range",
                     boundary=LIMIT_AT_ZERO,
                 )
-            hi, hi_seen = x, True
+            hi, hi_seen, hi_inf = x, True, tgap == math.inf
         if lo < target < hi and abs(target - x) <= 0.5 * older_step:
             x_next = target
         elif h < 0.0 and not hi_seen:
@@ -199,22 +202,15 @@ def solve_stationary(
         else:
             x_next = 0.5 * (lo + hi)
         if abs(x_next - x) <= 1e-15 * (1.0 + abs(x)):  # a few ulps of x
+            if hi_inf:
+                # The bracket closed on the overflow edge, not on a root.
+                raise DomainError(
+                    f"the stationary root at t = {t!r} lies beyond float range: "
+                    f"t*gap(s) is not finite at s = {math.exp(hi):.4g}"
+                )
             return s, iterations, h
         older_step, step = step, abs(x_next - x)
         x = x_next
-
-
-def limit_onset(combination: FactorCombination, beta: float) -> Optional[float]:
-    """t0 = -ln(beta) / lim phi_gap(s), up to which h < 0 for every s and EVaR is
-    linear; None unless every active factor is compound Poisson."""
-    gap = 0.0
-    for f, _ in combination.active:
-        gap += f.gap_at_infinity()
-        if gap == math.inf:
-            return None
-    if gap == 0.0 or beta == 1.0:
-        return None
-    return -math.log(beta) / gap
 
 
 def evar_at(combination: FactorCombination, t: float, beta: float, s: float) -> float:
@@ -235,25 +231,29 @@ def evar_at(combination: FactorCombination, t: float, beta: float, s: float) -> 
     return -t * mean
 
 
-def solve_curve(combination: FactorCombination, t, beta: float, points, t_limit: float = 0.0):
+def solve_curve(combination: FactorCombination, t, beta: float, points):
     """s*(t) at an array of horizons (beta < 1, a nonzero position), solved in
     lockstep from ``points``, the arrays (x, tau, F'(x)) of exact curve points.
 
-    As dx/d ln(tau) = -1/F', a horizon starts from the cubic Hermite interpolant
-    of x in ln(tau) through the points, or the tangent line of the nearest one
-    outside them: from (x_T, T) alone x_T - ln(t/T)/F'(x_T), exact for Brownian
-    and stable positions.  A round evaluates t*gap and s^2 phi'' at the open
-    points as one array and accepts by :func:`solve_stationary`'s residual stop
-    and Newton-corrected s.  t <= limit_onset or t < ``t_limit`` is the s -> inf
-    limit, unevaluated.  A point whose step is not finite or leaves (X_MIN,
+    t <= tau(1e300), from one evaluation of gap at 1e300, is the s -> inf
+    limit, unsolved; with an active Brownian factor that limit is infinite
+    and only t = 0 takes it.  As dx/d ln(tau) = -1/F', any other horizon
+    starts from the cubic Hermite interpolant of x in ln(tau) through the
+    points, or the tangent line of the nearest one outside them: from
+    (x_T, T) alone x_T - ln(t/T)/F'(x_T), exact for Brownian and stable
+    positions.  A round evaluates t*gap and s^2 phi'' at the open points as
+    one array and accepts by :func:`solve_stationary`'s residual stop and
+    Newton-corrected s.  A point whose step is not finite or leaves (X_MIN,
     X_MAX), or open after CURVE_ROUNDS rounds, goes to :func:`solve_stationary`.
     """
     t = np.asarray(t, dtype=float)
     s = np.full(t.shape, math.inf)
-    todo = np.flatnonzero(t > max(t_limit, limit_onset(combination, beta) or 0.0))
+    budget = -math.log(beta)
+    cutoff = 0.0 if math.isinf(combination.slope_at_infinity()) \
+        else budget / combination.phi_gap(math.exp(X_MAX))
+    todo = np.flatnonzero(t > cutoff)
     tt = t[todo]
     x = _curve_seeds(np.log(tt), *points)
-    budget = -math.log(beta)
     handoff = []
     for _ in range(CURVE_ROUNDS):
         if not todo.size:

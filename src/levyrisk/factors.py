@@ -65,16 +65,12 @@ class LevyFactor:
         raise NotImplementedError
 
     def mean_rate(self) -> float:
-        """E[W_1], i.e. phi'(0+); may be +inf (stable subordinator)."""
-        raise NotImplementedError
+        """E[W_1] = phi'(0+); +inf for the stable kind."""
+        return self.dphi(0.0)
 
     def slope_at_infinity(self) -> float:
-        """lim_{s->inf} phi(s)/s; -inf for the Brownian kind."""
-        raise NotImplementedError
-
-    def gap_at_infinity(self) -> float:
-        """lim_{s->inf} phi_gap(s): the jump rate for compound Poisson, else +inf."""
-        return math.inf
+        """lim_{s->inf} phi(s)/s = phi'(inf); -inf for the Brownian kind."""
+        return self.dphi(math.inf)
 
     def params(self) -> dict:
         """Parameter dict keyed by the public parameter names."""
@@ -107,12 +103,6 @@ class BrownianWithDrift(LevyFactor):
 
     def phi_gap(self, s):
         return 0.5 * self.sigma * self.sigma * s * s
-
-    def mean_rate(self):
-        return self.mu
-
-    def slope_at_infinity(self):
-        return -math.inf
 
 
 @dataclass(frozen=True)
@@ -159,12 +149,6 @@ class GammaSubordinator(LevyFactor):
             return self.a * (_log1p_ratio(s, self.b) - s / (self.b + s))
         return self.a * _gap_series(z)
 
-    def mean_rate(self):
-        return self.mu + self.a / self.b
-
-    def slope_at_infinity(self):
-        return self.mu
-
 
 @dataclass(frozen=True)
 class AlphaStableSubordinator(LevyFactor):
@@ -197,12 +181,6 @@ class AlphaStableSubordinator(LevyFactor):
 
     def phi_gap(self, s):
         return (1.0 - self.alpha) * s ** self.alpha
-
-    def mean_rate(self):
-        return math.inf
-
-    def slope_at_infinity(self):
-        return self.mu
 
 
 @dataclass(frozen=True)
@@ -242,15 +220,6 @@ class CompoundPoissonExp(LevyFactor):
     def phi_gap(self, s):
         es = self.eta + s
         return self.lam * (s / es) * (s / es)
-
-    def mean_rate(self):
-        return self.mu + self.lam / self.eta
-
-    def slope_at_infinity(self):
-        return self.mu
-
-    def gap_at_infinity(self):
-        return self.lam
 
 
 _KIND_MAP = {

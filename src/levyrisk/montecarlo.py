@@ -131,7 +131,8 @@ class _EmpiricalExponent(LevyFactor):
     With Y = X - min X >= 0 the weights exp(-s*Y) lie in [0, 1] (the max-shift
     of a log-sum-exp) and phi_gap carries no drift.  phi'' is minus the tilted
     variance of Y.  As s -> inf only the ties at min X keep weight, so
-    phi(s)/s -> min X and phi_gap -> ln(N / #ties).
+    phi(s)/s -> min X (its own ``slope_at_infinity``: it has no dphi) and
+    phi_gap -> ln(N / #ties).
     """
 
     def __init__(self, x: np.ndarray):
@@ -167,9 +168,6 @@ class _EmpiricalExponent(LevyFactor):
 
     def slope_at_infinity(self):
         return self.low
-
-    def gap_at_infinity(self):
-        return math.log(self.y.size / np.count_nonzero(self.y == 0.0))
 
 
 def empirical_evar(

@@ -20,10 +20,12 @@ from levyrisk import (
     cevar,
     euler_contributions,
     evar,
+    evar_closed_form_brownian,
     stable_allocation,
     stable_contributions,
 )
 from levyrisk.allocation import euler_curve
+from levyrisk.errors import DomainError
 from levyrisk.evar import solve_stationary
 from oracles import directional_derivative_check, diversification_check
 
@@ -270,6 +272,28 @@ def test_euler_curve_rows_are_euler_contributions(p, monkeypatch):
     for t, row in zip(grid[1:].tolist(), K_curve[1:]):
         expected = euler_contributions(p, t)
         assert np.max(np.abs(row - expected)) <= 1e-15 * np.max(np.abs(row)), t
+
+
+@pytest.mark.parametrize("t", [1e-307, 1e-308, 3e-309, 1e-309, 1e-320])
+def test_brownian_position_at_tiny_t_is_exact_or_a_domain_error(t):
+    # sigma^2 s^2 / 2 overflows above s ~ 1.9e154, and below t ~ 3e-308 the root
+    # lies beyond that: the solve must raise rather than stop at the overflow edge.
+    p = FactorPortfolio([[1.0]], [BrownianWithDrift(0.0, 1.0)], [0.0], t, 0.05)
+
+    def exact_or_domain_error(compute, expected):
+        try:
+            value = compute()
+        except DomainError:
+            return
+        np.testing.assert_allclose(value, expected(), rtol=1e-12, atol=0.0)
+
+    exact_or_domain_error(lambda: evar(EvarQuery(p.combination(), t, 0.05)).value,
+                          lambda: evar_closed_form_brownian(0.0, 1.0, t, 0.05))
+    exact_or_domain_error(lambda: euler_contributions(p, t),
+                          lambda: brownian_contributions(p.A, [1.0], t, 0.05))
+    exact_or_domain_error(lambda: euler_curve(p)[1],
+                          lambda: [brownian_contributions(p.A, [1.0], u, 0.05)
+                                   for u in np.linspace(0.0, t, 65).tolist()])
 
 
 def test_allocate_table_weight():

@@ -378,6 +378,14 @@ def test_shipped_brownian_config_matches_closed_form(capsys):
     np.testing.assert_allclose(payload["L"], expected, rtol=1e-8)
 
 
+def test_shipped_config_at_a_horizon_beyond_float_range_is_a_domain_error(capsys):
+    # s* at T = 3e-309 lies where sigma^2 s^2 overflows: no EVaR, exit 2.
+    cfg = os.path.join(CONFIG_DIR, "brownian_common_sigma.cfg")
+    assert main(["--config", cfg, "--command", "evar", "--T", "3e-309"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "not finite" in captured.err
+
+
 @pytest.mark.parametrize("text,command", [
     (MINIMAL.replace("T = 1.0", "T = 1e-320"), "cevar"),  # s^2 phi'' overflows in the integral
     (MINIMAL.replace("kind = brownian, mu = 0.0, sigma = 1.0", "kind = stable, alpha = 0.6, mu = 1e308")

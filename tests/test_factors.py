@@ -59,6 +59,19 @@ def test_stable_and_poisson_exponent_forms():
     assert laplace_exponent(cp, 1.0) == pytest.approx(0.1 + 2.0 / 4.0)
 
 
+def test_mean_rate_and_slope_at_infinity_are_the_closed_forms():
+    # Both are read off dphi, at 0 and at inf.
+    cases = [
+        (BrownianWithDrift(mu=0.3, sigma=1.2), 0.3, -math.inf),
+        (GammaSubordinator(a=2.0, b=3.0, mu=-0.1), -0.1 + 2.0 / 3.0, -0.1),
+        (AlphaStableSubordinator(alpha=0.6, mu=0.2), math.inf, 0.2),
+        (CompoundPoissonExp(lam=1.5, eta=2.0, mu=0.05), 0.05 + 1.5 / 2.0, 0.05),
+    ]
+    for factor, mean, slope in cases:
+        assert factor.mean_rate() == mean, factor.kind
+        assert factor.slope_at_infinity() == slope, factor.kind
+
+
 def test_negative_s_rejected():
     for factor in ALL_KINDS:
         with pytest.raises(DomainError):
