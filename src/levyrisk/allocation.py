@@ -132,17 +132,12 @@ class AllocationReport:
     full_allocation_gap: float
 
 
-def _factor_terms(portfolio: FactorPortfolio, t: np.ndarray, s: np.ndarray) -> np.ndarray:
+def _factor_terms(comb: FactorCombination, t: np.ndarray, s: np.ndarray) -> np.ndarray:
     """The factor terms -t * phi_j'(s D_j) of K_t = A @ terms, shape (len(t), m),
-    at arrays t and s: one array dphi per factor, -t * slope_j at s = inf and
-    zeros at t = 0 (a portfolio keeps beta < 1, so s is never 0)."""
-    terms = np.zeros((t.size, len(portfolio.factors)))
-    interior = s < math.inf
-    limit = ~interior & (t > 0.0)
-    for j, (f, d) in enumerate(zip(portfolio.factors, portfolio.column_sums().tolist())):
-        terms[interior, j] = -t[interior] * f.dphi(s[interior] * d)
-        terms[limit, j] = -t[limit] * f.slope_at_infinity()
-    return terms
+    at arrays t and s: -t * slope_j at s = inf and zeros at t = 0 (beta < 1, so
+    s is never 0).  A portfolio's columns have positive sums: every factor is active."""
+    with np.errstate(invalid="ignore"):  # -0 * (-inf), a Brownian slope at t = 0
+        return np.where(t[:, None] > 0.0, -t[:, None] * comb.slopes(s).T, 0.0)
 
 
 def euler_contributions(portfolio: FactorPortfolio, t: float) -> np.ndarray:
@@ -153,8 +148,10 @@ def euler_contributions(portfolio: FactorPortfolio, t: float) -> np.ndarray:
     """
     if not (t > 0):
         raise ValueError(f"t must be positive, got {t}")
-    s, _, _ = solve_stationary(portfolio.combination(None), t, portfolio.beta)
-    return portfolio.A @ _factor_terms(portfolio, np.array([t]), np.array([s]))[0]
+    t = float(t)  # as in EvarQuery
+    comb = portfolio.combination(None)
+    s, _, _ = solve_stationary(comb, t, portfolio.beta)
+    return portfolio.A @ _factor_terms(comb, np.array([t]), np.array([s]))[0]
 
 
 def allocate(portfolio: FactorPortfolio, quad_tol: Optional[float] = None) -> AllocationReport:
@@ -169,9 +166,9 @@ def allocate(portfolio: FactorPortfolio, quad_tol: Optional[float] = None) -> Al
     aggregate is the largest).  The report's K-curve holds CURVE_POINTS
     equally spaced horizons.
     """
-    T = portfolio.T
+    T, comb = portfolio.T, portfolio.combination(None)
     integral, points = horizon_integral(
-        portfolio.combination(None), portfolio.beta, portfolio.weight, T, quad_tol,
+        comb, portfolio.beta, portfolio.weight, T, quad_tol,
         np.vstack([portfolio.A, portfolio.column_sums()]),
     )
 
@@ -179,7 +176,7 @@ def allocate(portfolio: FactorPortfolio, quad_tol: Optional[float] = None) -> Al
     L = integral[:-1] + portfolio.premiums * tmom
     total = float(integral[-1]) + float(portfolio.premiums.sum()) * tmom
     gap = float(L.sum() - total)
-    grid, K_curve, s_star_curve = _curve(portfolio, points)
+    grid, K_curve, s_star_curve = _curve(portfolio, comb, points)
     return AllocationReport(
         L=L,
         grid=grid,
@@ -199,17 +196,17 @@ def euler_curve(portfolio: FactorPortfolio):
     """
     comb, T = portfolio.combination(None), portfolio.T
     s_T = solve_stationary(comb, T, portfolio.beta)[0]
-    if s_T == math.inf:
-        return _curve(portfolio, ((), (), ()))
-    return _curve(portfolio, ([math.log(s_T)], [T], [-comb.s2d2phi(s_T) / comb.phi_gap(s_T)]))
+    points = ((), (), ()) if s_T == math.inf \
+        else ([math.log(s_T)], [T], [-comb.s2d2phi(s_T) / comb.phi_gap(s_T)])
+    return _curve(portfolio, comb, points)
 
 
-def _curve(portfolio: FactorPortfolio, points):
-    """The K-curve solved from curve points; all factor terms meet A at once."""
+def _curve(portfolio: FactorPortfolio, comb: FactorCombination, points):
+    """The K-curve of ``comb`` solved from curve points; all factor terms meet A at once."""
     grid = np.linspace(0.0, portfolio.T, CURVE_POINTS)
-    s = solve_curve(portfolio.combination(None), grid, portfolio.beta, points)
+    s = solve_curve(comb, grid, portfolio.beta, points)
     s_star_curve = [(t, None if si == math.inf else si) for t, si in zip(grid.tolist(), s.tolist())]
-    return grid, _factor_terms(portfolio, grid, s) @ portfolio.A.T, s_star_curve
+    return grid, _factor_terms(comb, grid, s) @ portfolio.A.T, s_star_curve
 
 
 # ---------------------------------------------------------------------------

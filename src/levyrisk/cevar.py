@@ -21,6 +21,7 @@ __all__ = [
 # The horizon integral in x = ln(s) ends at s*(EPS * T) when that point is
 # interior (see horizon_integral); the dropped part of [0, T] is ~EPS of it.
 EPS = 1e-18
+_SPAN_TOL = 1e-9  # slack of a table weight's span (relative to 1 + T) and mass
 
 
 @dataclass(frozen=True)
@@ -52,15 +53,15 @@ class WeightFunction:
     def table(cls, knots: Sequence[Tuple[float, float]]) -> "WeightFunction":
         return cls(kind="table", knots=tuple((float(t), float(w)) for t, w in knots))
 
-    def check_span(self, T: float, tol: float = 1e-9) -> None:
+    def check_span(self, T: float) -> None:
         if self.kind == "table":
             ts = [t for t, _ in self.knots]
-            if abs(ts[0]) > tol * (1 + T) or abs(ts[-1] - T) > tol * (1 + T):
+            if abs(ts[0]) > _SPAN_TOL * (1 + T) or abs(ts[-1] - T) > _SPAN_TOL * (1 + T):
                 raise ValueError(
                     f"table weight knots span [{ts[0]}, {ts[-1]}] but the horizon is [0, {T}]"
                 )
             mass = self.mass(T)
-            if abs(mass - 1.0) > tol:
+            if abs(mass - 1.0) > _SPAN_TOL:
                 raise ValueError(f"weight is not normalised: integral = {mass!r}")
 
     def density(self, t, T: float):
@@ -120,6 +121,9 @@ class CevarQuery:
     quad_tol: Optional[float] = None
 
     def __post_init__(self):
+        # As Python floats, for the reason given in EvarQuery.
+        object.__setattr__(self, "T", float(self.T))
+        object.__setattr__(self, "beta", float(self.beta))
         if not (self.T > 0.0) or not math.isfinite(self.T):
             raise ValueError(f"T must be a positive finite real, got {self.T}")
         if not (0.0 < self.beta <= 1.0):
@@ -131,7 +135,7 @@ def horizon_integral(combination: FactorCombination, beta: float, weight: Weight
     """integral_0^T exposures @ k(t) omega(t) dt along the stationary curve, for
     beta < 1 and a nonzero position.
 
-    k(t) holds the factor terms -t * phi_j'(s*(t) d_j) of the active factors,
+    k(t) holds the factor terms -t * phi_j'(s*(t) d_j) (``combination.slopes``),
     -t * slope_j where the infimum sits at s -> inf; ``exposures``, of shape
     (m,) or (k, m), makes the quantities.  With the weights d_j it gives the
     EVaR, and with the exposure matrix the Euler contributions.
@@ -160,11 +164,8 @@ def horizon_integral(combination: FactorCombination, beta: float, weight: Weight
     nodes (exact curve points) and of (x_T, T), for
     :func:`levyrisk.evar.solve_curve`.
     """
-    pairs = combination.active
-
     def limit(upper=None):
-        slopes = [-f.slope_at_infinity() for f, _ in pairs]
-        return exposures @ slopes * weight.time_moment(T, upper)
+        return exposures @ -combination.slopes(math.inf) * weight.time_moment(T, upper)
 
     weight.check_span(T)
     s_T = solve_stationary(combination, T, beta)[0]
@@ -196,7 +197,7 @@ def horizon_integral(combination: FactorCombination, beta: float, weight: Weight
         tau = budget / gap
         fprime = -combination.s2d2phi(s) / gap  # F'(x), so dt = -tau * F' dx
         points.append((x, tau, fprime))
-        terms = np.array([-f.dphi(s * d) for f, d in pairs])  # k / t
+        terms = -combination.slopes(s)  # k / t
         # tau * omega ~ 1 and tau * F' ~ tau: tau * tau would underflow below 1e-154.
         return exposures @ terms * ((tau * weight.density(tau, T)) * (tau * fprime))
 

@@ -80,6 +80,9 @@ class EvarQuery:
     beta: float
 
     def __post_init__(self):
+        # Python floats: numpy scalars warn where the solver's arithmetic meets inf or nan.
+        object.__setattr__(self, "t", float(self.t))
+        object.__setattr__(self, "beta", float(self.beta))
         if not (self.t >= 0.0) or not math.isfinite(self.t):
             raise ValueError(f"t must be a finite nonnegative real, got {self.t}")
         if not (0.0 < self.beta <= 1.0):

@@ -362,24 +362,22 @@ class FactorCombination:
             total += f.phi_gap(s * d)
         return total
 
+    def slopes(self, s):
+        """phi_j'(s d_j), one row per active factor: slope_at_infinity at s = inf."""
+        return np.array([f.dphi(s * d) for f, d in self.active])
+
     def mean_rate(self):
         """E[X_1] = sum_j d_j phi_j'(0+); +inf if any stable factor is active."""
         total = 0.0
         for f, d in self.active:
-            m = f.mean_rate()
-            if math.isinf(m):
-                return math.inf
-            total += d * m
+            total += d * f.mean_rate()
         return total
 
     def slope_at_infinity(self):
         """lim phi(s)/s; -inf when any Brownian factor is active."""
         total = 0.0
         for f, d in self.active:
-            m = f.slope_at_infinity()
-            if math.isinf(m):
-                return -math.inf
-            total += d * m
+            total += d * f.slope_at_infinity()
         return total
 
     def is_degenerate(self):

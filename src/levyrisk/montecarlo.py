@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -39,6 +39,7 @@ __all__ = [
 # depend on how the work is split.
 _BLOCK = 10_000
 _PANEL = 1_000  # rows per ruin-path panel: ~1 MB each of times and jumps, inside L2
+_N_SIGMA = 4.0  # standard errors within which an empirical Laplace exponent passes
 
 
 @dataclass(frozen=True)
@@ -194,12 +195,11 @@ def empirical_exponent_check(
     dt: float,
     s_values,
     config: SimulationConfig,
-    n_sigma: float = 4.0,
 ):
     """Empirical -ln(Laplace transform)/dt against phi(s) on a grid of s.
 
     Returns a list of dicts {s, estimate, analytic, stderr, pass} where pass
-    means agreement within ``n_sigma`` standard errors.
+    means agreement within _N_SIGMA (4) standard errors.
     """
     plug_in = _EmpiricalExponent(sample_increments(factor, dt, config.n_paths, config.seed))
     out = []
@@ -214,7 +214,7 @@ def empirical_exponent_check(
                 "estimate": float(estimate),
                 "analytic": float(analytic),
                 "stderr": float(stderr),
-                "pass": bool(abs(estimate - analytic) <= n_sigma * stderr),
+                "pass": bool(abs(estimate - analytic) <= _N_SIGMA * stderr),
             }
         )
     return out
@@ -326,8 +326,7 @@ def _ruin_estimate(infima: np.ndarray, u: float, R: float, horizon: float) -> Ru
 
 
 def ruin_probability(cp: CompoundPoissonExp, premium: float, u: float,
-                     config: SimulationConfig,
-                     horizon: Optional[float] = None) -> RuinEstimate:
+                     config: SimulationConfig) -> RuinEstimate:
     """MC estimate of ruin before a long finite horizon, with Lundberg bound.
 
     The infinite horizon is truncated at max(50, 30/R); the neglected tail is
@@ -336,8 +335,7 @@ def ruin_probability(cp: CompoundPoissonExp, premium: float, u: float,
     if u < 0:
         raise ValueError(f"initial reserve must be nonnegative, got {u}")
     R = adjustment_coefficient(cp, premium)
-    if horizon is None:
-        horizon = _ruin_horizon(R)
+    horizon = _ruin_horizon(R)
     infima = _path_infima(cp, premium, horizon, config.n_paths, config.seed)
     return _ruin_estimate(infima, u, R, horizon)
 
@@ -361,15 +359,15 @@ def _var_inf_estimate(infima: np.ndarray, beta: float, R: float):
 
 
 def var_inf_bound_check(cp: CompoundPoissonExp, premium: float, beta: float,
-                        config: SimulationConfig, horizon: float = 50.0):
-    """Check VaR_beta(inf_{0<=t<=T} C_t) <= -ln(beta)/R on simulated paths.
+                        config: SimulationConfig):
+    """Check VaR_beta(inf_{0<=t<=T} C_t) <= -ln(beta)/R on paths to T = max(50, 30/R).
 
     Returns (var_est, bound, ok); see :func:`_var_inf_estimate`.
     """
     if not (0.0 < beta < 1.0):
         raise ValueError(f"beta must lie in (0, 1), got {beta}")
     R = adjustment_coefficient(cp, premium)
-    infima = _path_infima(cp, premium, horizon, config.n_paths, config.seed)
+    infima = _path_infima(cp, premium, _ruin_horizon(R), config.n_paths, config.seed)
     return _var_inf_estimate(infima, beta, R)
 
 
@@ -394,7 +392,7 @@ def validation_report(config: SimulationConfig, beta: float = 0.05) -> list:
                 "check_name": f"laplace_exponent_{factor.kind}",
                 "analytic": worst["analytic"],
                 "estimate": worst["estimate"],
-                "ci": 4.0 * worst["stderr"],
+                "ci": _N_SIGMA * worst["stderr"],
                 "pass": all(r["pass"] for r in rows),
             }
         )

@@ -13,9 +13,11 @@ from levyrisk import (
     CompoundPoissonExp,
     EvarQuery,
     FactorCombination,
+    FactorPortfolio,
     GammaSubordinator,
     NoStationaryPointError,
     cevar,
+    euler_contributions,
     evar,
     evar_closed_form_brownian,
 )
@@ -227,6 +229,26 @@ def test_extremes_give_homogeneous_values_or_typed_errors(factor):
                     if previous is not None:
                         assert base <= previous + 1e-9 * abs(previous), case
                     previous = base
+
+
+def test_numpy_scalar_horizons_and_betas_act_as_floats():
+    # With an np.float64 t this position's solve warned "invalid value
+    # encountered in scalar divide" (an error in this suite), and
+    # EvarResult.value came back as an np.float64.
+    factors = [AlphaStableSubordinator(0.07552882860216895, -17021.264385622526),
+               BrownianWithDrift(3598.221240349138, 6.208546821588171e-06)]
+    d = [5.5819007059422425, 0.001277541797921643]
+    t, beta = 8.969505755286586e-227, 0.07606470857492606
+    comb = FactorCombination(factors, d)
+    result = evar(EvarQuery(comb, np.float64(t), np.float64(beta)))
+    assert result == evar(EvarQuery(comb, t, beta))
+    assert type(result.value) is float
+    query = CevarQuery(comb, np.float64(t), np.float64(beta))
+    assert type(query.T) is float and type(query.beta) is float
+    assert cevar(query) == cevar(CevarQuery(comb, t, beta))
+    portfolio = FactorPortfolio([d], factors, [0.0], 1.0, beta)
+    assert euler_contributions(portfolio, np.float64(t)).tolist() \
+        == euler_contributions(portfolio, t).tolist()
 
 
 @pytest.fixture

@@ -255,6 +255,22 @@ def test_combination_sums_are_left_to_right_sums_of_the_terms():
             assert getattr(combo, name)(s) == expected, (name, s)
 
 
+def test_slopes_are_the_dphi_of_each_active_factor():
+    # The stable factor at weight 0 has no row: its phi'(0) is infinite.
+    combo = FactorCombination(ALL_KINDS + [AlphaStableSubordinator(0.5)], [0.5, 1.0, 0.25, 2.0, 0.0])
+    grid = np.geomspace(1e-3, 1e5, 25)
+    for s in grid.tolist():
+        assert combo.slopes(s).tolist() == [f.dphi(s * d) for f, d in combo.active], s
+    np.testing.assert_array_equal(combo.slopes(grid), [f.dphi(grid * d) for f, d in combo.active])
+    assert combo.slopes(grid).shape == (4, grid.size)
+    assert combo.slopes(math.inf).tolist() == [f.slope_at_infinity() for f, _ in combo.active]
+    # The sums over the rows keep their infinite limits.
+    mixed = FactorCombination([AlphaStableSubordinator(0.6, 0.2), BrownianWithDrift(0.3, 1.2)],
+                              [0.5, 2.0])
+    assert mixed.mean_rate() == math.inf
+    assert mixed.slope_at_infinity() == -math.inf
+
+
 def test_factor_from_dict_round_trip():
     for factor in ALL_KINDS:
         spec = {"kind": factor.kind}

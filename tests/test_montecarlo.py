@@ -362,7 +362,6 @@ def test_validation_report_var_entry_uses_the_shared_ruin_paths():
     config = SimulationConfig(seed=5, n_paths=20_000)
     beta = 0.05
     checks = {c["check_name"]: c for c in validation_report(config, beta=beta)}
-    R = adjustment_coefficient(CP, PREMIUM)
-    var_est, bound, ok = var_inf_bound_check(CP, PREMIUM, beta, config, horizon=max(50.0, 30.0 / R))
+    var_est, bound, ok = var_inf_bound_check(CP, PREMIUM, beta, config)
     entry = checks["var_inf_bound"]
     assert (entry["analytic"], entry["estimate"], entry["pass"]) == (bound, var_est, ok)
