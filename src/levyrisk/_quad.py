@@ -37,6 +37,7 @@ __all__ = ["adaptive_simpson"]
 
 NODES = 21
 DEFAULT_REL_TOL = 1e-10
+MAX_EVALS = 200_000  # the evaluation budget of one call
 
 # The 21-point Kronrod rule on [-1, 1], nonnegative half: abscissae, largest
 # first, whose entries 1, 3, 5, 7 and 9 are the 10-point Gauss nodes; the
@@ -72,7 +73,7 @@ def _rule_on_unit_interval():
 _U, _KRONROD, _GAP = _rule_on_unit_interval()
 
 
-def adaptive_simpson(f, a, b, tol, breakpoints=None, max_evals=200_000):
+def adaptive_simpson(f, a, b, tol, breakpoints=None):
     """Integrate f over [a, b] to absolute tolerance ``tol``.
 
     ``f`` maps a 1-D array of N nodes in (a, b) to an array of shape (N,) or
@@ -81,7 +82,7 @@ def adaptive_simpson(f, a, b, tol, breakpoints=None, max_evals=200_000):
     of the same values give the same result.  ``breakpoints`` inside [a, b]
     split it into segments.  With ``tol=None`` the tolerance is relative,
     1e-10 * (1 + max-norm of the summed |panels| of the first level).  Raises
-    :class:`QuadratureBudgetError` when ``max_evals`` evaluations do not
+    :class:`QuadratureBudgetError` when ``MAX_EVALS`` evaluations do not
     suffice; its ``partial`` is the sum of the accepted panels plus the K21
     value of every unresolved one.
     """
@@ -97,9 +98,9 @@ def adaptive_simpson(f, a, b, tol, breakpoints=None, max_evals=200_000):
     accepted = 0.0
     unresolved = None  # the K21 values of the panels about to be halved
     while True:
-        if evals + NODES * u0.size > max_evals:
+        if evals + NODES * u0.size > MAX_EVALS:
             raise QuadratureBudgetError(
-                f"quadrature budget of {max_evals} evaluations exceeded on [{a}, {b}]",
+                f"quadrature budget of {MAX_EVALS} evaluations exceeded on [{a}, {b}]",
                 partial=accepted + unresolved.sum(axis=-1) if evals else None,
             )
         evals += NODES * u0.size

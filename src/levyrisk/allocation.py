@@ -64,7 +64,10 @@ class FactorPortfolio:
             raise ValueError(f"matrix has {m} columns but {len(factors)} factors given")
         if not np.all(np.isfinite(A) & (A >= 0)):
             raise ValueError("exposures a_ij must be finite and nonnegative")
-        col = A.sum(axis=0)
+        with np.errstate(over="ignore"):
+            col = A.sum(axis=0)
+        if not np.all(np.isfinite(col)):
+            raise ValueError("the exposures to one factor sum beyond float range")
         if np.any(col <= 0):
             dead = [j for j in range(m) if col[j] <= 0]
             raise ValueError(f"factor column(s) {dead} have zero total exposure")

@@ -44,6 +44,8 @@ class WeightFunction:
                 raise ValueError("table weight needs at least two knots")
             ts = [t for t, _ in self.knots]
             ws = [w for _, w in self.knots]
+            if not all(math.isfinite(v) for v in ts + ws):
+                raise ValueError("table knot times and values must be finite")
             if any(t1 <= t0 for t0, t1 in zip(ts, ts[1:])):
                 raise ValueError("table knot times must be strictly increasing")
             if any(w < 0 for w in ws):
@@ -55,13 +57,14 @@ class WeightFunction:
 
     def check_span(self, T: float) -> None:
         if self.kind == "table":
-            ts = [t for t, _ in self.knots]
-            if abs(ts[0]) > _SPAN_TOL * (1 + T) or abs(ts[-1] - T) > _SPAN_TOL * (1 + T):
+            # Each test is written as "not within", so that a NaN fails it.
+            ts, slack = [t for t, _ in self.knots], _SPAN_TOL * (1 + T)
+            if not (abs(ts[0]) <= slack and abs(ts[-1] - T) <= slack):
                 raise ValueError(
                     f"table weight knots span [{ts[0]}, {ts[-1]}] but the horizon is [0, {T}]"
                 )
             mass = self.mass(T)
-            if abs(mass - 1.0) > _SPAN_TOL:
+            if not abs(mass - 1.0) <= _SPAN_TOL:
                 raise ValueError(f"weight is not normalised: integral = {mass!r}")
 
     def density(self, t, T: float):

@@ -261,44 +261,28 @@ def _positive_finite(text: str) -> float:
 @np.errstate(all="ignore")  # a non-finite result is reported as DomainError instead
 def run(args) -> int:
     """Execute a parsed command line; returns the process exit code."""
-    try:
-        with open(args.config) as handle:
-            text = handle.read()
-    except OSError as exc:
-        sys.stderr.write(f"error: cannot read config: {exc}\n")
-        return EXIT_CONFIG
-
-    try:
-        portfolio, run_opts = parse_config(text)
-    except ConfigError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_CONFIG
-
-    overrides = {}
-    if args.beta is not None:
-        overrides["beta"] = args.beta
-    if args.T is not None:
-        overrides["T"] = args.T
-    if overrides:
-        try:
-            portfolio = dataclasses.replace(portfolio, **overrides)
-        except ValueError as exc:
-            sys.stderr.write(f"error: {exc}\n")
-            return EXIT_CONFIG
-    seed = args.seed if args.seed is not None else run_opts["seed"]
-    if seed < 0:
-        sys.stderr.write(f"error: --seed must be at least 0, got {seed}\n")
-        return EXIT_CONFIG
-    if args.command in ("cevar", "allocate", "curve"):
-        # A table weight must span the horizon, which --T may have moved.
-        try:
-            portfolio.weight.check_span(portfolio.T)
-        except ValueError as exc:
-            sys.stderr.write(f"error: {exc}\n")
-            return EXIT_CONFIG
-
     fmt, code = args.format, EXIT_OK
     try:
+        try:
+            with open(args.config) as handle:
+                text = handle.read()
+        except OSError as exc:
+            raise ConfigError(f"cannot read config: {exc}") from exc
+        portfolio, run_opts = parse_config(text)
+        overrides = {key: value for key, value in (("beta", args.beta), ("T", args.T))
+                     if value is not None}
+        seed = args.seed if args.seed is not None else run_opts["seed"]
+        try:
+            if overrides:
+                portfolio = dataclasses.replace(portfolio, **overrides)
+            if seed < 0:
+                raise ValueError(f"--seed must be at least 0, got {seed}")
+            if args.command in ("cevar", "allocate", "curve"):
+                # A table weight must span the horizon, which --T may have moved.
+                portfolio.weight.check_span(portfolio.T)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+
         if args.command == "evar":
             query = EvarQuery(portfolio.combination(None), portfolio.T, portfolio.beta)
             payload = dataclasses.asdict(evar(query, tol=args.tol_stationarity))
@@ -347,26 +331,24 @@ def run(args) -> int:
             json.dumps(payload, allow_nan=False)
         except ValueError:
             raise DomainError("the result is not finite: the inputs leave float range") from None
-    except NoStationaryPointError as exc:
-        sys.stderr.write(f"error: no stationary point: {exc}\n")
-        return EXIT_NO_STATIONARY
-    except QuadratureBudgetError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_QUAD_BUDGET
-    except LevyRiskError as exc:  # DomainError: the config's values leave the domain
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_CONFIG
 
-    rendered = _render(fmt, payload, header, rows)
-    if not args.out:
-        sys.stdout.write(rendered)
+        rendered = _render(fmt, payload, header, rows)
+        if args.out:
+            try:
+                with open(args.out, "w", newline="") as handle:
+                    handle.write(rendered)
+            except OSError as exc:
+                raise ConfigError(f"cannot write report: {exc}") from exc
+        else:
+            sys.stdout.write(rendered)
         return code
-    try:
-        with open(args.out, "w", newline="") as handle:
-            handle.write(rendered)
-    except OSError as exc:
-        sys.stderr.write(f"error: cannot write report: {exc}\n")
-        return EXIT_CONFIG
+    except NoStationaryPointError as exc:
+        code, message = EXIT_NO_STATIONARY, f"no stationary point: {exc}"
+    except QuadratureBudgetError as exc:
+        code, message = EXIT_QUAD_BUDGET, str(exc)
+    except LevyRiskError as exc:  # ConfigError, or a DomainError: the values leave the domain
+        code, message = EXIT_CONFIG, str(exc)
+    sys.stderr.write(f"error: {message}\n")
     return code
 
 

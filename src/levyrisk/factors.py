@@ -40,6 +40,27 @@ class LevyFactor:
 
     kind: str = ""
 
+    def __post_init__(self):
+        """Store a dataclass kind's parameters as Python floats and check the
+        ones ``_KIND_MAP`` names: mu must be finite, alpha must lie in (0, 1)
+        and every other parameter must be positive and finite.  A plug-in kind
+        (one not in ``_KIND_MAP``) is left as its own dataclass built it."""
+        if self.kind not in _KIND_MAP:
+            return
+        for field in dataclasses.fields(self):
+            object.__setattr__(self, field.name, float(getattr(self, field.name)))
+        # mu last, so that an error names a kind's own parameters first.
+        for name in sorted(_KIND_MAP[self.kind][1], key=lambda name: name == "mu"):
+            value = getattr(self, _field(name))
+            if name == "mu":
+                ok, rule = math.isfinite(value), "be finite"
+            elif name == "alpha":
+                ok, rule = 0.0 < value < 1.0, "lie in (0, 1)"
+            else:
+                ok, rule = 0.0 < value < math.inf, "be positive and finite"
+            if not ok:
+                raise ValueError(f"{name} must {rule}, got {value}")
+
     def phi(self, s: float) -> float:
         raise NotImplementedError
 
@@ -85,13 +106,6 @@ class BrownianWithDrift(LevyFactor):
     sigma: float
     kind = "brownian"
 
-    def __post_init__(self):
-        _store_floats(self)
-        if not (self.sigma > 0) or not math.isfinite(self.sigma):
-            raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
-        if not math.isfinite(self.mu):
-            raise ValueError(f"mu must be finite, got {self.mu}")
-
     def phi(self, s):
         return self.mu * s - 0.5 * self.sigma * self.sigma * s * s
 
@@ -113,15 +127,6 @@ class GammaSubordinator(LevyFactor):
     b: float
     mu: float = 0.0
     kind = "gamma"
-
-    def __post_init__(self):
-        _store_floats(self)
-        if not 0.0 < self.a < math.inf:
-            raise ValueError(f"a must be positive and finite, got {self.a}")
-        if not 0.0 < self.b < math.inf:
-            raise ValueError(f"b must be positive and finite, got {self.b}")
-        if not math.isfinite(self.mu):
-            raise ValueError(f"mu must be finite, got {self.mu}")
 
     def phi(self, s):
         return self.mu * s + self.a * _log1p_ratio(s, self.b)
@@ -158,13 +163,6 @@ class AlphaStableSubordinator(LevyFactor):
     mu: float = 0.0
     kind = "stable"
 
-    def __post_init__(self):
-        _store_floats(self)
-        if not (0.0 < self.alpha < 1.0):
-            raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
-        if not math.isfinite(self.mu):
-            raise ValueError(f"mu must be finite, got {self.mu}")
-
     def phi(self, s):
         return self.mu * s + s ** self.alpha
 
@@ -191,15 +189,6 @@ class CompoundPoissonExp(LevyFactor):
     eta: float
     mu: float = 0.0
     kind = "compound_poisson_exp"
-
-    def __post_init__(self):
-        _store_floats(self)
-        if not 0.0 < self.lam < math.inf:
-            raise ValueError(f"lambda must be positive and finite, got {self.lam}")
-        if not 0.0 < self.eta < math.inf:
-            raise ValueError(f"eta must be positive and finite, got {self.eta}")
-        if not math.isfinite(self.mu):
-            raise ValueError(f"mu must be finite, got {self.mu}")
 
     def phi(self, s):
         return self.mu * s + self.lam * s / (self.eta + s)
@@ -228,12 +217,6 @@ _KIND_MAP = {
     "stable": (AlphaStableSubordinator, ("alpha", "mu")),
     "compound_poisson_exp": (CompoundPoissonExp, ("lambda", "eta", "mu")),
 }
-
-
-def _store_floats(factor: LevyFactor) -> None:
-    """Replace each parameter of a factor dataclass by its Python float."""
-    for field in dataclasses.fields(factor):
-        object.__setattr__(factor, field.name, float(getattr(factor, field.name)))
 
 
 def _log1p_ratio(s, b: float):
@@ -306,8 +289,8 @@ class FactorCombination:
             raise ValueError(
                 f"{len(factors)} factors but {len(weights)} weights"
             )
-        if any(d < 0 for d in weights):
-            raise ValueError("weights must be nonnegative")
+        if not all(0.0 <= d < math.inf for d in weights):
+            raise ValueError("weights must be finite and nonnegative")
         object.__setattr__(self, "factors", factors)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "active", tuple((f, d) for f, d in zip(factors, weights) if d))

@@ -378,6 +378,10 @@ def validation_report(config: SimulationConfig, beta: float = 0.05) -> list:
     """
     checks = []
 
+    def check(name, analytic, estimate, ci, ok):
+        checks.append({"check_name": name, "analytic": analytic, "estimate": estimate,
+                       "ci": ci, "pass": bool(ok)})
+
     kinds = [
         BrownianWithDrift(mu=0.1, sigma=1.0),
         GammaSubordinator(a=2.0, b=3.0, mu=0.0),
@@ -387,15 +391,8 @@ def validation_report(config: SimulationConfig, beta: float = 0.05) -> list:
     for factor in kinds:
         rows = empirical_exponent_check(factor, 1.0, [0.5, 1.0, 2.0], config)
         worst = max(rows, key=lambda r: abs(r["estimate"] - r["analytic"]) / r["stderr"])
-        checks.append(
-            {
-                "check_name": f"laplace_exponent_{factor.kind}",
-                "analytic": worst["analytic"],
-                "estimate": worst["estimate"],
-                "ci": _N_SIGMA * worst["stderr"],
-                "pass": all(r["pass"] for r in rows),
-            }
-        )
+        check(f"laplace_exponent_{factor.kind}", worst["analytic"], worst["estimate"],
+              _N_SIGMA * worst["stderr"], all(r["pass"] for r in rows))
 
     brownian = BrownianWithDrift(mu=0.0, sigma=1.0)
     analytic = evar_closed_form_brownian(0.0, 1.0, 1.0, beta)
@@ -403,28 +400,14 @@ def validation_report(config: SimulationConfig, beta: float = 0.05) -> list:
     # The plug-in estimator's error scales like 1/sqrt(N); the tolerance is
     # anchored at 1% relative for 10^6 paths.
     rel_tol = 0.01 * math.sqrt(1e6 / config.n_paths)
-    checks.append(
-        {
-            "check_name": "empirical_evar_brownian",
-            "analytic": analytic,
-            "estimate": estimate,
-            "ci": rel_tol * analytic,
-            "pass": bool(abs(estimate - analytic) <= rel_tol * abs(analytic)),
-        }
-    )
+    check("empirical_evar_brownian", analytic, estimate, rel_tol * analytic,
+          abs(estimate - analytic) <= rel_tol * abs(analytic))
 
     cp = CompoundPoissonExp(lam=1.0, eta=1.0, mu=0.0)
     premium = 1.5
     R = adjustment_coefficient(cp, premium)
-    checks.append(
-        {
-            "check_name": "lundberg_adjustment_coefficient",
-            "analytic": cp.eta - cp.lam / premium,
-            "estimate": R,
-            "ci": 1e-10,
-            "pass": bool(abs(R - (cp.eta - cp.lam / premium)) <= 1e-10),
-        }
-    )
+    exact_R = cp.eta - cp.lam / premium
+    check("lundberg_adjustment_coefficient", exact_R, R, 1e-10, abs(R - exact_R) <= 1e-10)
 
     # One set of ruin paths serves every reserve level u and the VaR check.
     horizon = _ruin_horizon(R)
@@ -433,36 +416,14 @@ def validation_report(config: SimulationConfig, beta: float = 0.05) -> list:
     # psi(0) = lam/(c*eta) exactly for exponential jumps.
     est0 = _ruin_estimate(infima, 0.0, R, horizon)
     psi0 = cp.lam / (premium * cp.eta)
-    checks.append(
-        {
-            "check_name": "ruin_probability_at_zero",
-            "analytic": psi0,
-            "estimate": est0.psi_hat,
-            "ci": est0.ci_half_width,
-            "pass": bool(abs(est0.psi_hat - psi0) <= 2.0 * est0.ci_half_width),
-        }
-    )
+    check("ruin_probability_at_zero", psi0, est0.psi_hat, est0.ci_half_width,
+          abs(est0.psi_hat - psi0) <= 2.0 * est0.ci_half_width)
 
     for u in (3.0, 9.0):
         est = _ruin_estimate(infima, u, R, horizon)
-        checks.append(
-            {
-                "check_name": f"lundberg_bound_u{u:g}",
-                "analytic": est.lundberg_bound,
-                "estimate": est.psi_hat,
-                "ci": est.ci_half_width,
-                "pass": est.bound_ok,
-            }
-        )
+        check(f"lundberg_bound_u{u:g}", est.lundberg_bound, est.psi_hat, est.ci_half_width,
+              est.bound_ok)
 
     var_est, bound, ok = _var_inf_estimate(infima, beta, R)
-    checks.append(
-        {
-            "check_name": "var_inf_bound",
-            "analytic": bound,
-            "estimate": var_est,
-            "ci": 0.0,
-            "pass": ok,
-        }
-    )
+    check("var_inf_bound", bound, var_est, 0.0, ok)
     return checks

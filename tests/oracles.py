@@ -36,7 +36,8 @@ def _exponent_and_gap(factor, s):
         return p["mu"] * s - gap, gap
     if factor.kind == "gamma":
         z = s / p["b"]
-        return p["mu"] * s + p["a"] * mp.log1p(z), p["a"] * (mp.log1p(z) - z / (1 + z))
+        log1p = mp.log1p(z)
+        return p["mu"] * s + p["a"] * log1p, p["a"] * (log1p - z / (1 + z))
     if factor.kind == "stable":
         power = s ** p["alpha"]
         return p["mu"] * s + power, (1 - p["alpha"]) * power
@@ -104,13 +105,32 @@ def evar_oracle(combination, t, beta, dps=40):
         return float((-t * phi - log_beta) / s)
 
 
-def _horizon_quad(cuts, f):
+_MAX_HALVINGS = 100
+
+
+def _horizon_quad(cuts, f, dps):
     """integral over [cuts[0], cuts[-1]] of f(t) with mp.quad, piece by piece in
-    u under t = a + (b - a) u^2."""
-    total = mp.mpf(0)
-    for a, b in zip(cuts[:-1], cuts[1:]):
+    u under t = a + (b - a) u^2.
+
+    A piece is accepted when mp.quad's error estimate is at most 10^-dps of
+    its |value|, and halved otherwise.  The estimate is a power of ten capped
+    at 1, so an estimate of 1 vouches for nothing and is never accepted.  The
+    oracle raises ``ArithmeticError`` rather than halve more than
+    ``_MAX_HALVINGS`` times.
+    """
+    pieces = list(zip(cuts[:-1], cuts[1:]))
+    total, halvings = mp.mpf(0), 0
+    while pieces:
+        a, b = pieces.pop()
         width = mp.mpf(b) - a
-        total += mp.quad(lambda u: f(a + width * u * u) * 2 * width * u, [0, 1])
+        value, error = mp.quad(lambda u: f(a + width * u * u) * 2 * width * u, [0, 1], error=True)
+        if error < 1 and error <= mp.mpf(10) ** -dps * abs(value):
+            total += value
+            continue
+        halvings += 1
+        if halvings > _MAX_HALVINGS:
+            raise ArithmeticError(f"mp.quad cannot reach 10^-{dps} on [{cuts[0]}, {cuts[-1]}]")
+        pieces += [(a, a + width / 2), (a + width / 2, b)]
     return total
 
 
@@ -121,13 +141,15 @@ def allocation_oracle(portfolio, dps=15):
     total = integral_0^T EVaR_{1-beta}(X_t) omega(t) dt + sum_i c^i integral_0^T
     t omega(t) dt, the CEVaR that L allocates.
 
-    The range breaks at the weight knots and, for a compound-Poisson-only
-    position, at the onset -ln(beta) / sum(lambda_j), where the integrands
-    leave their linear s -> inf limit.  On each piece [a, b], t = a + (b - a) u^2
-    makes the sqrt(t) and t^(1/alpha) onsets smooth in u, and mp.quad
-    (tanh-sinh) integrates each component in u at ``dps`` digits.  The
-    components share their nodes, so each node is computed once, at ``dps`` + 5
-    digits:
+    The range breaks at the weight knots and, when the position has
+    compound-Poisson factors, at the onset -ln(beta) / sum(lambda_j) over them:
+    their gaps saturate at lambda_j, so the integrands bend steeply there, and
+    for a compound-Poisson-only position they leave their linear s -> inf limit
+    there.  On each piece [a, b], t = a + (b - a) u^2 makes the sqrt(t) and
+    t^(1/alpha) onsets smooth in u, and mp.quad (tanh-sinh) integrates each
+    component in u, halving a piece until its error estimate meets 10^-dps of
+    its value (:func:`_horizon_quad`).  The components share their nodes, so
+    each node is computed once, at ``dps`` + 5 digits:
 
     * s* by the bisection of :func:`evar_oracle`, run to 10^-(dps + 2) in ln(s),
       because K, unlike EVaR, is not stationary in s: its error follows that
@@ -140,10 +162,9 @@ def allocation_oracle(portfolio, dps=15):
     T, beta = portfolio.T, portfolio.beta
     A = [[mp.mpf(float(a)) for a in row] for row in portfolio.A]
     cuts = {0.0, T} | {t for t, _ in knots}
-    if all(f.kind == "compound_poisson_exp" for f in factors):
-        onset = -math.log(beta) / sum(f.lam for f in factors)
-        if onset < T:
-            cuts.add(onset)
+    lams = [f.lam for f in factors if f.kind == "compound_poisson_exp"]
+    if lams and -math.log(beta) / sum(lams) < T:
+        cuts.add(-math.log(beta) / sum(lams))
     cuts = sorted(cuts)
     with mp.workdps(dps + 5):
         active = [(f, mp.fsum(row[j] for row in A)) for j, f in enumerate(factors)]
@@ -174,8 +195,9 @@ def allocation_oracle(portfolio, dps=15):
         return mp.mpf(knots[-1][1])
 
     with mp.workdps(dps):
-        moment = _horizon_quad(cuts, lambda t: t * omega(t))
-        integrals = [_horizon_quad(cuts, lambda t: point(t)[i] * omega(t)) for i in range(len(A) + 1)]
+        moment = _horizon_quad(cuts, lambda t: t * omega(t), dps)
+        integrals = [_horizon_quad(cuts, lambda t: point(t)[i] * omega(t), dps)
+                     for i in range(len(A) + 1)]
         premiums = [mp.mpf(float(c)) for c in portfolio.premiums]
         L = [float(integral + c * moment) for integral, c in zip(integrals, premiums)]
         return np.array(L), float(integrals[-1] + mp.fsum(premiums) * moment)

@@ -73,6 +73,8 @@ def test_portfolio_validation():
         FactorPortfolio([[-1.0]], f, [0.0], 1.0, 0.05)
     with pytest.raises(ValueError, match="zero total exposure"):
         FactorPortfolio([[0.0]], f, [0.0], 1.0, 0.05)
+    with pytest.raises(ValueError, match="sum beyond float range"):
+        FactorPortfolio([[1e308], [1e308]], f, [0.0, 0.0], 1.0, 0.05)
     with pytest.raises(ValueError, match="factors"):
         FactorPortfolio([[1.0, 1.0]], f, [0.0], 1.0, 0.05)
     with pytest.raises(ValueError, match="premiums"):

@@ -1,6 +1,7 @@
 import math
 import sys
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -23,6 +24,7 @@ from levyrisk import (
 )
 from levyrisk.errors import LevyRiskError, NoStationaryPointError, QuadratureBudgetError
 from levyrisk.evar import solve_stationary
+import oracles
 from oracles import allocation_oracle, composite_simpson
 
 
@@ -89,6 +91,28 @@ def test_table_weight_validation():
         WeightFunction.table([(0.0, 1.0), (1.0, -0.5)])
     with pytest.raises(ValueError, match="kind"):
         WeightFunction(kind="spline")
+
+
+@pytest.mark.parametrize("knots", [
+    [(0.0, math.nan), (1.0, 2.0)],
+    [(0.0, 1.0), (math.nan, 1.0), (1.0, 1.0)],
+    [(0.0, 1.0), (math.inf, 1.0)],
+    [(0.0, math.inf), (1.0, 1.0)],
+])
+def test_table_weight_knots_must_be_finite(knots):
+    # On a Brownian position the first two gave cevar NaN and a silent 1.63.
+    with pytest.raises(ValueError, match="knot times and values must be finite"):
+        WeightFunction.table(knots)
+
+
+def test_check_span_fails_a_nan(monkeypatch):
+    w = WeightFunction.table([(0.0, 1.0), (1.0, 1.0)])
+    w.check_span(1.0)
+    with pytest.raises(ValueError, match="horizon"):
+        w.check_span(math.nan)
+    monkeypatch.setattr(WeightFunction, "mass", lambda self, T: math.nan)
+    with pytest.raises(ValueError, match="normalised"):
+        w.check_span(1.0)
 
 
 def test_check_span_rejects_bad_tables():
@@ -355,6 +379,44 @@ def test_cevar_and_allocation_total_match_the_mpmath_oracle(case):
     report = allocate(portfolio)
     assert abs(cevar(CevarQuery(portfolio.combination(), 2.0, 0.05, weight=weight)) - truth) \
         <= 1e-10 * abs(truth)
+    assert abs(report.total_cevar - truth) <= 1e-10 * abs(truth)
+    assert np.max(np.abs(report.L - L)) <= 1e-10 * np.max(np.abs(L))
+
+
+def test_oracle_halves_a_piece_until_mp_quad_vouches_for_it():
+    # A Lorentzian of width 1e-3 at t = 0.3: one mp.quad over [0, 1] is off by
+    # about 60%; the halved pieces give the closed form to 1e-15.
+    with mp.workdps(15):
+        w, c = mp.mpf("1e-3"), mp.mpf("0.3")
+        exact = (mp.atan((1 - c) / w) + mp.atan(c / w)) / w
+        value = oracles._horizon_quad([0.0, 1.0], lambda t: 1 / (w * w + (t - c) ** 2), 15)
+        assert abs(value / exact - 1) <= 1e-15
+
+
+def test_oracle_raises_where_mp_quad_cannot_vouch(monkeypatch):
+    # The singularity at t = 1/3 is never a halving point, so the pieces
+    # around it never meet the tolerance.
+    monkeypatch.setattr(oracles, "_MAX_HALVINGS", 10)
+    with mp.workdps(15), pytest.raises(ArithmeticError, match="cannot reach"):
+        oracles._horizon_quad([0.0, 1.0], lambda t: 1 / mp.sqrt(abs(t - mp.mpf(1) / 3)), 15)
+
+
+def test_oracle_agrees_with_allocate_or_raises_where_evar_falls_steeply():
+    # EVaR falls from 158 at T/10 to -4.1e8 at T/2, across the compound-Poisson
+    # onset -ln(beta)/lambda = 5.04e-3.  One unchecked mp.quad over [0, T] is
+    # off in L by 1e-6 here.
+    portfolio = FactorPortfolio(
+        [[0.6055482501083728, 1.3083884484609494, 62860.1949261461],
+         [0.01201703290487736, 0.016538597262378496, 0.03870380658967848]],
+        [GammaSubordinator(0.7291847466911933, 5.4133853557492815, -201286.6579838816),
+         BrownianWithDrift(0.0, 0.000284292558904834),
+         CompoundPoissonExp(147.90739629959901, 1.6939351585412742e-06, 0.0)],
+        [0.0, 0.0], 0.012705520340077726, 0.474183317898083)
+    try:
+        L, truth = allocation_oracle(portfolio, dps=12)
+    except ArithmeticError:
+        return
+    report = allocate(portfolio)
     assert abs(report.total_cevar - truth) <= 1e-10 * abs(truth)
     assert np.max(np.abs(report.L - L)) <= 1e-10 * np.max(np.abs(L))
 

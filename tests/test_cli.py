@@ -300,6 +300,25 @@ def test_non_finite_exposure_or_premium_is_a_config_error(tmp_path):
                 assert main(["--config", cfg, "--command", command]) == 2, text
 
 
+def test_exposures_that_sum_beyond_float_range_are_a_config_error(tmp_path, capsys):
+    # An infinite factor weight used to reach the solver, which exited 3.
+    text = MINIMAL.replace("[matrix]\n1.0\n\n[premiums]\n0.0",
+                           "[matrix]\n1e308\n1e308\n\n[premiums]\n0.0\n0.0")
+    cfg = write(tmp_path, text)
+    for command in ("evar", "cevar", "allocate"):
+        assert main(["--config", cfg, "--command", command]) == 2
+        assert "sum beyond float range" in capsys.readouterr().err
+
+
+def test_non_finite_weight_knot_is_a_config_error(tmp_path, capsys):
+    text = MIXED.replace("[weight]\n0.0 0.5", "[weight]\n0.0 nan")
+    with pytest.raises(ConfigError, match="must be finite") as exc_info:
+        parse_config(text)
+    assert exc_info.value.line == 18
+    assert main(["--config", write(tmp_path, text), "--command", "cevar"]) == 2
+    assert "line 18: table knot times and values must be finite" in capsys.readouterr().err
+
+
 def test_infinite_factor_parameter_is_a_config_error(tmp_path):
     # These used to reach the solver: an infinite a or lambda exited 3 (no
     # stationary point), an infinite b or eta exited 0 with EVaR 0.

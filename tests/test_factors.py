@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from functools import reduce
 
@@ -10,8 +11,11 @@ from levyrisk import (
     AlphaStableSubordinator,
     BrownianWithDrift,
     CompoundPoissonExp,
+    EvarQuery,
     FactorCombination,
     GammaSubordinator,
+    LevyFactor,
+    evar,
     factor_from_dict,
     laplace_exponent,
 )
@@ -237,6 +241,70 @@ def test_infinite_jump_parameter_is_rejected(build, name):
     # gave the EVaR of a zero position.
     with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
         build(math.inf)
+
+
+def test_each_kind_checks_its_parameters_by_one_rule():
+    # mu must be finite, alpha must lie in (0, 1), every other parameter must be
+    # positive and finite; with two bad values the kind's own one is named.
+    cases = [
+        (lambda: BrownianWithDrift(mu=math.nan, sigma=0.0), "sigma must be positive and finite, got 0.0"),
+        (lambda: BrownianWithDrift(mu=math.inf, sigma=1.0), "mu must be finite, got inf"),
+        (lambda: GammaSubordinator(a=1.0, b=math.nan), "b must be positive and finite, got nan"),
+        (lambda: AlphaStableSubordinator(alpha=1.0, mu=math.nan), "alpha must lie in (0, 1), got 1.0"),
+        (lambda: AlphaStableSubordinator(alpha=math.nan), "alpha must lie in (0, 1), got nan"),
+        (lambda: CompoundPoissonExp(lam=-1.0, eta=1.0), "lambda must be positive and finite, got -1.0"),
+        (lambda: CompoundPoissonExp(lam=1.0, eta=1.0, mu=-math.inf), "mu must be finite, got -inf"),
+    ]
+    for build, message in cases:
+        with pytest.raises(ValueError) as exc_info:
+            build()
+        assert str(exc_info.value) == message
+
+
+@dataclass(frozen=True)
+class InverseGaussianSubordinator(LevyFactor):
+    """A plug-in kind: phi(s) = delta * (sqrt(gamma^2 + 2s) - gamma)."""
+
+    delta: float
+    gamma: float
+    label: str = "inverse Gaussian"  # not a number: a plug-in keeps its own fields
+    kind = "inverse_gaussian"
+
+    def phi(self, s):
+        return self.delta * (math.sqrt(self.gamma ** 2 + 2.0 * s) - self.gamma)
+
+    def dphi(self, s):
+        return self.delta / math.sqrt(self.gamma ** 2 + 2.0 * s)
+
+    def d2phi(self, s):
+        return -self.delta / (self.gamma ** 2 + 2.0 * s) ** 1.5
+
+    def phi_gap(self, s):
+        return self.phi(s) - s * self.dphi(s)
+
+
+def test_plug_in_kind_constructs_and_gives_an_evar():
+    factor = InverseGaussianSubordinator(2.0, 1.5)
+    assert factor.label == "inverse Gaussian"
+    assert factor.mean_rate() == pytest.approx(2.0 / 1.5) and factor.slope_at_infinity() == 0.0
+    t, beta = 1.5, 0.05
+    value = evar(EvarQuery(FactorCombination.single(factor), t, beta)).value
+    # EVaR is the infimum over s > 0 of (-t*phi(s) - ln(beta)) / s.
+    objective = min((-t * factor.phi(s) - math.log(beta)) / s
+                    for s in np.geomspace(1e-3, 1e3, 20_001).tolist())
+    assert value <= objective and value == pytest.approx(objective, rel=1e-7)
+
+
+@pytest.mark.parametrize("weight", [math.nan, math.inf, -math.inf, -1.0])
+def test_combination_rejects_a_weight_that_is_not_finite_and_nonnegative(weight):
+    # A NaN weight gave evar a silent NaN and cevar a misleading DomainError.
+    with pytest.raises(ValueError, match="weights must be finite and nonnegative"):
+        FactorCombination([GammaSubordinator(2.0, 3.0)], [weight])
+
+
+def test_scaling_by_infinity_is_rejected():
+    with pytest.raises(ValueError, match="weights must be finite"):
+        FactorCombination.single(GammaSubordinator(2.0, 3.0)).scaled(math.inf)
 
 
 def test_combination_sums_are_left_to_right_sums_of_the_terms():

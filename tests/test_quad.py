@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from levyrisk import _quad
 from levyrisk._quad import _GAP, _KRONROD, _U, adaptive_simpson
 from levyrisk.errors import QuadratureBudgetError
 
@@ -90,17 +91,18 @@ def test_float_list_and_array_integrands_agree_exactly():
     assert pair_array[1] == pytest.approx(math.sin(2.0), rel=1e-13)
 
 
-def test_budget_error_carries_partial():
+def test_budget_error_carries_partial(monkeypatch):
     # Under t = u^2, t**0.3 is u**0.6: not a polynomial, so 1e-30 is out of reach.
+    monkeypatch.setattr(_quad, "MAX_EVALS", 500)
     with pytest.raises(QuadratureBudgetError) as exc_info:
-        adaptive_simpson(lambda t: np.array([t ** 0.3, np.ones_like(t)]), 0.0, 1.0, 1e-30,
-                         max_evals=500)
+        adaptive_simpson(lambda t: np.array([t ** 0.3, np.ones_like(t)]), 0.0, 1.0, 1e-30)
     partial = exc_info.value.partial
     assert partial is not None
     assert partial == pytest.approx([1.0 / 1.3, 1.0], rel=1e-8)
 
 
-def test_budget_below_one_panel_has_no_partial():
+def test_budget_below_one_panel_has_no_partial(monkeypatch):
+    monkeypatch.setattr(_quad, "MAX_EVALS", 20)
     with pytest.raises(QuadratureBudgetError) as exc_info:
-        adaptive_simpson(np.sqrt, 0.0, 1.0, None, max_evals=20)
+        adaptive_simpson(np.sqrt, 0.0, 1.0, None)
     assert exc_info.value.partial is None
