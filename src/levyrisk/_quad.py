@@ -12,9 +12,10 @@ Ueberhuber and Kahaner, 1983).  Each segment starts as three panels, u in [0, 1/
 tolerance depended on the parameters, so the cost jumped with them.  A panel
 is accepted, as its K21 value, when its error estimate fits its share of
 ``tol`` (tol / #segments times its width in u); otherwise both halves are
-evaluated.  There is no depth limit: halving stops when the tolerance is met
-or the budget runs out (:class:`QuadratureBudgetError`), so accuracy is never
-lost silently.
+evaluated.  The caller passes ``tol=None``, which sets the relative default
+DEFAULT_REL_TOL; only the tests pass an absolute ``tol``.  There is no depth
+limit: halving stops when the tolerance is met or the budget runs out
+(:class:`QuadratureBudgetError`), so accuracy is never lost silently.
 
 The work is batched by level.  The integrand takes a 1-D array of nodes and
 returns an array of shape (N,), or (k, N) for k quantities at once.  The
@@ -81,7 +82,8 @@ def adaptive_simpson(f, a, b, tol, breakpoints=None):
     component-wise with the error in the max norm, and shapes (N,) and (1, N)
     of the same values give the same result.  ``breakpoints`` inside [a, b]
     split it into segments.  With ``tol=None`` the tolerance is relative,
-    1e-10 * (1 + max-norm of the summed |panels| of the first level).  Raises
+    DEFAULT_REL_TOL * (1 + max-norm of the summed |panels| of the first
+    level); :func:`levyrisk.cevar.horizon_integral` always asks for it.  Raises
     :class:`QuadratureBudgetError` when ``MAX_EVALS`` evaluations do not
     suffice; its ``partial`` is the sum of the accepted panels plus the K21
     value of every unresolved one.

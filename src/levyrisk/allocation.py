@@ -157,7 +157,7 @@ def euler_contributions(portfolio: FactorPortfolio, t: float) -> np.ndarray:
     return portfolio.A @ _factor_terms(comb, np.array([t]), np.array([s]))[0]
 
 
-def allocate(portfolio: FactorPortfolio, quad_tol: Optional[float] = None) -> AllocationReport:
+def allocate(portfolio: FactorPortfolio) -> AllocationReport:
     """Integrate the Euler contributions into the allocation L^i.
 
     L^i = integral_0^T K_t^i omega(t) dt + c^i * integral_0^T t omega(t) dt.
@@ -171,7 +171,7 @@ def allocate(portfolio: FactorPortfolio, quad_tol: Optional[float] = None) -> Al
     """
     T, comb = portfolio.T, portfolio.combination(None)
     integral, points = horizon_integral(
-        comb, portfolio.beta, portfolio.weight, T, quad_tol,
+        comb, portfolio.beta, portfolio.weight, T,
         np.vstack([portfolio.A, portfolio.column_sums()]),
     )
 
@@ -224,22 +224,20 @@ def brownian_s_star(sigmas, d, t: float, beta: float) -> float:
 
 
 def brownian_contributions(A, sigmas, t: float, beta: float) -> np.ndarray:
-    """K_t^i for driftless Brownian factors (closed form)."""
+    """K_t^i = t * s* * (A @ sigma^2 D) for driftless Brownian factors (closed
+    form), taken as sqrt(t) * s*(1), which equals t * s*(t) and stays finite
+    at t = 0 and at subnormal t."""
     A = np.asarray(A, dtype=float)
     sigmas = np.asarray(sigmas, dtype=float)
     D = A.sum(axis=0)
-    root = math.sqrt(-2.0 * math.log(beta) / float(np.sum(sigmas ** 2 * D ** 2)))
-    return math.sqrt(t) * root * (A @ (sigmas ** 2 * D))
+    return math.sqrt(t) * brownian_s_star(sigmas, D, 1.0, beta) * (A @ (sigmas ** 2 * D))
 
 
 def brownian_allocation(A, sigmas, premiums, T: float, beta: float) -> np.ndarray:
-    """L^i for driftless Brownian factors under the uniform weight."""
-    A = np.asarray(A, dtype=float)
-    sigmas = np.asarray(sigmas, dtype=float)
-    premiums = np.asarray(premiums, dtype=float)
-    D = A.sum(axis=0)
-    root = math.sqrt(-2.0 * math.log(beta) / float(np.sum(sigmas ** 2 * D ** 2)))
-    return (2.0 / 3.0) * math.sqrt(T) * root * (A @ (sigmas ** 2 * D)) + premiums * T / 2.0
+    """L^i for driftless Brownian factors under the uniform weight: K_t grows
+    as sqrt(t), so its mean over [0, T] is (2/3) K_T."""
+    return ((2.0 / 3.0) * brownian_contributions(A, sigmas, T, beta)
+            + np.asarray(premiums, dtype=float) * T / 2.0)
 
 
 def stable_contributions(A, alpha: float, t: float, beta: float) -> np.ndarray:
@@ -253,12 +251,7 @@ def stable_contributions(A, alpha: float, t: float, beta: float) -> np.ndarray:
 
 
 def stable_allocation(A, alpha: float, premiums, T: float, beta: float) -> np.ndarray:
-    """L^i for driftless common-alpha stable factors under the uniform weight."""
-    A = np.asarray(A, dtype=float)
-    premiums = np.asarray(premiums, dtype=float)
-    D = A.sum(axis=0)
-    core = (-math.log(beta) / ((1.0 - alpha) * float(np.sum(D ** alpha)))) ** (
-        (alpha - 1.0) / alpha
-    )
-    lead = -(alpha ** 2 / (alpha + 1.0)) * T ** (1.0 / alpha)
-    return lead * core * (A @ (D ** (alpha - 1.0))) + premiums * T / 2.0
+    """L^i for driftless common-alpha stable factors under the uniform weight:
+    K_t grows as t^(1/alpha), so its mean over [0, T] is alpha/(alpha+1) K_T."""
+    return ((alpha / (alpha + 1.0)) * stable_contributions(A, alpha, T, beta)
+            + np.asarray(premiums, dtype=float) * T / 2.0)

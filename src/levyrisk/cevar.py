@@ -108,20 +108,20 @@ class WeightFunction:
         if self.kind == "uniform":
             return self
         mass = self.mass(T)
-        if not (mass > 0.0):
-            raise ValueError("table weight has zero mass and cannot be normalised")
+        if not 0.0 < mass < math.inf:
+            raise ValueError(f"table weight has mass {mass!r}, not a positive finite "
+                             "number, and cannot be normalised")
         return WeightFunction.table([(t, w / mass) for t, w in self.knots])
 
 
 @dataclass(frozen=True)
 class CevarQuery:
-    """Position, horizon T > 0, beta in (0, 1], weight and quadrature tolerance."""
+    """Position, horizon T > 0, beta in (0, 1] and weight."""
 
     combination: FactorCombination
     T: float
     beta: float
     weight: WeightFunction = field(default_factory=WeightFunction)
-    quad_tol: Optional[float] = None
 
     def __post_init__(self):
         # As Python floats, for the reason given in EvarQuery.
@@ -134,7 +134,7 @@ class CevarQuery:
 
 
 def horizon_integral(combination: FactorCombination, beta: float, weight: WeightFunction,
-                     T: float, tol: Optional[float], exposures: np.ndarray):
+                     T: float, exposures: np.ndarray):
     """integral_0^T exposures @ k(t) omega(t) dt along the stationary curve, for
     beta < 1 and a nonzero position.
 
@@ -160,8 +160,8 @@ def horizon_integral(combination: FactorCombination, beta: float, weight: Weight
     One more break at x = ln(s*(T) / EPS) parts the steep head of a long
     range from its slow tail: as one segment, a gamma range up to X_MAX met
     the absolute floor of the default tolerance at its first level with only
-    ~1e-8 relative accuracy for a tiny position.  ``tol=None`` asks
-    the quadrature for its relative default.
+    ~1e-8 relative accuracy for a tiny position.  The quadrature runs at
+    its relative default tolerance, ``_quad.DEFAULT_REL_TOL``.
 
     Returns ``(value, points)``, where ``points`` holds (x, tau, F'(x)) of the
     nodes (exact curve points) and of (x_T, T), for
@@ -204,7 +204,7 @@ def horizon_integral(combination: FactorCombination, beta: float, weight: Weight
         # tau * omega ~ 1 and tau * F' ~ tau: tau * tau would underflow below 1e-154.
         return exposures @ terms * ((tau * weight.density(tau, T)) * (tau * fprime))
 
-    value = linear + adaptive_simpson(integrand, x_T, math.log(s_hi), tol, breakpoints=breaks)
+    value = linear + adaptive_simpson(integrand, x_T, math.log(s_hi), None, breakpoints=breaks)
     return value, tuple(np.concatenate(arrays) for arrays in zip(*points))
 
 
@@ -221,5 +221,5 @@ def cevar(query: CevarQuery) -> float:
         # DomainError at beta = 1 for an active stable factor (infinite mean).
         s = solve_stationary(comb, 1.0, beta)[0]
         return evar_at(comb, 1.0, beta, s) * query.weight.time_moment(query.T)
-    return horizon_integral(comb, beta, query.weight, query.T, query.quad_tol,
+    return horizon_integral(comb, beta, query.weight, query.T,
                             np.array([d for _, d in comb.active]))[0]

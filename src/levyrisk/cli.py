@@ -247,17 +247,6 @@ def _curve(K_curve, s_star_curve):
     return header, [[t, s] + list(k) for (t, s), k in zip(s_star_curve, K_curve)]
 
 
-def _positive_finite(text: str) -> float:
-    """The argparse type of the tolerance flags: a float in (0, inf)."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not 0.0 < value < math.inf:
-        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text!r}")
-    return value
-
-
 @np.errstate(all="ignore")  # a non-finite result is reported as DomainError instead
 def run(args) -> int:
     """Execute a parsed command line; returns the process exit code."""
@@ -285,18 +274,16 @@ def run(args) -> int:
 
         if args.command == "evar":
             query = EvarQuery(portfolio.combination(None), portfolio.T, portfolio.beta)
-            payload = dataclasses.asdict(evar(query, tol=args.tol_stationarity))
+            payload = dataclasses.asdict(evar(query))
             header, rows = list(payload), [list(payload.values())]
         elif args.command == "cevar":
-            query = CevarQuery(
-                portfolio.combination(None), portfolio.T, portfolio.beta,
-                weight=portfolio.weight, quad_tol=args.tol_quad,
-            )
+            query = CevarQuery(portfolio.combination(None), portfolio.T, portfolio.beta,
+                               weight=portfolio.weight)
             value = cevar(query)
             payload = {"value": value, "time_moment": portfolio.weight.time_moment(portfolio.T)}
             header, rows = ["value"], [[value]]
         elif args.command == "allocate":
-            report = allocate(portfolio, quad_tol=args.tol_quad)
+            report = allocate(portfolio)
             payload = {
                 "L": report.L.tolist(),
                 "total_cevar": report.total_cevar,
@@ -367,8 +354,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=None,
                         help="override the config's simulation seed")
     parser.add_argument("--out", default=None, help="write the report to this path")
-    parser.add_argument("--tol-stationarity", type=_positive_finite)
-    parser.add_argument("--tol-quad", type=_positive_finite)
     return parser
 
 

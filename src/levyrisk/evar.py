@@ -61,7 +61,7 @@ __all__ = [
 # the s -> inf limit; one below X_MIN raises (see solve_stationary).
 X_MIN = math.log(1e-300)
 X_MAX = math.log(1e300)
-# The default stop: |h| <= RESIDUAL_EPS * |ln(beta)|.
+# The residual stop of the solves: |h| <= RESIDUAL_EPS * |ln(beta)|.
 RESIDUAL_EPS = 1e-10
 # Lockstep rounds of solve_curve before its open points go to solve_stationary.
 CURVE_ROUNDS = 8
@@ -111,7 +111,7 @@ def solve_stationary(
     combination: FactorCombination,
     t: float,
     beta: float,
-    tol: Optional[float] = None,
+    *,
     s0: Optional[float] = None,
 ):
     """The point s in [0, inf] that carries ``inf_{s>0} g(s)``.
@@ -130,10 +130,10 @@ def solve_stationary(
 
     Every evaluation takes h and the slope the same way at every x: phi_gap
     and s^2 phi'' of each kind stay in float range up to an inf, so there is
-    one slope path.  Stops when |h| <= ``tol`` (default RESIDUAL_EPS *
-    |ln(beta)|), returning the Newton-corrected point exp(x - F/F') from F and
-    F' at the accepted x (K is first order in the error of s*, EVaR is not),
-    or when the next step is a few ulps of x, returning the evaluated point.
+    one slope path.  Stops when |h| <= RESIDUAL_EPS * |ln(beta)|, returning
+    the Newton-corrected point exp(x - F/F') from F and F' at the accepted x
+    (K is first order in the error of s*, EVaR is not), or when the next step
+    is a few ulps of x, returning the evaluated point.
     Returns ``(s, iterations, residual)``, where ``iterations`` counts every
     evaluation of h and ``residual`` is h at the last evaluated point.  At a
     boundary limit (see the module docstring) ``s`` is ``math.inf`` or, only
@@ -150,8 +150,7 @@ def solve_stationary(
     budget = -math.log(beta)
     if budget == 0.0:
         return 0.0, 0, 0.0
-    if tol is None:
-        tol = RESIDUAL_EPS * budget
+    tol = RESIDUAL_EPS * budget
     log_budget = math.log(budget)
     lo, hi = X_MIN, X_MAX
     lo_seen = hi_seen = False  # whether h was evaluated at lo / hi
@@ -299,10 +298,10 @@ def _curve_seeds(u, x, tau, fprime):
     return np.clip(seed, X_MIN, X_MAX)
 
 
-def evar(query: EvarQuery, tol: Optional[float] = None) -> EvarResult:
+def evar(query: EvarQuery) -> EvarResult:
     """EVaR_{1-beta}(X_t) as the infimum of the objective over s in (0, inf)."""
     comb, t, beta = query.combination, query.t, query.beta
-    s, iters, residual = solve_stationary(comb, t, beta, tol)
+    s, iters, residual = solve_stationary(comb, t, beta)
     value = evar_at(comb, t, beta, s)
     if s == math.inf:
         return EvarResult(value, None, LIMIT_AT_INFINITY, 0, 0.0)

@@ -107,22 +107,20 @@ def _draw_increments(factor: LevyFactor, dt: float, n: int, rng) -> np.ndarray:
     raise TypeError(f"unsupported factor type {type(factor).__name__}")
 
 
-def sample_increments(factor: LevyFactor, dt: float, n: int, seed: int) -> np.ndarray:
-    """n i.i.d. increments of W over steps of length dt, deterministic in seed."""
+def sample_increments(target: Union[LevyFactor, FactorCombination], dt: float, n: int,
+                      seed: int) -> np.ndarray:
+    """n i.i.d. increments over steps of length dt of a factor or a weighted
+    combination (exact marginals), deterministic in seed: factor j of a
+    combination draws from substream j, and a lone factor is substream 0."""
     if not (dt > 0):
         raise ValueError(f"dt must be positive, got {dt}")
-    return _draw_increments(factor, dt, n, _rng(seed))
-
-
-def _sample_position(target, t: float, n: int, seed: int) -> np.ndarray:
-    """Samples of X_t for a factor or weighted combination (exact marginals)."""
     if isinstance(target, LevyFactor):
-        target = FactorCombination.single(target)
+        return _draw_increments(target, dt, n, _rng(seed))
     x = np.zeros(n)
     for j, (factor, d) in enumerate(zip(target.factors, target.weights)):
         if d == 0.0:
             continue
-        x += d * _draw_increments(factor, t, n, _rng(seed, j))
+        x += d * _draw_increments(factor, dt, n, _rng(seed, j))
     return x
 
 
@@ -177,7 +175,8 @@ def empirical_evar(
     beta: float,
     config: SimulationConfig,
 ) -> float:
-    """Plug-in EVaR inf_s (ln (1/N) sum exp(-s X) - ln beta)/s of simulated X_t.
+    """Plug-in EVaR inf_s (ln (1/N) sum exp(-s X) - ln beta)/s of simulated X_t,
+    t > 0 (X_t is drawn by :func:`sample_increments` with dt = t).
 
     :func:`evar.evar` solves it on the empirical exponent, with the stationary
     solve and boundary limits of the analytic EVaR.  At beta <= #ties/N (so
@@ -185,7 +184,7 @@ def empirical_evar(
     """
     if not (0.0 < beta < 1.0):
         raise ValueError(f"beta must lie in (0, 1), got {beta}")
-    x = _sample_position(target, t, config.n_paths, config.seed)
+    x = sample_increments(target, t, config.n_paths, config.seed)
     plug_in = FactorCombination.single(_EmpiricalExponent(x))
     return evar(EvarQuery(plug_in, 1.0, beta)).value
 

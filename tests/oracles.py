@@ -28,41 +28,56 @@ def composite_simpson(f, a, b, n: int):
     return acc * h / 3.0
 
 
-def _exponent_and_gap(factor, s):
-    """(phi(s), phi(s) - s*phi'(s)) of one factor in closed form, s an mpf."""
-    p = {name: mp.mpf(value) for name, value in vars(factor).items()}
-    if factor.kind == "brownian":
-        gap = p["sigma"] ** 2 * s * s / 2
-        return p["mu"] * s - gap, gap
-    if factor.kind == "gamma":
+def _closed_form(factor, d):
+    """(kind, parameters, d) of one factor held with weight d, the parameters
+    converted to mpf once, at the working precision (exact from 53 bits up)."""
+    return factor.kind, {name: mp.mpf(value) for name, value in vars(factor).items()}, d
+
+
+def _exponent(kind, p, s):
+    """phi(s) of one factor in closed form, s an mpf."""
+    if kind == "brownian":
+        return p["mu"] * s - p["sigma"] ** 2 * s * s / 2
+    if kind == "gamma":
+        return p["mu"] * s + p["a"] * mp.log1p(s / p["b"])
+    if kind == "stable":
+        return p["mu"] * s + s ** p["alpha"]
+    if kind == "compound_poisson_exp":
+        return p["mu"] * s + p["lam"] * (s / (p["eta"] + s))
+    raise ValueError(f"no closed form for factor kind {kind!r}")
+
+
+def _gap(kind, p, s):
+    """phi(s) - s*phi'(s) of one factor in closed form, s an mpf."""
+    if kind == "brownian":
+        return p["sigma"] ** 2 * s * s / 2
+    if kind == "gamma":
         z = s / p["b"]
-        log1p = mp.log1p(z)
-        return p["mu"] * s + p["a"] * log1p, p["a"] * (log1p - z / (1 + z))
-    if factor.kind == "stable":
-        power = s ** p["alpha"]
-        return p["mu"] * s + power, (1 - p["alpha"]) * power
-    if factor.kind == "compound_poisson_exp":
+        return p["a"] * (mp.log1p(z) - z / (1 + z))
+    if kind == "stable":
+        return (1 - p["alpha"]) * s ** p["alpha"]
+    if kind == "compound_poisson_exp":
         r = s / (p["eta"] + s)
-        return p["mu"] * s + p["lam"] * r, p["lam"] * r * r
-    raise ValueError(f"no closed form for factor kind {factor.kind!r}")
+        return p["lam"] * r * r
+    raise ValueError(f"no closed form for factor kind {kind!r}")
 
 
-def _derivative(factor, s):
+def _derivative(kind, p, s):
     """phi'(s) of one factor in closed form, s an mpf."""
-    p = {name: mp.mpf(value) for name, value in vars(factor).items()}
-    if factor.kind == "brownian":
+    if kind == "brownian":
         return p["mu"] - p["sigma"] ** 2 * s
-    if factor.kind == "gamma":
+    if kind == "gamma":
         return p["mu"] + p["a"] / (p["b"] + s)
-    if factor.kind == "stable":
+    if kind == "stable":
         return p["mu"] + p["alpha"] * s ** (p["alpha"] - 1)
-    if factor.kind == "compound_poisson_exp":
+    if kind == "compound_poisson_exp":
         return p["mu"] + p["lam"] * p["eta"] / (p["eta"] + s) ** 2
-    raise ValueError(f"no closed form for factor kind {factor.kind!r}")
+    raise ValueError(f"no closed form for factor kind {kind!r}")
 
 
 def _stationary_point(active, t, log_beta, tol):
-    """s* of h(s) = t*gap(s) + ln(beta) for the (factor, d) pairs ``active``, in mp.
+    """s* of h(s) = t*gap(s) + ln(beta) for the :func:`_closed_form` triples
+    ``active``, in mp.
 
     Bisection in x = ln(s) over [-700, 2000] until the bracket is narrower
     than ``tol``; mp.inf when h(e^2000) < 0, i.e. the infimum is the s -> inf
@@ -70,7 +85,7 @@ def _stationary_point(active, t, log_beta, tol):
     """
     def h(x):
         s = mp.exp(x)
-        return t * sum(_exponent_and_gap(f, s * d)[1] for f, d in active) + log_beta
+        return t * sum(_gap(kind, p, s * d) for kind, p, d in active) + log_beta
 
     lo, hi = mp.mpf(-700), mp.mpf(2000)
     if h(hi) < 0:
@@ -97,11 +112,12 @@ def evar_oracle(combination, t, beta, dps=40):
     """
     with mp.workdps(dps):
         t, log_beta = mp.mpf(t), mp.log(mp.mpf(beta))
-        active = [(f, mp.mpf(d)) for f, d in zip(combination.factors, combination.weights) if d > 0]
+        active = [_closed_form(f, mp.mpf(d))
+                  for f, d in zip(combination.factors, combination.weights) if d > 0]
         s = _stationary_point(active, t, log_beta, mp.mpf(10) ** (-dps // 2))
         if s == mp.inf:
-            return float(-t * sum(d * mp.mpf(f.mu) for f, d in active))
-        phi = sum(_exponent_and_gap(f, s * d)[0] for f, d in active)
+            return float(-t * sum(d * p["mu"] for _, p, d in active))
+        phi = sum(_exponent(kind, p, s * d) for kind, p, d in active)
         return float((-t * phi - log_beta) / s)
 
 
@@ -167,7 +183,7 @@ def allocation_oracle(portfolio, dps=15):
         cuts.add(-math.log(beta) / sum(lams))
     cuts = sorted(cuts)
     with mp.workdps(dps + 5):
-        active = [(f, mp.fsum(row[j] for row in A)) for j, f in enumerate(factors)]
+        active = [_closed_form(f, mp.fsum(row[j] for row in A)) for j, f in enumerate(factors)]
         log_beta = mp.log(mp.mpf(beta))
     points = {}
 
@@ -177,11 +193,11 @@ def allocation_oracle(portfolio, dps=15):
             with mp.workdps(dps + 5):
                 s = _stationary_point(active, t, log_beta, mp.mpf(10) ** -(dps + 2))
                 if s == mp.inf:
-                    dphi = [mp.mpf(f.mu) for f, _ in active]
-                    value = -t * mp.fsum(d * p for (_, d), p in zip(active, dphi))
+                    dphi = [p["mu"] for _, p, _ in active]
+                    value = -t * mp.fsum(d * mu for (_, _, d), mu in zip(active, dphi))
                 else:
-                    dphi = [_derivative(f, s * d) for f, d in active]
-                    phi = mp.fsum(_exponent_and_gap(f, s * d)[0] for f, d in active)
+                    dphi = [_derivative(kind, p, s * d) for kind, p, d in active]
+                    phi = mp.fsum(_exponent(kind, p, s * d) for kind, p, d in active)
                     value = (-t * phi - log_beta) / s
                 points[t] = [-t * mp.fsum(a * p for a, p in zip(row, dphi)) for row in A] + [value]
         return points[t]

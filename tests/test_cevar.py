@@ -91,6 +91,10 @@ def test_table_weight_validation():
         WeightFunction.table([(0.0, 1.0), (1.0, -0.5)])
     with pytest.raises(ValueError, match="kind"):
         WeightFunction(kind="spline")
+    for knots, mass in [([(0.0, 0.0), (1.0, 0.0)], "0.0"), ([(0.0, 1e308), (2.0, 1e308)], "inf")]:
+        # A mass that overflows used to normalise to an all-zero table.
+        with pytest.raises(ValueError, match=f"mass {mass}, not a positive finite"):
+            WeightFunction.table(knots).normalized(2.0)
 
 
 @pytest.mark.parametrize("knots", [
@@ -240,13 +244,14 @@ def test_cevar_beta_one_is_weighted_mean():
     assert cevar(CevarQuery(comb, T, 1.0)) == pytest.approx(-T / 2.0 * mean, rel=1e-9)
 
 
-def test_cevar_budget_error_carries_partial():
+def test_cevar_budget_error_carries_partial(monkeypatch):
     # Under t = u^2 a stable integrand goes as u^(2/alpha), not a polynomial
-    # in u, so the panel errors stay far above 1e-30 and the quadrature
-    # halves until the default budget of 200k nodes runs out, whatever the
-    # round-off.
+    # in u, so the panel errors stay far above a relative 1e-30 and the
+    # quadrature halves until the default budget of 200k nodes runs out,
+    # whatever the round-off.
+    monkeypatch.setattr(sys.modules["levyrisk._quad"], "DEFAULT_REL_TOL", 1e-30)
     comb = combo((AlphaStableSubordinator(0.7), 1.0))
-    q = CevarQuery(comb, 1.0, 0.05, quad_tol=1e-30)
+    q = CevarQuery(comb, 1.0, 0.05)
     with pytest.raises(QuadratureBudgetError) as exc_info:
         cevar(q)
     partial = exc_info.value.partial
@@ -421,27 +426,29 @@ def test_oracle_agrees_with_allocate_or_raises_where_evar_falls_steeply():
     assert np.max(np.abs(report.L - L)) <= 1e-10 * np.max(np.abs(L))
 
 
-def curve_solved_to_ulps(portfolio, grid):
+def curve_solved_to_ulps(portfolio, grid, monkeypatch):
     """K at each grid horizon t > 0 from a scalar solve run until its step is
-    a few ulps (``tol=0.0``)."""
+    a few ulps (``RESIDUAL_EPS = 0.0`` for these solves only)."""
     comb = portfolio.combination()
     terms = []
     for t in grid[1:].tolist():  # K = 0 at t = 0
-        s = solve_stationary(comb, t, portfolio.beta, tol=0.0)[0]
+        with monkeypatch.context() as patch:
+            patch.setattr(sys.modules["levyrisk.evar"], "RESIDUAL_EPS", 0.0)
+            s = solve_stationary(comb, t, portfolio.beta)[0]
         terms.append([-t * (f.slope_at_infinity() if s == math.inf else f.dphi(s * d))
                       for f, d in comb.active])
     return np.array(terms) @ portfolio.A.T
 
 
 @pytest.mark.parametrize("case", ORACLE_PORTFOLIOS)
-def test_euler_curve_matches_points_solved_to_ulps(case):
+def test_euler_curve_matches_points_solved_to_ulps(case, monkeypatch):
     # K is first order in the error of s*, so the curve's Newton-corrected
     # points must give the K of points solved until the step is a few ulps.
     A, factors, knots = ORACLE_PORTFOLIOS[case]
     weight = WeightFunction.table(knots).normalized(2.0) if knots else WeightFunction()
     portfolio = FactorPortfolio(A, factors, [0.0] * len(A), 2.0, 0.05, weight=weight)
     grid, K_curve, _ = euler_curve(portfolio)
-    K = curve_solved_to_ulps(portfolio, grid)
+    K = curve_solved_to_ulps(portfolio, grid, monkeypatch)
     assert np.max(np.abs(K_curve[1:] - K)) <= 1e-13 * np.max(np.abs(K))
     assert np.max(np.abs(allocate(portfolio).K_curve[1:] - K)) <= 1e-13 * np.max(np.abs(K))
 
@@ -466,7 +473,7 @@ FALLBACK_PORTFOLIOS = {
 
 
 @pytest.mark.parametrize("case", FALLBACK_PORTFOLIOS)
-def test_curve_fallbacks_match_points_solved_to_ulps(case):
+def test_curve_fallbacks_match_points_solved_to_ulps(case, monkeypatch):
     # allocate seeds the curve from the integral's nodes, euler_curve from
     # s*(T) alone; both must give the K of ulps-tight scalar solves.
     A, factors, T, knots = FALLBACK_PORTFOLIOS[case]
@@ -474,7 +481,7 @@ def test_curve_fallbacks_match_points_solved_to_ulps(case):
     portfolio = FactorPortfolio(A, factors, [0.0] * len(A), T, 0.05, weight=weight)
     report = allocate(portfolio)
     grid, K_curve, s_star_curve = euler_curve(portfolio)
-    K = curve_solved_to_ulps(portfolio, grid)
+    K = curve_solved_to_ulps(portfolio, grid, monkeypatch)
     scale = np.max(np.abs(K))
     assert np.max(np.abs(report.K_curve[1:] - K)) <= 1e-13 * scale
     assert np.max(np.abs(K_curve[1:] - K)) <= 1e-13 * scale

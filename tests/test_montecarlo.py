@@ -22,7 +22,7 @@ from levyrisk import (
 )
 from levyrisk.evar import solve_stationary
 from levyrisk import montecarlo
-from levyrisk.montecarlo import _EmpiricalExponent, _sample_position
+from levyrisk.montecarlo import _EmpiricalExponent
 from oracles import path_infima_reference
 
 ALL_KINDS = [
@@ -66,6 +66,8 @@ def test_subordinator_samples_are_nonnegative():
 def test_sample_increments_validation():
     with pytest.raises(ValueError, match="dt"):
         sample_increments(ALL_KINDS[0], 0.0, 10, seed=0)
+    with pytest.raises(ValueError, match="dt"):  # empirical_evar draws X_t through it
+        empirical_evar(ALL_KINDS[0], 0.0, 0.05, SimulationConfig(seed=0, n_paths=10))
 
 
 def test_simulation_config_validation():
@@ -154,7 +156,7 @@ def _brute_force_plug_in(x, beta):
 def test_empirical_evar_matches_brute_force_minimum(target):
     config = SimulationConfig(seed=31, n_paths=5_000)
     estimate = empirical_evar(target, 1.0, 0.05, config)
-    x = _sample_position(target, 1.0, config.n_paths, config.seed)
+    x = sample_increments(target, 1.0, config.n_paths, config.seed)
     brute = _brute_force_plug_in(x, 0.05)
     scale = max(1.0, abs(brute))
     # The solve finds the infimum, so it lies at or below every grid value.
