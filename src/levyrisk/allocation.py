@@ -82,12 +82,14 @@ class FactorPortfolio:
             raise ValueError(f"T must be a positive finite real, got {T}")
         if not (0.0 < beta < 1.0):
             raise ValueError(f"beta must lie in (0, 1), got {beta}")
+        weight = weight if weight is not None else WeightFunction()
+        weight.check_span(T)
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "factors", tuple(factors))
         object.__setattr__(self, "premiums", premiums)
         object.__setattr__(self, "T", float(T))
         object.__setattr__(self, "beta", float(beta))
-        object.__setattr__(self, "weight", weight if weight is not None else WeightFunction())
+        object.__setattr__(self, "weight", weight)
 
     @property
     def n(self) -> int:
@@ -149,8 +151,8 @@ def euler_contributions(portfolio: FactorPortfolio, t: float) -> np.ndarray:
     Boundary limits follow :mod:`levyrisk.evar`: when the aggregate EVaR
     infimum sits at s -> inf the contributions take their drift limit.
     """
-    if not (t > 0):
-        raise ValueError(f"t must be positive, got {t}")
+    if not (0.0 < t < math.inf):
+        raise ValueError(f"t must be a positive finite real, got {t}")
     t = float(t)  # as in EvarQuery
     comb = portfolio.combination(None)
     s, _, _ = solve_stationary(comb, t, portfolio.beta)

@@ -29,8 +29,8 @@ class WeightFunction:
     """Weight density omega on [0, T] with unit mass.
 
     ``uniform`` is omega(t) = 1/T.  ``table`` interpolates linearly between
-    knots (t_k, w_k) that must span [0, T]; normalisation is checked when the
-    weight is bound to a horizon.
+    knots (t_k, w_k) that must span [0, T] with unit mass: ``check_span``,
+    called when a ``FactorPortfolio`` or a ``CevarQuery`` is built.
     """
 
     kind: str = "uniform"
@@ -116,7 +116,7 @@ class WeightFunction:
 
 @dataclass(frozen=True)
 class CevarQuery:
-    """Position, horizon T > 0, beta in (0, 1] and weight."""
+    """Position, horizon T > 0, beta in (0, 1] and a weight that spans [0, T]."""
 
     combination: FactorCombination
     T: float
@@ -131,12 +131,14 @@ class CevarQuery:
             raise ValueError(f"T must be a positive finite real, got {self.T}")
         if not (0.0 < self.beta <= 1.0):
             raise ValueError(f"beta must lie in (0, 1], got {self.beta}")
+        self.weight.check_span(self.T)
 
 
 def horizon_integral(combination: FactorCombination, beta: float, weight: WeightFunction,
                      T: float, exposures: np.ndarray):
     """integral_0^T exposures @ k(t) omega(t) dt along the stationary curve, for
-    beta < 1 and a nonzero position.
+    beta < 1, a nonzero position and a weight that spans [0, T] (checked when
+    its portfolio or query was built).
 
     k(t) holds the factor terms -t * phi_j'(s*(t) d_j) (``combination.slopes``),
     -t * slope_j where the infimum sits at s -> inf; ``exposures``, of shape
@@ -156,7 +158,8 @@ def horizon_integral(combination: FactorCombination, beta: float, weight: Weight
     integrated exactly by the weight's truncated time moment.  A horizon
     whose s*(T) is that limit takes no nodes.  A range whose end overflows
     s^2 phi'' or t*gap raises DomainError: that is a Brownian factor at T
-    below ~3e-290, where s*(EPS * T) nears 1e154.
+    below ~3e-290, where s*(EPS * T) nears 1e154.  So does an integral that
+    is not finite: at T near 1e308 the node value tau * F'(x) overflows.
     One more break at x = ln(s*(T) / EPS) parts the steep head of a long
     range from its slow tail: as one segment, a gamma range up to X_MAX met
     the absolute floor of the default tolerance at its first level with only
@@ -170,7 +173,6 @@ def horizon_integral(combination: FactorCombination, beta: float, weight: Weight
     def limit(upper=None):
         return exposures @ -combination.slopes(math.inf) * weight.time_moment(T, upper)
 
-    weight.check_span(T)
     s_T = solve_stationary(combination, T, beta)[0]
     if s_T == math.inf:
         return limit(), ((), (), ())
@@ -204,7 +206,12 @@ def horizon_integral(combination: FactorCombination, beta: float, weight: Weight
         # tau * omega ~ 1 and tau * F' ~ tau: tau * tau would underflow below 1e-154.
         return exposures @ terms * ((tau * weight.density(tau, T)) * (tau * fprime))
 
-    value = linear + adaptive_simpson(integrand, x_T, math.log(s_hi), None, breakpoints=breaks)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported as DomainError below
+        value = linear + adaptive_simpson(integrand, x_T, math.log(s_hi), None,
+                                          breakpoints=breaks)
+    if not np.isfinite(value).all():
+        raise DomainError(f"the horizon integral over [0, {T!r}] is not finite: "
+                          "the inputs leave float range")
     return value, tuple(np.concatenate(arrays) for arrays in zip(*points))
 
 
@@ -216,7 +223,6 @@ def cevar(query: CevarQuery) -> float:
     """
     comb, beta = query.combination, query.beta
     if beta == 1.0 or comb.is_degenerate():
-        query.weight.check_span(query.T)
         # solve_stationary returns the s -> 0+ or s -> inf point; evar_at raises
         # DomainError at beta = 1 for an active stable factor (infinite mean).
         s = solve_stationary(comb, 1.0, beta)[0]

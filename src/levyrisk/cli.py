@@ -23,6 +23,9 @@ Config files are sectioned key-value text::
     0.0 0.5
     1.0 1.5
 
+The config is the one source of a run's inputs.  A ``[weight]`` table that
+does not span [0, T] exits 2 for every command: ``FactorPortfolio`` checks it.
+
 Exit codes: 0 success, 2 error in the config, an option or the --out path,
 3 solver non-attainment, 4 quadrature budget exceeded, 5 validation failure.
 """
@@ -258,19 +261,6 @@ def run(args) -> int:
         except OSError as exc:
             raise ConfigError(f"cannot read config: {exc}") from exc
         portfolio, run_opts = parse_config(text)
-        overrides = {key: value for key, value in (("beta", args.beta), ("T", args.T))
-                     if value is not None}
-        seed = args.seed if args.seed is not None else run_opts["seed"]
-        try:
-            if overrides:
-                portfolio = dataclasses.replace(portfolio, **overrides)
-            if seed < 0:
-                raise ValueError(f"--seed must be at least 0, got {seed}")
-            if args.command in ("cevar", "allocate", "curve"):
-                # A table weight must span the horizon, which --T may have moved.
-                portfolio.weight.check_span(portfolio.T)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
 
         if args.command == "evar":
             query = EvarQuery(portfolio.combination(None), portfolio.T, portfolio.beta)
@@ -305,9 +295,9 @@ def run(args) -> int:
             header, rows = _curve(K_curve, s_star_curve)
             payload = {"columns": header, "rows": rows}
         elif args.command == "validate":
-            config = SimulationConfig(seed=seed, n_paths=run_opts["n_paths"])
+            config = SimulationConfig(**run_opts)
             checks = validation_report(config, beta=portfolio.beta)
-            payload = {"seed": seed, "checks": checks,
+            payload = {"seed": config.seed, "checks": checks,
                        "pass": all(c["pass"] for c in checks)}
             fmt, header, rows = "json", None, None  # the report is JSON only
             if not payload["pass"]:
@@ -346,13 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", required=True, help="portfolio config file")
     parser.add_argument("--command", required=True, choices=COMMANDS)
-    parser.add_argument("--beta", type=float, default=None,
-                        help="override the config's beta")
-    parser.add_argument("--T", type=float, default=None,
-                        help="override the config's horizon")
     parser.add_argument("--format", choices=FORMATS, default="table")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="override the config's simulation seed")
     parser.add_argument("--out", default=None, help="write the report to this path")
     return parser
 

@@ -314,8 +314,8 @@ def evar_closed_form_brownian(mu: float, sigma: float, t: float, beta: float) ->
     """-mu*t + sigma*sqrt(-2*t*ln(beta)) for Brownian motion with drift."""
     if not (sigma > 0):
         raise ValueError(f"sigma must be positive, got {sigma}")
-    if not (t >= 0):
-        raise ValueError(f"t must be nonnegative, got {t}")
+    if not (0.0 <= t < math.inf):
+        raise ValueError(f"t must be a finite nonnegative real, got {t}")
     if not (0.0 < beta <= 1.0):
         raise ValueError(f"beta must lie in (0, 1], got {beta}")
     return -mu * t + sigma * math.sqrt(-2.0 * t * math.log(beta))

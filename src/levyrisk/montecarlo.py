@@ -112,8 +112,8 @@ def sample_increments(target: Union[LevyFactor, FactorCombination], dt: float, n
     """n i.i.d. increments over steps of length dt of a factor or a weighted
     combination (exact marginals), deterministic in seed: factor j of a
     combination draws from substream j, and a lone factor is substream 0."""
-    if not (dt > 0):
-        raise ValueError(f"dt must be positive, got {dt}")
+    if not (0.0 < dt < math.inf):
+        raise ValueError(f"dt must be a positive finite real, got {dt}")
     if isinstance(target, LevyFactor):
         return _draw_increments(target, dt, n, _rng(seed))
     x = np.zeros(n)
@@ -182,6 +182,8 @@ def empirical_evar(
     solve and boundary limits of the analytic EVaR.  At beta <= #ties/N (so
     at every beta <= 1/N) the infimum is the s -> inf limit -min X.
     """
+    if not (0.0 < t < math.inf):
+        raise ValueError(f"t must be a positive finite real, got {t}")
     if not (0.0 < beta < 1.0):
         raise ValueError(f"beta must lie in (0, 1), got {beta}")
     x = sample_increments(target, t, config.n_paths, config.seed)

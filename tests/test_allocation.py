@@ -81,6 +81,9 @@ def test_portfolio_validation():
         FactorPortfolio([[1.0]], f, [0.0, 0.1], 1.0, 0.05)
     with pytest.raises(ValueError, match="beta"):
         FactorPortfolio([[1.0]], f, [0.0], 1.0, 1.0)
+    half = WeightFunction.table([(0.0, 2.0), (0.5, 2.0)])  # normalised on [0, 0.5]
+    with pytest.raises(ValueError, match=r"horizon is \[0, 1.0\]"):
+        FactorPortfolio([[1.0]], f, [0.0], 1.0, 0.05, weight=half)
 
 
 def test_portfolio_rejects_non_finite_inputs():
@@ -143,6 +146,10 @@ def test_single_department_contribution_is_evar():
         K = euler_contributions(p, t)
         value = evar(EvarQuery(p.combination(None), t, p.beta)).value
         assert K[0] == pytest.approx(value, rel=1e-10)
+        # An infinite horizon is rejected as EvarQuery rejects it; it used to
+        # reach the solver and raise NoStationaryPointError.
+        with pytest.raises(ValueError, match="t must be a positive finite real"):
+            euler_contributions(p, math.inf)
 
 
 def test_brownian_contributions_closed_form():

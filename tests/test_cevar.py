@@ -165,9 +165,10 @@ def test_brownian_cevar_at_tiny_horizons(T):
     assert abs(L / exact - 1.0) <= 1e-12
 
 
-@pytest.mark.parametrize("T", [1e-291, 1e-300])
+@pytest.mark.parametrize("T", [1e-291, 1e-300, 1e308])
 def test_brownian_horizon_beyond_float_range_raises(T):
-    # s*(1e-18 * T) lies near 1e154, where sigma^2 s^2 overflows.
+    # Short: s*(1e-18 * T) lies near 1e154, where sigma^2 s^2 overflows.  Long:
+    # the node value tau * F'(x) = 2 tau overflows, which gave cevar inf.
     portfolio = FactorPortfolio([[1.0]], [BrownianWithDrift(0.0, 1.0)], [0.0], T, 0.05)
     with pytest.raises(LevyRiskError, match="not finite"):
         cevar(CevarQuery(portfolio.combination(None), T, 0.05))
@@ -605,6 +606,9 @@ def test_cevar_query_validation():
         CevarQuery(comb, 0.0, 0.05)
     with pytest.raises(ValueError):
         CevarQuery(comb, 1.0, 1.5)
+    half = WeightFunction.table([(0.0, 2.0), (0.5, 2.0)])  # normalised on [0, 0.5]
+    with pytest.raises(ValueError, match=r"horizon is \[0, 1.0\]"):
+        CevarQuery(comb, 1.0, 0.05, weight=half)
 
 
 # ---------------------------------------------------------------------------

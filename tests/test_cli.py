@@ -1,4 +1,5 @@
 import contextlib
+import glob
 import io
 import json
 import math
@@ -137,26 +138,6 @@ def test_evar_command_json(tmp_path, capsys):
     assert payload["attained"] == "interior"
 
 
-def test_beta_and_T_overrides(tmp_path, capsys):
-    cfg = write(tmp_path, MINIMAL)
-    code = main(["--config", cfg, "--command", "evar", "--format", "json",
-                 "--beta", "0.1", "--T", "4.0"])
-    assert code == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["value"] == pytest.approx(
-        evar_closed_form_brownian(0.0, 1.0, 4.0, 0.1), rel=1e-10
-    )
-    # Overridden values are validated as the config's own are.
-    rejected = [(["--beta", "1.0"], "beta must lie in (0, 1)"),
-                (["--beta", "0.0"], "beta must lie in (0, 1)"),
-                (["--T", "0.0"], "T must be a positive finite real"),
-                (["--T=-1.0"], "T must be a positive finite real"),
-                (["--T", "inf", "--beta", "0.1"], "T must be a positive finite real")]
-    for flags, message in rejected:
-        assert main(["--config", cfg, "--command", "evar", *flags]) == 2, flags
-        assert message in capsys.readouterr().err, flags
-
-
 def test_cevar_command_reports_time_moment(tmp_path, capsys):
     cfg = write(tmp_path, MINIMAL)
     code = main(["--config", cfg, "--command", "cevar", "--format", "json"])
@@ -220,13 +201,12 @@ def test_json_reports_lead_with_the_schema_version(command, tmp_path, capsys):
                                           "s_star_curve"]
 
 
-def test_T_override_beyond_the_weight_table(tmp_path, capsys):
-    # The table weight spans [0, 1]; --T 2.0 is checked where the weight is used.
-    cfg = write(tmp_path, MINIMAL + "\n[weight]\n0.0 1.0\n1.0 1.0\n")
-    assert main(["--config", cfg, "--command", "evar", "--T", "2.0"]) == 0
-    capsys.readouterr()
-    for command in ("cevar", "allocate", "curve"):
-        assert main(["--config", cfg, "--command", command, "--T", "2.0"]) == 2, command
+def test_horizon_beyond_the_weight_table(tmp_path, capsys):
+    # The table weight spans [0, 1] and T = 2.0.  The span belongs to no single
+    # line, so the portfolio rejects it and every command exits 2, evar too.
+    cfg = write(tmp_path, MINIMAL.replace("T = 1.0", "T = 2.0") + "\n[weight]\n0.0 1.0\n1.0 1.0\n")
+    for command in ("evar", "cevar", "allocate", "curve", "validate"):
+        assert main(["--config", cfg, "--command", command]) == 2, command
         assert "horizon is [0, 2.0]" in capsys.readouterr().err, command
 
 
@@ -238,10 +218,10 @@ def test_table_format_smoke(tmp_path, capsys):
 
 
 def test_validate_command_deterministic(tmp_path, capsys):
-    cfg = write(tmp_path, MINIMAL.replace("beta = 0.05", "beta = 0.05\nn_paths = 20000"))
+    cfg = write(tmp_path, MINIMAL.replace("beta = 0.05", "beta = 0.05\nn_paths = 20000\nseed = 4"))
     outputs = []
     for _ in range(2):
-        code = main(["--config", cfg, "--command", "validate", "--seed", "4"])
+        code = main(["--config", cfg, "--command", "validate"])
         assert code == 0
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1]
@@ -349,13 +329,6 @@ def test_untyped_error_in_a_command_is_not_a_config_error(tmp_path, monkeypatch)
         main(["--config", cfg, "--command", "evar"])
 
 
-def test_exit_code_negative_seed_override(tmp_path, capsys):
-    cfg = write(tmp_path, MINIMAL)
-    for command in ("evar", "validate"):
-        assert main(["--config", cfg, "--command", command, "--seed", "-1"]) == 2
-        assert "seed" in capsys.readouterr().err
-
-
 def test_exit_code_unwritable_out(tmp_path, capsys):
     cfg = write(tmp_path, MINIMAL)
     out = tmp_path / "missing" / "r.json"
@@ -391,10 +364,13 @@ def test_shipped_brownian_config_matches_closed_form(capsys):
     np.testing.assert_allclose(payload["L"], expected, rtol=1e-8)
 
 
-def test_shipped_config_at_a_horizon_beyond_float_range_is_a_domain_error(capsys):
+def test_shipped_config_at_a_horizon_beyond_float_range_is_a_domain_error(tmp_path, capsys):
     # s* at T = 3e-309 lies where sigma^2 s^2 overflows: no EVaR, exit 2.
-    cfg = os.path.join(CONFIG_DIR, "brownian_common_sigma.cfg")
-    assert main(["--config", cfg, "--command", "evar", "--T", "3e-309"]) == 2
+    with open(os.path.join(CONFIG_DIR, "brownian_common_sigma.cfg")) as handle:
+        text = handle.read()
+    assert "T = 2.0" in text
+    cfg = write(tmp_path, text.replace("T = 2.0", "T = 3e-309"))
+    assert main(["--config", cfg, "--command", "evar"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "not finite" in captured.err
 
@@ -415,32 +391,11 @@ def test_non_finite_result_is_a_domain_error(text, command, tmp_path, capsys):
 # fuzzed configs
 # ---------------------------------------------------------------------------
 
-# A four-kind position with a table weight, next to the shipped config.
-FOUR_KINDS = """\
-[factors]
-kind = brownian, mu = 0.1, sigma = 1.2
-kind = gamma, a = 2.0, b = 3.0, mu = 0.05
-kind = stable, alpha = 0.6, mu = 0.1
-kind = compound_poisson_exp, lambda = 1.5, eta = 2.0, mu = -0.2
-
-[matrix]
-1.0 0.5 0.2 0.1
-0.3 1.5 0.0 0.4
-
-[premiums]
-0.1 0.2
-
-[run]
-T = 2.0
-beta = 0.05
-
-[weight]
-0.0 0.4
-0.8 1.2
-2.0 0.6
-"""
-with open(os.path.join(CONFIG_DIR, "brownian_common_sigma.cfg")) as _handle:
-    FUZZ_BASES = (_handle.read(), FOUR_KINDS)
+# Every shipped config, among them a four-kind position with a table weight.
+FUZZ_BASES = []
+for _name in sorted(glob.glob(os.path.join(CONFIG_DIR, "*.cfg"))):
+    with open(_name) as _handle:
+        FUZZ_BASES.append(_handle.read())
 NUMBER = re.compile(r"-?\d+(?:\.\d*)?(?:e-?\d+)?")
 BAD_VALUES = ("nan", "inf", "-inf", "0", "-1", "1e-320", "1e400", "1e308", "1e-6", "1e6", "", "x")
 
@@ -456,25 +411,14 @@ def fuzzed_config(draw):
     return text
 
 
-OVERRIDES = st.one_of(st.none(), st.sampled_from(BAD_VALUES[:-2]),
-                      st.floats(1e-12, 1.0 - 1e-12).map(repr), st.floats(1e-3, 10.0).map(repr))
-
-
 @settings(max_examples=200, deadline=None)
-@given(text=fuzzed_config(), command=st.sampled_from(["evar", "cevar", "allocate", "curve"]),
-       beta=OVERRIDES, T=OVERRIDES)
-def test_fuzzed_configs_end_in_a_documented_exit_code(tmp_path_factory, text, command, beta, T):
+@given(text=fuzzed_config(), command=st.sampled_from(["evar", "cevar", "allocate", "curve"]))
+def test_fuzzed_configs_end_in_a_documented_exit_code(tmp_path_factory, text, command):
     # Every input ends in exit code 0, 2, 3, 4 or 5, never in a traceback (any
-    # exception, RuntimeWarnings included, fails the test).  argparse rejects
-    # an override such as "--T -inf" by exiting 2, as the process would.
+    # exception, RuntimeWarnings included, fails the test).  The bad values
+    # replace T and beta in the config as well as the factors and exposures.
     path = tmp_path_factory.getbasetemp() / "fuzz.cfg"
     path.write_text(text)
-    argv = ["--config", str(path), "--command", command, "--format", "json"]
-    argv += ["--beta", beta] if beta is not None else []
-    argv += ["--T", T] if T is not None else []
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
+        code = main(["--config", str(path), "--command", command, "--format", "json"])
     assert code in (0, 2, 3, 4, 5)

@@ -350,6 +350,8 @@ def test_invalid_queries_rejected():
 
 
 def test_closed_form_edge_cases():
+    with pytest.raises(ValueError, match="finite"):
+        evar_closed_form_brownian(0.0, 1.0, math.inf, 0.05)  # was nan
     assert evar_closed_form_brownian(1.0, 1.0, 0.0, 0.5) == 0.0
     assert evar_closed_form_brownian(0.7, 1.0, 2.0, 1.0) == pytest.approx(-1.4)
     assert evar_closed_form_brownian(0.0, 1.0, 1.0, 0.05) == pytest.approx(

@@ -64,10 +64,9 @@ def test_subordinator_samples_are_nonnegative():
 
 
 def test_sample_increments_validation():
-    with pytest.raises(ValueError, match="dt"):
-        sample_increments(ALL_KINDS[0], 0.0, 10, seed=0)
-    with pytest.raises(ValueError, match="dt"):  # empirical_evar draws X_t through it
-        empirical_evar(ALL_KINDS[0], 0.0, 0.05, SimulationConfig(seed=0, n_paths=10))
+    for dt in (0.0, math.inf):  # inf gave NaN increments
+        with pytest.raises(ValueError, match="dt must be a positive finite real"):
+            sample_increments(ALL_KINDS[0], dt, 10, seed=0)
 
 
 def test_simulation_config_validation():
@@ -127,6 +126,8 @@ def test_empirical_evar_validation():
     config = SimulationConfig(seed=1, n_paths=100)
     with pytest.raises(ValueError, match="beta"):
         empirical_evar(BrownianWithDrift(0.0, 1.0), 1.0, 1.0, config)
+    with pytest.raises(ValueError, match="^t must be a positive finite real, got 0.0"):
+        empirical_evar(BrownianWithDrift(0.1, 1.0), 0.0, 0.05, config)
 
 
 EMPIRICAL_TARGETS = [
