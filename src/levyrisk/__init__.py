@@ -8,7 +8,6 @@ from .allocation import (
     brownian_contributions,
     brownian_s_star,
     euler_contributions,
-    euler_curve,
     stable_allocation,
     stable_contributions,
 )

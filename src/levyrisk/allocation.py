@@ -28,7 +28,6 @@ __all__ = [
     "AllocationReport",
     "euler_contributions",
     "allocate",
-    "euler_curve",
     "brownian_s_star",
     "brownian_contributions",
     "brownian_allocation",
@@ -180,38 +179,18 @@ def allocate(portfolio: FactorPortfolio) -> AllocationReport:
     tmom = portfolio.weight.time_moment(T)
     L = integral[:-1] + portfolio.premiums * tmom
     total = float(integral[-1]) + float(portfolio.premiums.sum()) * tmom
-    gap = float(L.sum() - total)
-    grid, K_curve, s_star_curve = _curve(portfolio, comb, points)
+    # The K-curve, solved from the integral's curve points; all factor terms meet A at once.
+    grid = np.linspace(0.0, T, CURVE_POINTS)
+    s = solve_curve(comb, grid, portfolio.beta, points)
     return AllocationReport(
         L=L,
         grid=grid,
-        K_curve=K_curve,
-        s_star_curve=s_star_curve,
+        K_curve=_factor_terms(comb, grid, s) @ portfolio.A.T,
+        s_star_curve=[(t, None if si == math.inf else si)
+                      for t, si in zip(grid.tolist(), s.tolist())],
         total_cevar=total,
-        full_allocation_gap=gap,
+        full_allocation_gap=float(L.sum() - total),
     )
-
-
-def euler_curve(portfolio: FactorPortfolio):
-    """The K-curve: ``(grid, K_curve, s_star_curve)`` as in an AllocationReport.
-
-    ``grid`` holds CURVE_POINTS equally spaced horizons on [0, T]; s_star is
-    None at the s -> inf limit.  :func:`levyrisk.evar.solve_curve` solves them
-    from the one curve point at s*(T), where ``allocate`` has its integral's.
-    """
-    comb, T = portfolio.combination(None), portfolio.T
-    s_T = solve_stationary(comb, T, portfolio.beta)[0]
-    points = ((), (), ()) if s_T == math.inf \
-        else ([math.log(s_T)], [T], [-comb.s2d2phi(s_T) / comb.phi_gap(s_T)])
-    return _curve(portfolio, comb, points)
-
-
-def _curve(portfolio: FactorPortfolio, comb: FactorCombination, points):
-    """The K-curve of ``comb`` solved from curve points; all factor terms meet A at once."""
-    grid = np.linspace(0.0, portfolio.T, CURVE_POINTS)
-    s = solve_curve(comb, grid, portfolio.beta, points)
-    s_star_curve = [(t, None if si == math.inf else si) for t, si in zip(grid.tolist(), s.tolist())]
-    return grid, _factor_terms(comb, grid, s) @ portfolio.A.T, s_star_curve
 
 
 # ---------------------------------------------------------------------------

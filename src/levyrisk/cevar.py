@@ -159,7 +159,8 @@ def horizon_integral(combination: FactorCombination, beta: float, weight: Weight
     whose s*(T) is that limit takes no nodes.  A range whose end overflows
     s^2 phi'' or t*gap raises DomainError: that is a Brownian factor at T
     below ~3e-290, where s*(EPS * T) nears 1e154.  So does an integral that
-    is not finite: at T near 1e308 the node value tau * F'(x) overflows.
+    is not finite: at T near 1e308 the node value tau * F'(x) overflows, and
+    a huge drift overflows the linear part.
     One more break at x = ln(s*(T) / EPS) parts the steep head of a long
     range from its slow tail: as one segment, a gamma range up to X_MAX met
     the absolute floor of the default tolerance at its first level with only
@@ -171,19 +172,18 @@ def horizon_integral(combination: FactorCombination, beta: float, weight: Weight
     :func:`levyrisk.evar.solve_curve`.
     """
     def limit(upper=None):
-        return exposures @ -combination.slopes(math.inf) * weight.time_moment(T, upper)
+        with np.errstate(over="ignore"):  # reported as DomainError by _finite
+            return exposures @ -combination.slopes(math.inf) * weight.time_moment(T, upper)
 
     s_T = solve_stationary(combination, T, beta)[0]
     if s_T == math.inf:
-        return limit(), ((), (), ())
+        return _finite(limit(), T), ((), (), ())
     budget = -math.log(beta)
-    s_hi = solve_stationary(combination, EPS * T, beta)[0]
-    if s_hi < math.inf:
-        t_lo, linear = EPS * T, 0.0
-    else:
+    t_lo, s_hi = EPS * T, solve_stationary(combination, EPS * T, beta)[0]
+    at_limit = s_hi == math.inf
+    if at_limit:
         s_hi = math.exp(X_MAX)
         t_lo = budget / combination.phi_gap(s_hi)
-        linear = limit(t_lo)
     if not math.isfinite(combination.s2d2phi(s_hi)):
         # Only a Brownian factor gets here: sigma^2 s^2 overflows near the end of
         # the range, and its s -> inf limit is infinite.
@@ -191,6 +191,7 @@ def horizon_integral(combination: FactorCombination, beta: float, weight: Weight
             f"T = {T!r} is too short: s^2 phi''(s) is not finite at s = {s_hi:.4g}, "
             "the end of the horizon integral"
         )
+    linear = limit(t_lo) if at_limit else 0.0
     x_T = math.log(s_T)
     breaks = [x_T - math.log(EPS)] + [math.log(solve_stationary(combination, t, beta)[0])
                                       for t in weight.breakpoints(T) if t_lo < t < T]
@@ -206,26 +207,32 @@ def horizon_integral(combination: FactorCombination, beta: float, weight: Weight
         # tau * omega ~ 1 and tau * F' ~ tau: tau * tau would underflow below 1e-154.
         return exposures @ terms * ((tau * weight.density(tau, T)) * (tau * fprime))
 
-    with np.errstate(over="ignore", invalid="ignore"):  # reported as DomainError below
+    with np.errstate(over="ignore", invalid="ignore"):  # reported as DomainError by _finite
         value = linear + adaptive_simpson(integrand, x_T, math.log(s_hi), None,
                                           breakpoints=breaks)
+    return _finite(value, T), tuple(np.concatenate(arrays) for arrays in zip(*points))
+
+
+def _finite(value, T: float):
+    """``value``, an integral over [0, T], if it is finite; DomainError otherwise."""
     if not np.isfinite(value).all():
         raise DomainError(f"the horizon integral over [0, {T!r}] is not finite: "
                           "the inputs leave float range")
-    return value, tuple(np.concatenate(arrays) for arrays in zip(*points))
+    return value
 
 
 def cevar(query: CevarQuery) -> float:
     """Adaptive-quadrature value of integral_0^T EVaR_{1-beta}(X_t) omega(t) dt.
 
     On the stationary curve EVaR is -t * phi'(s*); at beta = 1 it is -t * mean
-    and for a zero position 0, linear in t with no quadrature.
+    and for a zero position 0, linear in t with no quadrature.  A value that
+    leaves float range raises DomainError.
     """
     comb, beta = query.combination, query.beta
     if beta == 1.0 or comb.is_degenerate():
         # solve_stationary returns the s -> 0+ or s -> inf point; evar_at raises
         # DomainError at beta = 1 for an active stable factor (infinite mean).
         s = solve_stationary(comb, 1.0, beta)[0]
-        return evar_at(comb, 1.0, beta, s) * query.weight.time_moment(query.T)
+        return _finite(evar_at(comb, 1.0, beta, s) * query.weight.time_moment(query.T), query.T)
     return horizon_integral(comb, beta, query.weight, query.T,
                             np.array([d for _, d in comb.active]))[0]

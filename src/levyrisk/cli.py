@@ -41,7 +41,7 @@ import sys
 
 import numpy as np
 
-from .allocation import FactorPortfolio, allocate, euler_curve
+from .allocation import FactorPortfolio, allocate
 from .cevar import CevarQuery, WeightFunction, cevar
 from .errors import (ConfigError, DomainError, LevyRiskError, NoStationaryPointError,
                      QuadratureBudgetError)
@@ -272,28 +272,26 @@ def run(args) -> int:
             value = cevar(query)
             payload = {"value": value, "time_moment": portfolio.weight.time_moment(portfolio.T)}
             header, rows = ["value"], [[value]]
-        elif args.command == "allocate":
+        elif args.command in ("allocate", "curve"):
             report = allocate(portfolio)
-            payload = {
-                "L": report.L.tolist(),
-                "total_cevar": report.total_cevar,
-                "full_allocation_gap": report.full_allocation_gap,
-                "grid": report.grid.tolist(),
-                "K_curve": report.K_curve.tolist(),
-                "s_star_curve": [[t, s] for t, s in report.s_star_curve],
-            }
-            if fmt == "csv":
-                header, rows = _curve(report.K_curve, report.s_star_curve)
+            header, rows = _curve(report.K_curve, report.s_star_curve)
+            if args.command == "curve":
+                payload = {"columns": header, "rows": rows}
             else:
-                header = ["department", "L"]
-                rows = [[i + 1, L] for i, L in enumerate(report.L)]
-                rows.append(["total", float(report.L.sum())])
-                rows.append(["cevar+premium", report.total_cevar])
-                rows.append(["gap", report.full_allocation_gap])
-        elif args.command == "curve":
-            _, K_curve, s_star_curve = euler_curve(portfolio)
-            header, rows = _curve(K_curve, s_star_curve)
-            payload = {"columns": header, "rows": rows}
+                payload = {
+                    "L": report.L.tolist(),
+                    "total_cevar": report.total_cevar,
+                    "full_allocation_gap": report.full_allocation_gap,
+                    "grid": report.grid.tolist(),
+                    "K_curve": report.K_curve.tolist(),
+                    "s_star_curve": [[t, s] for t, s in report.s_star_curve],
+                }
+                if fmt != "csv":  # the allocation's CSV is the K-curve, as for curve
+                    header = ["department", "L"]
+                    rows = [[i + 1, L] for i, L in enumerate(report.L)]
+                    rows.append(["total", float(report.L.sum())])
+                    rows.append(["cevar+premium", report.total_cevar])
+                    rows.append(["gap", report.full_allocation_gap])
         elif args.command == "validate":
             config = SimulationConfig(**run_opts)
             checks = validation_report(config, beta=portfolio.beta)

@@ -235,15 +235,17 @@ def evar_at(combination: FactorCombination, t: float, beta: float, s: float) -> 
 
 def solve_curve(combination: FactorCombination, t, beta: float, points):
     """s*(t) at an array of horizons (beta < 1, a nonzero position), solved in
-    lockstep from ``points``, the arrays (x, tau, F'(x)) of exact curve points.
+    lockstep from ``points``, the arrays (x, tau, F'(x)) of exact curve points:
+    in ``allocate``, its one caller, the nodes of the horizon integral and
+    (x_T, T).
 
     t <= tau(1e300), from one evaluation of gap at 1e300, is the s -> inf
     limit, unsolved; with an active Brownian factor that limit is infinite
     and only t = 0 takes it.  As dx/d ln(tau) = -1/F', any other horizon
     starts from the cubic Hermite interpolant of x in ln(tau) through the
-    points, or the tangent line of the nearest one outside them: from
-    (x_T, T) alone x_T - ln(t/T)/F'(x_T), exact for Brownian and stable
-    positions.  A round evaluates t*gap and s^2 phi'' at the open points as
+    points, or the tangent line of the nearest one outside them; for a
+    Brownian or stable position, where x is linear in ln(tau), the seed is
+    the root.  A round evaluates t*gap and s^2 phi'' at the open points as
     one array and accepts by :func:`solve_stationary`'s residual stop and
     Newton-corrected s.  A point whose step is not finite or leaves (X_MIN,
     X_MAX), or open after CURVE_ROUNDS rounds, goes to :func:`solve_stationary`.

@@ -222,39 +222,21 @@ def empirical_exponent_check(
 
 
 def adjustment_coefficient(cp: CompoundPoissonExp, premium: float) -> float:
-    """Smallest positive root R of Lundberg's equation lam + c*r = lam*eta/(eta-r).
+    """The positive root R of Lundberg's equation lam + c*r = lam*eta/(eta-r).
 
-    The effective premium nets out the factor's deterministic drift.  The
-    Lundberg function l(r) = lam + c*r - lam*eta/(eta - r) is concave with
-    l(0) = 0 < l'(0) and l -> -inf as r -> eta, so R is its one root in
-    (0, eta).  Newton steps find it in a bracket that starts as (0, eta) and
-    shrinks at every step; a step leaving it bisects.
+    Times eta - r, the equation for exponential jumps reads
+    r * (c*eta - lam - c*r) = 0, so R = eta - lam/c in closed form; the
+    effective premium c nets out the factor's deterministic drift.  R > 0 is
+    the net profit condition c > lam/eta.
     """
     c_eff = premium - cp.mu
-    lam, eta = cp.lam, cp.eta
-    if not (c_eff > lam / eta):
+    R = cp.eta - cp.lam / c_eff if c_eff > 0.0 else math.nan
+    if not R > 0.0:
         raise ValueError(
             f"net profit condition violated: premium {premium} must exceed "
-            f"expected claims rate {cp.mu + lam / eta}"
+            f"expected claims rate {cp.mu + cp.lam / cp.eta}"
         )
-
-    lo, hi, r = 0.0, eta, 0.5 * eta
-    while True:
-        # l(r) and l'(r), with lam - lam*eta/(eta - r) written as -lam*r/(eta - r).
-        v = eta - r
-        f, df = r * (c_eff - lam / v), c_eff - (lam / v) * (eta / v)
-        if f == 0.0:
-            return r
-        if f > 0.0:
-            lo = r
-        else:
-            hi = r
-        r_next = r - f / df if df != 0.0 else math.nan
-        if not lo < r_next < hi:
-            r_next = 0.5 * (lo + hi)
-        if abs(r_next - r) <= 2.0 * math.ulp(r):
-            return r_next
-        r = r_next
+    return R
 
 
 def _path_infima(cp: CompoundPoissonExp, premium: float, horizon: float,
@@ -407,6 +389,7 @@ def validation_report(config: SimulationConfig, beta: float = 0.05) -> list:
     cp = CompoundPoissonExp(lam=1.0, eta=1.0, mu=0.0)
     premium = 1.5
     R = adjustment_coefficient(cp, premium)
+    # The formula of R itself: the row keeps the report's set of check names.
     exact_R = cp.eta - cp.lam / premium
     check("lundberg_adjustment_coefficient", exact_R, R, 1e-10, abs(R - exact_R) <= 1e-10)
 

@@ -24,7 +24,6 @@ from levyrisk import (
     stable_allocation,
     stable_contributions,
 )
-from levyrisk.allocation import euler_curve
 from levyrisk.errors import DomainError
 from levyrisk.evar import solve_stationary
 from oracles import directional_derivative_check, diversification_check
@@ -268,12 +267,13 @@ def test_allocate_report_structure():
         [0.1, 0.05], 2.0, 0.05,
     ),
 ], ids=["four-kinds", "cpois-only"])
-def test_euler_curve_rows_are_euler_contributions(p, monkeypatch):
+def test_curve_rows_are_euler_contributions(p, monkeypatch):
     # The curve applies A to the factor terms of all its horizons in one
     # product.  Each row must be euler_contributions at the same point; that
     # point is the curve's warm-started s*, because a cold solve may stop at a
     # different iterate within the solver's tolerance.
-    grid, K_curve, s_star_curve = euler_curve(p)
+    report = allocate(p)
+    grid, K_curve, s_star_curve = report.grid, report.K_curve, report.s_star_curve
     assert not K_curve[0].any()
     points = {t: math.inf if s is None else s for t, s in s_star_curve}
     monkeypatch.setattr(sys.modules["levyrisk.allocation"], "solve_stationary",
@@ -300,7 +300,7 @@ def test_brownian_position_at_tiny_t_is_exact_or_a_domain_error(t):
                           lambda: evar_closed_form_brownian(0.0, 1.0, t, 0.05))
     exact_or_domain_error(lambda: euler_contributions(p, t),
                           lambda: brownian_contributions(p.A, [1.0], t, 0.05))
-    exact_or_domain_error(lambda: euler_curve(p)[1],
+    exact_or_domain_error(lambda: allocate(p).K_curve,
                           lambda: [brownian_contributions(p.A, [1.0], u, 0.05)
                                    for u in np.linspace(0.0, t, 65).tolist()])
 

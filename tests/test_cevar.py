@@ -17,12 +17,11 @@ from levyrisk import (
     WeightFunction,
     allocate,
     cevar,
-    euler_curve,
     evar,
     evar_closed_form_brownian,
     stable_allocation,
 )
-from levyrisk.errors import LevyRiskError, NoStationaryPointError, QuadratureBudgetError
+from levyrisk.errors import DomainError, LevyRiskError, NoStationaryPointError, QuadratureBudgetError
 from levyrisk.evar import solve_stationary
 import oracles
 from oracles import allocation_oracle, composite_simpson
@@ -176,6 +175,24 @@ def test_brownian_horizon_beyond_float_range_raises(T):
         allocate(portfolio)
 
 
+HUGE_DRIFT_CPOIS = CompoundPoissonExp(1e-300, 1.0, -1e300)  # below its onset at T = 1e299
+
+
+@pytest.mark.parametrize("compute", [
+    lambda: cevar(CevarQuery(combo((BrownianWithDrift(-10.0, 1.0), 1.0)), 1e308, 1.0)),
+    lambda: cevar(CevarQuery(combo((HUGE_DRIFT_CPOIS, 1.0)), 1e299, 0.05)),
+    lambda: allocate(FactorPortfolio([[1.0]], [HUGE_DRIFT_CPOIS], [0.0], 1e299, 0.05)),
+    # EPS * T underflows to 0: the range ends at 1e300, where sigma^2 s^2 overflows.
+    lambda: allocate(FactorPortfolio([[1.0]], [BrownianWithDrift(0.0, 1.0)], [0.0], 1e-307, 0.05)),
+], ids=["beta=1-mean", "cpois-drift-limit", "allocate-drift-limit", "brownian-T=1e-307"])
+def test_limit_branches_beyond_float_range_raise_domain_error(compute):
+    # The linear parts of CEVaR (the beta = 1 mean, the s -> inf drift limit)
+    # overflow, or EPS * T underflows; these used to return inf, or to warn
+    # before the DomainError.
+    with pytest.raises(DomainError):
+        compute()
+
+
 def test_cevar_matches_independent_smooth_substitution_oracle():
     # Substituting t = u^2 removes the sqrt singularity at t = 0, so a plain
     # composite Simpson rule on u converges fast; this shares no code with the
@@ -265,8 +282,8 @@ def test_cevar_budget_error_carries_partial(monkeypatch):
 def count_integral_solves(monkeypatch):
     """The horizons at which the horizon integral solves for s*, in order.
 
-    Only ``levyrisk.cevar``'s name is patched, so the K-curve's solves in
-    ``euler_curve`` are not counted."""
+    Only ``levyrisk.cevar``'s name is patched, so the K-curve's hand-offs to
+    ``solve_stationary`` are not counted."""
     horizons = []
     cevar_module = sys.modules["levyrisk.cevar"]
     solve = cevar_module.solve_stationary
@@ -442,16 +459,15 @@ def curve_solved_to_ulps(portfolio, grid, monkeypatch):
 
 
 @pytest.mark.parametrize("case", ORACLE_PORTFOLIOS)
-def test_euler_curve_matches_points_solved_to_ulps(case, monkeypatch):
+def test_curve_matches_points_solved_to_ulps(case, monkeypatch):
     # K is first order in the error of s*, so the curve's Newton-corrected
     # points must give the K of points solved until the step is a few ulps.
     A, factors, knots = ORACLE_PORTFOLIOS[case]
     weight = WeightFunction.table(knots).normalized(2.0) if knots else WeightFunction()
     portfolio = FactorPortfolio(A, factors, [0.0] * len(A), 2.0, 0.05, weight=weight)
-    grid, K_curve, _ = euler_curve(portfolio)
-    K = curve_solved_to_ulps(portfolio, grid, monkeypatch)
-    assert np.max(np.abs(K_curve[1:] - K)) <= 1e-13 * np.max(np.abs(K))
-    assert np.max(np.abs(allocate(portfolio).K_curve[1:] - K)) <= 1e-13 * np.max(np.abs(K))
+    report = allocate(portfolio)
+    K = curve_solved_to_ulps(portfolio, report.grid, monkeypatch)
+    assert np.max(np.abs(report.K_curve[1:] - K)) <= 1e-13 * np.max(np.abs(K))
 
 
 # Positions whose curve points leave the first lockstep round: the steep bend
@@ -475,34 +491,28 @@ FALLBACK_PORTFOLIOS = {
 
 @pytest.mark.parametrize("case", FALLBACK_PORTFOLIOS)
 def test_curve_fallbacks_match_points_solved_to_ulps(case, monkeypatch):
-    # allocate seeds the curve from the integral's nodes, euler_curve from
-    # s*(T) alone; both must give the K of ulps-tight scalar solves.
+    # The curve, seeded from the integral's nodes, must give the K of
+    # ulps-tight scalar solves.
     A, factors, T, knots = FALLBACK_PORTFOLIOS[case]
     weight = WeightFunction.table(knots).normalized(T) if knots else WeightFunction()
     portfolio = FactorPortfolio(A, factors, [0.0] * len(A), T, 0.05, weight=weight)
     report = allocate(portfolio)
-    grid, K_curve, s_star_curve = euler_curve(portfolio)
-    K = curve_solved_to_ulps(portfolio, grid, monkeypatch)
-    scale = np.max(np.abs(K))
-    assert np.max(np.abs(report.K_curve[1:] - K)) <= 1e-13 * scale
-    assert np.max(np.abs(K_curve[1:] - K)) <= 1e-13 * scale
-    assert np.max(np.abs(K_curve - report.K_curve)) <= 1e-13 * scale
-    limits = [s is None for _, s in s_star_curve]
-    assert limits == [s is None for _, s in report.s_star_curve]
+    K = curve_solved_to_ulps(portfolio, report.grid, monkeypatch)
+    assert np.max(np.abs(report.K_curve[1:] - K)) <= 1e-13 * np.max(np.abs(K))
     if case == "cpois-below-onset":
-        assert all(limits)
+        assert all(s is None for _, s in report.s_star_curve)
 
 
-def test_allocate_seeds_the_curve_from_the_integral(monkeypatch):
-    # Seeds interpolated through the integral's nodes lie within a Newton step
-    # or two of the roots: at most three array rounds a curve, no scalar solve.
+def count_curve_rounds(monkeypatch):
+    """Per ``solve_curve`` call made by ``allocate``, the sizes of its lockstep
+    rounds' arrays; and the horizons it hands to ``solve_stationary``."""
     rounds, handed_off, solving = [], [], [False]
     allocation, evar_module = sys.modules["levyrisk.allocation"], sys.modules["levyrisk.evar"]
     solve_curve, solve, phi_gap = (allocation.solve_curve, evar_module.solve_stationary,
                                    FactorCombination.phi_gap)
 
     def counted_curve(*args):
-        rounds.append(0)
+        rounds.append([])
         solving[0] = True
         try:
             return solve_curve(*args)
@@ -511,7 +521,7 @@ def test_allocate_seeds_the_curve_from_the_integral(monkeypatch):
 
     def counted_phi_gap(self, s):
         if solving[0] and isinstance(s, np.ndarray):
-            rounds[-1] += 1
+            rounds[-1].append(s.size)
         return phi_gap(self, s)
 
     def counted_solve(comb, t, *args, **kwargs):
@@ -521,17 +531,24 @@ def test_allocate_seeds_the_curve_from_the_integral(monkeypatch):
     monkeypatch.setattr(allocation, "solve_curve", counted_curve)
     monkeypatch.setattr(evar_module, "solve_stationary", counted_solve)
     monkeypatch.setattr(FactorCombination, "phi_gap", counted_phi_gap)
+    return rounds, handed_off
+
+
+def test_allocate_seeds_the_curve_from_the_integral(monkeypatch):
+    # Seeds interpolated through the integral's nodes lie within a Newton step
+    # or two of the roots: at most three array rounds a curve, no scalar solve.
+    rounds, handed_off = count_curve_rounds(monkeypatch)
     cases = [(A, factors, 2.0, knots) for A, factors, knots in ORACLE_PORTFOLIOS.values()]
     for A, factors, T, knots in cases + list(FALLBACK_PORTFOLIOS.values()):
         weight = WeightFunction.table(knots).normalized(T) if knots else WeightFunction()
         allocate(FactorPortfolio(A, factors, [0.0] * len(A), T, 0.05, weight=weight))
-    assert len(rounds) == 8 and max(rounds) <= 3 and handed_off == []
+    assert len(rounds) == 8 and max(map(len, rounds)) <= 3 and handed_off == []
 
 
 def test_curve_raises_the_error_of_the_scalar_solve():
     # s*(t) = sqrt(-2 ln(beta) / t) / d for a driftless Brownian position: about
     # 5e299 at T = 1, so below t ~ 1/4 the root lies above 1e300 and the solve
-    # raises.  The curve hands those points to solve_stationary.
+    # raises: first at the end of the horizon integral, t = EPS * T.
     portfolio = FactorPortfolio([[4.9e-300]], [BrownianWithDrift(0.0, 1.0)], [0.0], 1.0, 0.05)
     comb = portfolio.combination()
     assert solve_stationary(comb, 1.0, 0.05)[0] < 1e300
@@ -539,7 +556,7 @@ def test_curve_raises_the_error_of_the_scalar_solve():
         for t in np.linspace(0.0, 1.0, 65).tolist():
             solve_stationary(comb, t, 0.05)
     with pytest.raises(NoStationaryPointError) as curve:
-        euler_curve(portfolio)
+        allocate(portfolio)
     assert (str(curve.value), curve.value.boundary) == (str(scalar.value), scalar.value.boundary)
 
 
@@ -646,26 +663,10 @@ def test_curve_stable_log_log_slope_is_inverse_alpha():
 
 @pytest.mark.parametrize("factor", [BrownianWithDrift(0.2, 1.4), AlphaStableSubordinator(0.6, 0.1)])
 def test_curve_lockstep_is_exact_for_brownian_and_stable(factor, monkeypatch):
-    # ln s* is linear in ln t (slope -1/2 or -1/alpha), so the seed line
-    # through s*(T) is the root at every horizon: one array evaluation accepts
-    # them all, and the only scalar solve is s*(T) itself.
-    horizons, array_calls = [], []
-    solve = solve_stationary
-
-    def counted_solve(comb, t, *args, **kwargs):
-        horizons.append(t)
-        return solve(comb, t, *args, **kwargs)
-
-    for name in ("levyrisk.evar", "levyrisk.allocation"):
-        monkeypatch.setattr(sys.modules[name], "solve_stationary", counted_solve)
-    phi_gap = FactorCombination.phi_gap
-
-    def counted_phi_gap(self, s):
-        if isinstance(s, np.ndarray):
-            array_calls.append(s.size)
-        return phi_gap(self, s)
-
-    monkeypatch.setattr(FactorCombination, "phi_gap", counted_phi_gap)
-    euler_curve(FactorPortfolio([[0.8]], [factor], [0.0], 2.0, 0.05))
-    assert horizons == [2.0]
-    assert array_calls == [64]  # t = 0 is the s -> inf limit
+    # ln s* is linear in ln t (slope -1/2 or -1/alpha), so the Hermite seeds
+    # through the integral's curve points are the roots at every horizon: one
+    # array evaluation accepts them all, and no point is handed to solve_stationary.
+    rounds, handed_off = count_curve_rounds(monkeypatch)
+    allocate(FactorPortfolio([[0.8]], [factor], [0.0], 2.0, 0.05))
+    assert rounds == [[64]]  # t = 0 is the s -> inf limit
+    assert handed_off == []

@@ -364,6 +364,17 @@ def test_shipped_brownian_config_matches_closed_form(capsys):
     np.testing.assert_allclose(payload["L"], expected, rtol=1e-8)
 
 
+@pytest.mark.parametrize("cfg", sorted(glob.glob(os.path.join(CONFIG_DIR, "*.cfg"))),
+                         ids=os.path.basename)
+def test_curve_and_allocate_print_the_same_csv(cfg, capsys):
+    # The K-curve has one producer, allocate: both commands print its CSV.
+    outputs = []
+    for command in ("curve", "allocate"):
+        assert main(["--config", cfg, "--command", command, "--format", "csv"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
+
 def test_shipped_config_at_a_horizon_beyond_float_range_is_a_domain_error(tmp_path, capsys):
     # s* at T = 3e-309 lies where sigma^2 s^2 overflows: no EVaR, exit 2.
     with open(os.path.join(CONFIG_DIR, "brownian_common_sigma.cfg")) as handle:
