@@ -20,6 +20,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .cevar import WeightFunction, horizon_integral
+from .errors import finite
 from .evar import solve_curve, solve_stationary
 from .factors import FactorCombination, LevyFactor
 
@@ -125,7 +126,8 @@ class AllocationReport:
     measures round-off only; it is no check of accuracy.  The independent
     checks are acceptance criterion 3 (``euler_contributions`` against
     ``evar`` pointwise in t), the t-space CEVaR of ``bench/checks.py`` and the
-    mpmath ``allocation_oracle`` of the tests.
+    mpmath ``allocation_oracle`` of the tests.  A report whose ``L``, ``K_curve``,
+    ``total_cevar`` or ``full_allocation_gap`` is not finite raises DomainError.
     """
 
     L: np.ndarray
@@ -135,13 +137,17 @@ class AllocationReport:
     total_cevar: float
     full_allocation_gap: float
 
+    def __post_init__(self):
+        for name in ("L", "K_curve", "total_cevar", "full_allocation_gap"):
+            finite(getattr(self, name), name)
+
 
 def _factor_terms(comb: FactorCombination, t: np.ndarray, s: np.ndarray) -> np.ndarray:
     """The factor terms -t * phi_j'(s D_j) of K_t = A @ terms, shape (len(t), m),
     at arrays t and s: -t * slope_j at s = inf and zeros at t = 0 (beta < 1, so
-    s is never 0).  A portfolio's columns have positive sums: every factor is active."""
-    with np.errstate(invalid="ignore"):  # -0 * (-inf), a Brownian slope at t = 0
-        return np.where(t[:, None] > 0.0, -t[:, None] * comb.slopes(s).T, 0.0)
+    s is never 0).  A portfolio's columns have positive sums: every factor is active.
+    Callers run it under np.errstate(over="ignore", invalid="ignore") and check."""
+    return np.where(t[:, None] > 0.0, -t[:, None] * comb.slopes(s).T, 0.0)
 
 
 def euler_contributions(portfolio: FactorPortfolio, t: float) -> np.ndarray:
@@ -155,7 +161,8 @@ def euler_contributions(portfolio: FactorPortfolio, t: float) -> np.ndarray:
     t = float(t)  # as in EvarQuery
     comb = portfolio.combination(None)
     s, _, _ = solve_stationary(comb, t, portfolio.beta)
-    return portfolio.A @ _factor_terms(comb, np.array([t]), np.array([s]))[0]
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow, inf - inf in the matmul
+        return finite(portfolio.A @ _factor_terms(comb, np.array([t]), np.array([s]))[0], "K_t")
 
 
 def allocate(portfolio: FactorPortfolio) -> AllocationReport:
@@ -176,21 +183,23 @@ def allocate(portfolio: FactorPortfolio) -> AllocationReport:
         np.vstack([portfolio.A, portfolio.column_sums()]),
     )
 
-    tmom = portfolio.weight.time_moment(T)
-    L = integral[:-1] + portfolio.premiums * tmom
-    total = float(integral[-1]) + float(portfolio.premiums.sum()) * tmom
     # The K-curve, solved from the integral's curve points; all factor terms meet A at once.
     grid = np.linspace(0.0, T, CURVE_POINTS)
     s = solve_curve(comb, grid, portfolio.beta, points)
-    return AllocationReport(
-        L=L,
-        grid=grid,
-        K_curve=_factor_terms(comb, grid, s) @ portfolio.A.T,
-        s_star_curve=[(t, None if si == math.inf else si)
-                      for t, si in zip(grid.tolist(), s.tolist())],
-        total_cevar=total,
-        full_allocation_gap=float(L.sum() - total),
-    )
+    tmom = portfolio.weight.time_moment(T)
+    # Overflow, and -0 * (-inf) from a Brownian slope at t = 0: AllocationReport checks.
+    with np.errstate(over="ignore", invalid="ignore"):
+        L = integral[:-1] + portfolio.premiums * tmom
+        total = float(integral[-1]) + float(portfolio.premiums.sum()) * tmom
+        return AllocationReport(
+            L=L,
+            grid=grid,
+            K_curve=_factor_terms(comb, grid, s) @ portfolio.A.T,
+            s_star_curve=[(t, None if si == math.inf else si)
+                          for t, si in zip(grid.tolist(), s.tolist())],
+            total_cevar=total,
+            full_allocation_gap=float(L.sum() - total),
+        )
 
 
 # ---------------------------------------------------------------------------

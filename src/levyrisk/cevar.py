@@ -8,7 +8,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from ._quad import adaptive_simpson
-from .errors import DomainError
+from .errors import DomainError, finite
 from .evar import X_MAX, evar_at, solve_stationary
 from .factors import FactorCombination
 
@@ -84,7 +84,7 @@ class WeightFunction:
 
     def time_moment(self, T: float, upper: Optional[float] = None) -> float:
         """Integral of t*omega(t) over [0, min(upper, T)] (over [0, T] by
-        default); exact per linear segment."""
+        default), exact per linear segment; DomainError where it is not finite."""
         if self.kind == "uniform":
             return T / 2.0 if upper is None else min(upper, T) ** 2 / (2.0 * T)
         acc = 0.0
@@ -97,7 +97,7 @@ class WeightFunction:
             if upper is not None:
                 t1 = min(t1, upper)
             acc += c0 * (t1 * t1 - t0 * t0) / 2.0 + c1 * (t1 ** 3 - t0 ** 3) / 3.0
-        return acc
+        return finite(acc, "the weight's time moment")
 
     def breakpoints(self, T: float) -> list:
         if self.kind == "uniform":
@@ -172,12 +172,12 @@ def horizon_integral(combination: FactorCombination, beta: float, weight: Weight
     :func:`levyrisk.evar.solve_curve`.
     """
     def limit(upper=None):
-        with np.errstate(over="ignore"):  # reported as DomainError by _finite
+        with np.errstate(over="ignore"):
             return exposures @ -combination.slopes(math.inf) * weight.time_moment(T, upper)
 
     s_T = solve_stationary(combination, T, beta)[0]
     if s_T == math.inf:
-        return _finite(limit(), T), ((), (), ())
+        return finite(limit(), "the horizon integral"), ((), (), ())
     budget = -math.log(beta)
     t_lo, s_hi = EPS * T, solve_stationary(combination, EPS * T, beta)[0]
     at_limit = s_hi == math.inf
@@ -207,18 +207,10 @@ def horizon_integral(combination: FactorCombination, beta: float, weight: Weight
         # tau * omega ~ 1 and tau * F' ~ tau: tau * tau would underflow below 1e-154.
         return exposures @ terms * ((tau * weight.density(tau, T)) * (tau * fprime))
 
-    with np.errstate(over="ignore", invalid="ignore"):  # reported as DomainError by _finite
-        value = linear + adaptive_simpson(integrand, x_T, math.log(s_hi), None,
-                                          breakpoints=breaks)
-    return _finite(value, T), tuple(np.concatenate(arrays) for arrays in zip(*points))
-
-
-def _finite(value, T: float):
-    """``value``, an integral over [0, T], if it is finite; DomainError otherwise."""
-    if not np.isfinite(value).all():
-        raise DomainError(f"the horizon integral over [0, {T!r}] is not finite: "
-                          "the inputs leave float range")
-    return value
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = finite(linear + adaptive_simpson(integrand, x_T, math.log(s_hi), None,
+                                                 breakpoints=breaks), "the horizon integral")
+    return value, tuple(np.concatenate(arrays) for arrays in zip(*points))
 
 
 def cevar(query: CevarQuery) -> float:
@@ -233,6 +225,6 @@ def cevar(query: CevarQuery) -> float:
         # solve_stationary returns the s -> 0+ or s -> inf point; evar_at raises
         # DomainError at beta = 1 for an active stable factor (infinite mean).
         s = solve_stationary(comb, 1.0, beta)[0]
-        return _finite(evar_at(comb, 1.0, beta, s) * query.weight.time_moment(query.T), query.T)
+        return finite(evar_at(comb, 1.0, beta, s) * query.weight.time_moment(query.T), "CEVaR")
     return horizon_integral(comb, beta, query.weight, query.T,
                             np.array([d for _, d in comb.active]))[0]

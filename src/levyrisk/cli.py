@@ -39,12 +39,9 @@ import json
 import math
 import sys
 
-import numpy as np
-
 from .allocation import FactorPortfolio, allocate
 from .cevar import CevarQuery, WeightFunction, cevar
-from .errors import (ConfigError, DomainError, LevyRiskError, NoStationaryPointError,
-                     QuadratureBudgetError)
+from .errors import ConfigError, LevyRiskError, NoStationaryPointError, QuadratureBudgetError
 from .evar import EvarQuery, evar
 from .factors import factor_from_dict
 from .montecarlo import SimulationConfig, validation_report
@@ -166,7 +163,7 @@ def parse_config(text: str):
     T = take("T", float, "be a positive finite real", lambda v: 0.0 < v < math.inf)
     beta = take("beta", float, "lie in (0, 1)", lambda v: 0.0 < v < 1.0)
     seed = take("seed", int, "be at least 0", lambda v: v >= 0, default=0)
-    n_paths = take("n_paths", int, "be at least 1", lambda v: v >= 1, default=100_000)
+    n_paths = take("n_paths", int, "be at least 2", lambda v: v >= 2, default=100_000)
     if run:
         raise ConfigError(f"unknown [run] key(s): {sorted(run)}",
                           line=min(lineno for lineno, _ in run.values()))
@@ -232,7 +229,9 @@ def _render(fmt: str, payload: dict, header, rows) -> str:
     """The report text: ``payload`` under the schema version in JSON, otherwise
     ``rows`` under ``header`` (CSV, or a right-aligned table)."""
     if fmt == "json":
-        return json.dumps({"schema_version": SCHEMA_VERSION, **payload}, indent=2) + "\n"
+        # The library raises on a non-finite result; one here is a defect, not JSON.
+        return json.dumps({"schema_version": SCHEMA_VERSION, **payload}, indent=2,
+                          allow_nan=False) + "\n"
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -244,13 +243,6 @@ def _render(fmt: str, payload: dict, header, rows) -> str:
     return "".join("  ".join(v.rjust(w) for v, w in zip(r, widths)) + "\n" for r in cols)
 
 
-def _curve(K_curve, s_star_curve):
-    """Header and rows (t, s_star, K_1, ..., K_n) of the K-curve."""
-    header = ["t", "s_star"] + [f"K_{i}" for i in range(1, K_curve.shape[1] + 1)]
-    return header, [[t, s] + list(k) for (t, s), k in zip(s_star_curve, K_curve)]
-
-
-@np.errstate(all="ignore")  # a non-finite result is reported as DomainError instead
 def run(args) -> int:
     """Execute a parsed command line; returns the process exit code."""
     fmt, code = args.format, EXIT_OK
@@ -274,7 +266,8 @@ def run(args) -> int:
             header, rows = ["value"], [[value]]
         elif args.command in ("allocate", "curve"):
             report = allocate(portfolio)
-            header, rows = _curve(report.K_curve, report.s_star_curve)
+            header = ["t", "s_star"] + [f"K_{i}" for i in range(1, portfolio.n + 1)]
+            rows = [[t, s] + list(k) for (t, s), k in zip(report.s_star_curve, report.K_curve)]
             if args.command == "curve":
                 payload = {"columns": header, "rows": rows}
             else:
@@ -302,11 +295,6 @@ def run(args) -> int:
                 code = EXIT_VALIDATION
         else:  # pragma: no cover - argparse restricts choices
             raise AssertionError(args.command)
-        try:  # overflow at extreme inputs leaves a number that JSON cannot hold
-            json.dumps(payload, allow_nan=False)
-        except ValueError:
-            raise DomainError("the result is not finite: the inputs leave float range") from None
-
         rendered = _render(fmt, payload, header, rows)
         if args.out:
             try:

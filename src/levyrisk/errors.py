@@ -1,4 +1,7 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and its one finiteness rule."""
+import math
+
+import numpy as np
 
 __all__ = ["LevyRiskError", "DomainError", "NoStationaryPointError", "QuadratureBudgetError",
            "ConfigError"]
@@ -45,3 +48,11 @@ class ConfigError(LevyRiskError, ValueError):
             message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
+
+
+def finite(value, what: str):
+    """``value`` if it is finite (a float, or every entry of an array); DomainError otherwise."""
+    if not (math.isfinite(value) if isinstance(value, float)
+            else np.count_nonzero(np.isfinite(value)) == value.size):
+        raise DomainError(f"{what} is not finite: the inputs leave float range")
+    return value

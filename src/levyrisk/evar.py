@@ -44,7 +44,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError, NoStationaryPointError
+from .errors import DomainError, NoStationaryPointError, finite
 from .factors import FactorCombination
 
 __all__ = [
@@ -97,7 +97,7 @@ class EvarResult:
     the boundary whose limit supplies the infimum.  ``s_star`` is the solver's
     Newton-corrected point, one step past the last point at which it evaluated
     the stationarity function h; ``residual`` is h at that evaluated point (0.0
-    for boundary limits).
+    for boundary limits).  A ``value`` that is not finite raises DomainError.
     """
 
     value: float
@@ -105,6 +105,9 @@ class EvarResult:
     attained: str
     iterations: int
     residual: float
+
+    def __post_init__(self):
+        finite(self.value, "EVaR")
 
 
 def solve_stationary(

@@ -50,8 +50,8 @@ class SimulationConfig:
     n_paths: int = 100_000
 
     def __post_init__(self):
-        if self.n_paths < 1:
-            raise ValueError(f"n_paths must be at least 1, got {self.n_paths}")
+        if self.n_paths < 2:  # a standard error needs two paths
+            raise ValueError(f"n_paths must be at least 2, got {self.n_paths}")
         if self.seed < 0:
             raise ValueError(f"seed must be at least 0, got {self.seed}")
 
@@ -354,6 +354,13 @@ def var_inf_bound_check(cp: CompoundPoissonExp, premium: float, beta: float,
     return _var_inf_estimate(infima, beta, R)
 
 
+def _z_score(row) -> float:
+    """|estimate - analytic| in standard errors: at a zero standard error (all
+    draws equal), inf if the two differ and 0 if they agree."""
+    diff = abs(row["estimate"] - row["analytic"])
+    return diff / row["stderr"] if row["stderr"] > 0.0 else (math.inf if diff else 0.0)
+
+
 def validation_report(config: SimulationConfig, beta: float = 0.05) -> list:
     """Deterministic suite of MC-vs-analytic checks for the CLI.
 
@@ -373,7 +380,7 @@ def validation_report(config: SimulationConfig, beta: float = 0.05) -> list:
     ]
     for factor in kinds:
         rows = empirical_exponent_check(factor, 1.0, [0.5, 1.0, 2.0], config)
-        worst = max(rows, key=lambda r: abs(r["estimate"] - r["analytic"]) / r["stderr"])
+        worst = max(rows, key=_z_score)
         check(f"laplace_exponent_{factor.kind}", worst["analytic"], worst["estimate"],
               _N_SIGMA * worst["stderr"], all(r["pass"] for r in rows))
 

@@ -253,6 +253,7 @@ def test_exit_code_parse_error(tmp_path):
         MINIMAL.replace("sigma = 1.0", "sigma = 1.0, sigma = 2.0"),  # repeated factor key
         MINIMAL + "beta = 0.5\n",  # repeated [run] key
         MINIMAL + "n_paths = 0\n",
+        MINIMAL + "n_paths = 1\n",  # one path has no standard error
         MINIMAL + "seed = -1\n",
         MINIMAL.replace("T = 1.0", "T = -2.0"),  # out of range
         MINIMAL.replace("beta = 0.05", "beta = 10.05"),
@@ -386,16 +387,44 @@ def test_shipped_config_at_a_horizon_beyond_float_range_is_a_domain_error(tmp_pa
     assert captured.out == "" and "not finite" in captured.err
 
 
+GAMMA_HUGE_DRIFT = (MINIMAL.replace("kind = brownian, mu = 0.0, sigma = 1.0",
+                                    "kind = gamma, a = 2.0, b = 3.0, mu = 1e308")
+                    .replace("T = 1.0", "T = 2.0"))  # K_T = -2e308 on the K-curve
+
+
 @pytest.mark.parametrize("text,command", [
     (MINIMAL.replace("T = 1.0", "T = 1e-320"), "cevar"),  # s^2 phi'' overflows in the integral
     (MINIMAL.replace("kind = brownian, mu = 0.0, sigma = 1.0", "kind = stable, alpha = 0.6, mu = 1e308")
      .replace("T = 1.0", "T = 2.0"), "allocate"),  # K = -2e308 near T
-], ids=["tiny-T", "huge-drift"])
+    (MINIMAL.replace("mu = 0.0", "mu = -1e308").replace("T = 1.0", "T = 10.0"), "evar"),
+    (GAMMA_HUGE_DRIFT, "allocate"),
+    (GAMMA_HUGE_DRIFT, "curve"),
+    (MINIMAL.replace("[premiums]\n0.0", "[premiums]\n1e308").replace("T = 1.0", "T = 4.0"),
+     "allocate"),  # the premium term 1e308 * T/2 overflows
+    (MINIMAL + "\n[weight]\n0.0 0.4\n1e-320 1.2\n1.0 0.6\n",
+     "cevar"),  # the weight's slope on [0, 1e-320] overflows: its time moment is NaN
+], ids=["tiny-T", "huge-drift", "brownian-drift-evar", "gamma-drift-allocate",
+        "gamma-drift-curve", "huge-premium", "subnormal-weight-segment"])
 def test_non_finite_result_is_a_domain_error(text, command, tmp_path, capsys):
-    # These used to print NaN or -Infinity, which is not JSON, and exit 0.
+    # The first two used to print NaN or -Infinity, which is not JSON, and exit
+    # 0.  The library raises DomainError on each: the CLI has no guard of its own.
     assert main(["--config", write(tmp_path, text), "--command", command, "--format", "json"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "not finite" in captured.err
+
+
+@pytest.mark.parametrize("seed", [2, 3])
+def test_validate_at_two_paths_prints_json(seed, tmp_path, capsys):
+    # Every compound-Poisson draw is 0 at these seeds, so a standard error is 0:
+    # the worst-row pick used to divide by it and end in a ZeroDivisionError.
+    with open(os.path.join(CONFIG_DIR, "brownian_common_sigma.cfg")) as handle:
+        text = handle.read()
+    assert "seed = 42" in text and "n_paths = 100000" in text
+    cfg = write(tmp_path, text.replace("seed = 42", f"seed = {seed}")
+                .replace("n_paths = 100000", "n_paths = 2"))
+    assert main(["--config", cfg, "--command", "validate", "--format", "json"]) in (0, 5)
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["seed"] == seed and len(payload["checks"]) > 0
 
 
 # ---------------------------------------------------------------------------

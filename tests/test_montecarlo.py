@@ -70,10 +70,11 @@ def test_sample_increments_validation():
 
 
 def test_simulation_config_validation():
-    for n_paths in (0, -1):
+    # One path has no standard error: n_paths = 1 is rejected.
+    for n_paths in (1, 0, -1):
         with pytest.raises(ValueError, match="n_paths"):
             SimulationConfig(seed=0, n_paths=n_paths)
-    assert SimulationConfig(seed=0, n_paths=1).n_paths == 1
+    assert SimulationConfig(seed=0, n_paths=2).n_paths == 2
     with pytest.raises(ValueError, match="seed"):
         SimulationConfig(seed=-1)
 
