@@ -91,12 +91,12 @@ class WeightFunction:
         for (t0, w0), (t1, w1) in zip(self.knots, self.knots[1:]):
             if upper is not None and t0 >= upper:
                 break
-            dt = t1 - t0
-            c1 = (w1 - w0) / dt
-            c0 = w0 - c1 * t0
-            if upper is not None:
-                t1 = min(t1, upper)
-            acc += c0 * (t1 * t1 - t0 * t0) / 2.0 + c1 * (t1 ** 3 - t0 ** 3) / 3.0
+            if upper is not None and upper < t1:
+                # The segment ends at upper, with its weight there.
+                t1, w1 = upper, w0 + (w1 - w0) * ((upper - t0) / (t1 - t0))
+            # dt times (time x weight) terms: no t^2 or t^3, which overflow for
+            # knots beyond ~5.6e102 while the moment itself is ~T/2.
+            acc += (t1 - t0) * (t0 * (2.0 * w0 + w1) + t1 * (w0 + 2.0 * w1)) / 6.0
         return finite(acc, "the weight's time moment")
 
     def breakpoints(self, T: float) -> list:

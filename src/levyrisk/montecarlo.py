@@ -38,7 +38,6 @@ __all__ = [
 # Paths per RNG substream: one substream per 10k paths, so the draws do not
 # depend on how the work is split.
 _BLOCK = 10_000
-_PANEL = 1_000  # rows per ruin-path panel: ~1 MB each of times and jumps, inside L2
 _N_SIGMA = 4.0  # standard errors within which an empirical Laplace exponent passes
 
 
@@ -245,13 +244,9 @@ def _path_infima(cp: CompoundPoissonExp, premium: float, horizon: float,
 
     C increases between jumps, so the infimum is attained immediately after a
     jump: inf = min(0, min_k(c_eff*t_k - S_k)).  Each block of _BLOCK paths
-    draws from its own substream in a fixed order: the counts, then every
-    jump time, then every jump size.  A block draws all its times at once and
-    is then walked in panels of _PANEL rows; each panel sorts its times, draws
-    its jumps (consecutive fills continue the same stream, so the draws do not
-    depend on _PANEL) and reduces them to its rows' infima while it is in
-    cache.  The working set is one block's time array plus one panel, and a
-    block's arrays are released before the next block draws.
+    draws from its own substream (see :func:`_block_infima` for the order), so
+    the draws depend only on the seed and the path's block, and a block's
+    arrays are released before the next block draws.
     """
     c_eff = premium - cp.mu
     infima = np.zeros(n_paths)
@@ -265,29 +260,41 @@ def _block_infima(rng, cp: CompoundPoissonExp, c_eff: float, horizon: float,
                   out: np.ndarray) -> None:
     """Write the infima of one block's paths into ``out`` (zeros on entry).
 
+    The block draws its Poisson counts, then walks its paths grouped by jump
+    count: for each count k > 0 in ascending order, the n_k paths with that
+    count (in block order) draw an (n_k, k) array of jump times and then an
+    (n_k, k) array of jumps.  Given its count, a path's sorted times are the
+    order statistics of k i.i.d. uniforms on [0, horizon] and its jumps are
+    i.i.d. exponential(1 / eta), so no row carries a slot it does not use.
     random() * horizon and standard_exponential() * (1 / eta) are the draws of
-    uniform(0, horizon) and exponential(1 / eta), bit for bit.  The unused
-    slots of a row are padded with +inf before the sort, so each row keeps
-    exactly its own count of jumps; they stay +inf in c_eff * t - S because
-    c_eff > 0 on every caller (the net profit condition).
+    uniform(0, horizon) and exponential(1 / eta), bit for bit.
     """
     counts = rng.poisson(cp.lam * horizon, out.size)
-    kmax = int(counts.max())
-    if kmax == 0:
-        return
-    times = rng.random((out.size, kmax))
-    times *= horizon
-    slots = np.arange(kmax)
-    for lo in range(0, out.size, _PANEL):
-        panel = times[lo:lo + _PANEL]
-        np.copyto(panel, np.inf, where=slots >= counts[lo:lo + _PANEL, None])
-        panel.sort(axis=1)
-        panel *= c_eff
-        cum = rng.standard_exponential(panel.shape)
+    order = np.argsort(counts, kind="stable")
+    sizes = np.bincount(counts)
+    # The paths with count k are order[ends[k - 1]:ends[k]], in block order.
+    ends = np.cumsum(sizes)
+    # One buffer of times and one of jumps, sized for the largest group, serve
+    # every group in turn.  Two arrays per count (~70 counts at lam*horizon =
+    # 90) of varying sizes fragmented the heap: the peak RSS of a process that
+    # also makes large arrays rose by ~8 MB in some runs.
+    room = int((sizes * np.arange(sizes.size)).max())
+    drawdowns, jumps = np.empty(room), np.empty(room)
+    for k in range(1, ends.size):
+        rows = order[ends[k - 1]:ends[k]]
+        if rows.size == 0:
+            continue
+        drawdown = drawdowns[:rows.size * k].reshape(rows.size, k)
+        rng.random(out=drawdown)
+        drawdown.sort(axis=1)
+        drawdown *= horizon
+        drawdown *= c_eff
+        cum = jumps[:rows.size * k].reshape(rows.size, k)
+        rng.standard_exponential(out=cum)
         cum *= 1.0 / cp.eta
         np.cumsum(cum, axis=1, out=cum)
-        panel -= cum
-        np.minimum(0.0, panel.min(axis=1), out=out[lo:lo + _PANEL])
+        drawdown -= cum
+        out[rows] = np.minimum(0.0, drawdown.min(axis=1))
 
 
 def _ruin_horizon(R: float) -> float:

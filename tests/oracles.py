@@ -221,12 +221,14 @@ def allocation_oracle(portfolio, dps=15):
 
 def path_infima_reference(lam, eta, mu, premium, horizon, n_paths, seed):
     """Per-path infima of c_eff*t - (compound Poisson) on [0, horizon], one
-    whole 10k-path block at a time.
+    path at a time.
 
     The plain form of ``montecarlo._path_infima``, with the same substreams
-    and draw order: per block the Poisson counts, then every jump time as
-    uniform(0, horizon), then every jump as exponential(1/eta).  The library
-    walks each block in row panels; its output must equal this bit for bit.
+    and draw order: per 10k-path block the Poisson counts; then, for each
+    count k > 0 in ascending order, the k jump times of each path with that
+    count (in block order) as uniform(0, horizon), and after them the k jumps
+    of each of those paths as exponential(1/eta).  The library draws each
+    group of paths as one array; its output must equal this bit for bit.
     """
     c_eff = premium - mu
     infima = np.zeros(n_paths)
@@ -234,16 +236,12 @@ def path_infima_reference(lam, eta, mu, premium, horizon, n_paths, seed):
         size = min(10_000, n_paths - pos)
         rng = np.random.default_rng(np.random.SeedSequence([seed, 1000 + block]))
         counts = rng.poisson(lam * horizon, size)
-        kmax = int(counts.max())
-        if kmax > 0:
-            unused = np.arange(kmax)[None, :] >= counts[:, None]
-            times = rng.uniform(0.0, horizon, (size, kmax))
-            times[unused] = np.inf
-            times.sort(axis=1)
-            jumps = rng.exponential(1.0 / eta, (size, kmax))
-            drawdown = c_eff * times - np.cumsum(jumps, axis=1)
-            drawdown[unused] = np.inf
-            infima[pos:pos + size] = np.minimum(0.0, drawdown.min(axis=1))
+        for k in sorted(set(counts.tolist()) - {0}):
+            rows = np.flatnonzero(counts == k)
+            times = [np.sort(rng.uniform(0.0, horizon, k)) for _ in rows]
+            jumps = [rng.exponential(1.0 / eta, k) for _ in rows]
+            for i, t, x in zip(rows, times, jumps):
+                infima[pos + i] = min(0.0, (c_eff * t - np.cumsum(x)).min())
     return infima
 
 

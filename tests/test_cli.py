@@ -401,16 +401,39 @@ GAMMA_HUGE_DRIFT = (MINIMAL.replace("kind = brownian, mu = 0.0, sigma = 1.0",
     (GAMMA_HUGE_DRIFT, "curve"),
     (MINIMAL.replace("[premiums]\n0.0", "[premiums]\n1e308").replace("T = 1.0", "T = 4.0"),
      "allocate"),  # the premium term 1e308 * T/2 overflows
-    (MINIMAL + "\n[weight]\n0.0 0.4\n1e-320 1.2\n1.0 0.6\n",
-     "cevar"),  # the weight's slope on [0, 1e-320] overflows: its time moment is NaN
 ], ids=["tiny-T", "huge-drift", "brownian-drift-evar", "gamma-drift-allocate",
-        "gamma-drift-curve", "huge-premium", "subnormal-weight-segment"])
+        "gamma-drift-curve", "huge-premium"])
 def test_non_finite_result_is_a_domain_error(text, command, tmp_path, capsys):
     # The first two used to print NaN or -Infinity, which is not JSON, and exit
     # 0.  The library raises DomainError on each: the CLI has no guard of its own.
     assert main(["--config", write(tmp_path, text), "--command", command, "--format", "json"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "not finite" in captured.err
+
+
+# (T, [weight] knots, time moment, CEVaR) of a driftless unit Brownian factor,
+# whose EVaR is sqrt(2 t ln 20) at beta = 0.05.
+EXTREME_KNOTS = [
+    (1e200, "0.0 1.0\n1e200 1.0\n", 5e199, (2.0 / 3.0) * math.sqrt(2e200 * math.log(20.0))),
+    (1.0, "0.0 0.4\n1e-320 1.2\n1.0 0.6\n", 4.0 / 9.0, 28.0 / 45.0 * math.sqrt(2.0 * math.log(20.0))),
+]
+
+
+@pytest.mark.parametrize("T, knots, moment, value", EXTREME_KNOTS,
+                         ids=["knots-beyond-1e102", "subnormal-segment"])
+def test_table_weight_at_extreme_knots_has_its_exact_time_moment(T, knots, moment, value,
+                                                                 tmp_path, capsys):
+    # The moment used to be formed from t^3 and the segment's slope: at the far
+    # knots t^3 raised OverflowError (a traceback, exit 1), and on [0, 1e-320]
+    # the slope overflowed and the moment was NaN (exit 2).
+    cfg = write(tmp_path, MINIMAL.replace("T = 1.0", f"T = {T!r}") + "\n[weight]\n" + knots)
+    payloads = {}
+    for command in ("cevar", "allocate", "curve"):
+        assert main(["--config", cfg, "--command", command, "--format", "json"]) == 0, command
+        payloads[command] = json.loads(capsys.readouterr().out)
+    assert payloads["cevar"]["time_moment"] == pytest.approx(moment, rel=1e-14)
+    assert payloads["cevar"]["value"] == pytest.approx(value, rel=1e-12)
+    assert payloads["allocate"]["total_cevar"] == pytest.approx(value, rel=1e-12)
 
 
 @pytest.mark.parametrize("seed", [2, 3])

@@ -263,23 +263,63 @@ def test_path_infima_equal_the_whole_block_reference(lam, eta, mu, premium, hori
     assert np.array_equal(got, path_infima_reference(lam, eta, mu, premium, horizon, n_paths, 11))
 
 
-@pytest.mark.parametrize("panel", [1, 333])
-def test_path_infima_do_not_depend_on_the_panel_rows(panel, monkeypatch):
-    expected = path_infima_reference(1.0, 1.0, 0.0, PREMIUM, 90.0, 12_345, 4)
-    monkeypatch.setattr(montecarlo, "_PANEL", panel)
-    assert np.array_equal(montecarlo._path_infima(CP, PREMIUM, 90.0, 12_345, 4), expected)
+def test_path_infima_of_a_block_do_not_depend_on_the_later_blocks():
+    # Each 10k-path block draws from its own substream, so the first block of
+    # a 25k-path run is a whole 10k-path run.
+    first = montecarlo._path_infima(CP, PREMIUM, 90.0, 25_000, 4)[:10_000]
+    assert np.array_equal(first, montecarlo._path_infima(CP, PREMIUM, 90.0, 10_000, 4))
 
 
-def test_ruin_path_memory_is_one_block_and_one_panel():
-    # One block's 10k x ~130 jump times (~10.7 MB), one panel and the 0.8 MB
-    # output; it does not grow with the number of blocks.
+def test_ruin_path_memory_is_one_block():
+    # One block's counts and sort order and its two buffers, each sized for its
+    # largest group of equal jump counts (~0.4k x ~90 floats, 0.3 MB), beside
+    # the 0.8 MB output; it does not grow with the number of blocks.
     tracemalloc.start()
     try:
         ruin_probability(CP, PREMIUM, 0.0, SimulationConfig(seed=3, n_paths=100_000))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 16 * 2**20
+    assert peak < 4 * 2**20
+
+
+def _ruin_law_failures(horizon):
+    """The bounds that simulated ruin paths to ``horizon`` break, against the
+    exact psi(u) = (lam/(c eta)) e^(-R u) of exponential claims (Asmussen and
+    Albrecher, Ruin Probabilities, 2010) and its VaR ln(psi(0)/beta)/R.
+
+    20 fixed seeds of 20k paths: the z-scores of psi_hat(u) at u = 0, 3 and 9
+    must average within 1 (4.5 standard errors of a 20-seed mean) and stay
+    within 4 each, and the VaR_0.05 estimates (sd ~0.09 per seed) must average
+    within 0.1 of the exact VaR.
+    """
+    n, R, psi0, beta = 20_000, 1.0 / 3.0, 2.0 / 3.0, 0.05
+    z, var = [], []
+    for seed in range(20):
+        infima = montecarlo._path_infima(CP, PREMIUM, horizon, n, seed)
+        for u in (0.0, 3.0, 9.0):
+            exact = psi0 * math.exp(-R * u)
+            z.append(((infima < -u).mean() - exact) / math.sqrt(exact * (1.0 - exact) / n))
+        var.append(montecarlo._var_inf_estimate(infima, beta, R)[0])
+    mean_z = np.reshape(z, (20, 3)).mean(axis=0)
+    var_error = np.mean(var) - math.log(psi0 / beta) / R
+    failures = []
+    if np.any(np.abs(mean_z) > 1.0):
+        failures.append(f"mean z at u = 0, 3, 9: {mean_z}")
+    if np.max(np.abs(z)) > 4.0:
+        failures.append(f"max |z| = {np.max(np.abs(z)):.3g}")
+    if abs(var_error) > 0.1:
+        failures.append(f"mean VaR off the exact value by {var_error:.3g}")
+    return failures
+
+
+def test_ruin_paths_match_the_exact_ruin_probability():
+    assert _ruin_law_failures(montecarlo._ruin_horizon(1.0 / 3.0)) == []
+
+
+def test_exact_ruin_check_rejects_a_truncated_horizon():
+    # Paths to T = 20 instead of 90 miss the later ruins: mean z ~ -3 to -5.5.
+    assert len(_ruin_law_failures(20.0)) == 3
 
 
 def test_ruin_probability_at_zero_reserve():
