@@ -263,11 +263,16 @@ def test_path_infima_equal_the_whole_block_reference(lam, eta, mu, premium, hori
     assert np.array_equal(got, path_infima_reference(lam, eta, mu, premium, horizon, n_paths, 11))
 
 
-def test_path_infima_of_a_block_do_not_depend_on_the_later_blocks():
-    # Each 10k-path block draws from its own substream, so the first block of
-    # a 25k-path run is a whole 10k-path run.
-    first = montecarlo._path_infima(CP, PREMIUM, 90.0, 25_000, 4)[:10_000]
-    assert np.array_equal(first, montecarlo._path_infima(CP, PREMIUM, 90.0, 10_000, 4))
+@pytest.mark.parametrize("panel", [1, 333])
+def test_path_infima_do_not_depend_on_the_panel_rows(panel):
+    # A run of one 10k-path block and a part-block (panel) of further rows.
+    # Each block draws from its own substream, so the first block is a whole
+    # 10k-path run whatever rows follow it, and the panel's rows are the
+    # reference's.
+    n = 10_000 + panel
+    got = montecarlo._path_infima(CP, PREMIUM, 90.0, n, 4)
+    assert np.array_equal(got[:10_000], montecarlo._path_infima(CP, PREMIUM, 90.0, 10_000, 4))
+    assert np.array_equal(got, path_infima_reference(1.0, 1.0, 0.0, PREMIUM, 90.0, n, 4))
 
 
 def test_ruin_path_memory_is_one_block():
