@@ -244,9 +244,12 @@ def _path_infima(cp: CompoundPoissonExp, premium: float, horizon: float,
 
     C increases between jumps, so the infimum is attained immediately after a
     jump: inf = min(0, min_k(c_eff*t_k - S_k)).  Each block of _BLOCK paths
-    draws from its own substream (see :func:`_block_infima` for the order), so
-    the draws depend only on the seed and the path's block, and a block's
-    arrays are released before the next block draws.
+    draws from its own substream, so the draws depend only on the seed and
+    the path's block, and a block's arrays are released before the next block
+    draws.  A path draws no exponential claims: its sorted jump times and
+    claim partial sums come from sorted uniforms, the latter scaled by one
+    gamma total per path (see :func:`_block_infima` for the order and why it
+    is exact in law).
     """
     c_eff = premium - cp.mu
     infima = np.zeros(n_paths)
@@ -262,39 +265,52 @@ def _block_infima(rng, cp: CompoundPoissonExp, c_eff: float, horizon: float,
 
     The block draws its Poisson counts, then walks its paths grouped by jump
     count: for each count k > 0 in ascending order, the n_k paths with that
-    count (in block order) draw an (n_k, k) array of jump times and then an
-    (n_k, k) array of jumps.  Given its count, a path's sorted times are the
-    order statistics of k i.i.d. uniforms on [0, horizon] and its jumps are
-    i.i.d. exponential(1 / eta), so no row carries a slot it does not use.
-    random() * horizon and standard_exponential() * (1 / eta) are the draws of
-    uniform(0, horizon) and exponential(1 / eta), bit for bit.
+    count (in block order) draw one (2, n_k, k) array of uniforms, sort its
+    rows, and draw n_k standard_gamma(k) totals S.  Row 0 gives the jump
+    times horizon * U_(i).  Row 1, reflected to (0, 1] by 1 - V so that
+    V_(k) > 0, gives the claim partial sums H_i = (S / eta) * V_(i) / V_(k).
+
+    This is exact in law (Devroye, Non-Uniform Random Variate Generation,
+    1986, ch. V).  Given its count, a path's sorted times are the order
+    statistics of k i.i.d. uniforms on [0, horizon].  Its claims are i.i.d.
+    exponential(1 / eta), so their total H_k is gamma(k, 1 / eta) and the
+    ratios H_i / H_k, i < k, are the order statistics of k - 1 uniforms,
+    independent of H_k.  V_(i) / V_(k), i < k, have that same law and are
+    independent of V_(k), so no exponential is drawn and no cumsum is taken.
+    With reach = c_eff * horizon > 0 (the net profit condition), the
+    infimum is min(0, reach * min_i(U_(i) - H_i / reach)).
     """
     counts = rng.poisson(cp.lam * horizon, out.size)
-    order = np.argsort(counts, kind="stable")
+    # A stable sort is unique; in the smallest integer type that holds the
+    # counts (uint8 at lam*horizon = 90) numpy sorts them by radix.
+    order = np.argsort(counts.astype(np.min_scalar_type(counts.max())), kind="stable")
     sizes = np.bincount(counts)
     # The paths with count k are order[ends[k - 1]:ends[k]], in block order.
     ends = np.cumsum(sizes)
-    # One buffer of times and one of jumps, sized for the largest group, serve
-    # every group in turn.  Two arrays per count (~70 counts at lam*horizon =
-    # 90) of varying sizes fragmented the heap: the peak RSS of a process that
-    # also makes large arrays rose by ~8 MB in some runs.
+    # One buffer, sized for the uniforms of the largest group, serves every
+    # group in turn.  Arrays per count (~70 counts at lam*horizon = 90) of
+    # varying sizes fragmented the heap: the peak RSS of a process that also
+    # makes large arrays rose by ~8 MB in some runs.
     room = int((sizes * np.arange(sizes.size)).max())
-    drawdowns, jumps = np.empty(room), np.empty(room)
+    buffer = np.empty(2 * room)
+    reach = c_eff * horizon
+    claim_scale = 1.0 / (cp.eta * reach)
     for k in range(1, ends.size):
         rows = order[ends[k - 1]:ends[k]]
         if rows.size == 0:
             continue
-        drawdown = drawdowns[:rows.size * k].reshape(rows.size, k)
-        rng.random(out=drawdown)
-        drawdown.sort(axis=1)
-        drawdown *= horizon
-        drawdown *= c_eff
-        cum = jumps[:rows.size * k].reshape(rows.size, k)
-        rng.standard_exponential(out=cum)
-        cum *= 1.0 / cp.eta
-        np.cumsum(cum, axis=1, out=cum)
-        drawdown -= cum
-        out[rows] = np.minimum(0.0, drawdown.min(axis=1))
+        uniforms = buffer[:2 * rows.size * k].reshape(2, rows.size, k)
+        rng.random(out=uniforms)
+        times, claims = uniforms
+        np.subtract(1.0, claims, out=claims)
+        uniforms.sort(axis=2)
+        # Per path, H_i / reach = (S / V_(k) * claim_scale) * V_(i).
+        scale = rng.standard_gamma(k, rows.size)
+        scale /= claims[:, -1]
+        scale *= claim_scale
+        claims *= scale[:, None]
+        times -= claims
+        out[rows] = np.minimum(0.0, reach * times.min(axis=1))
 
 
 def _ruin_horizon(R: float) -> float:

@@ -223,14 +223,18 @@ def path_infima_reference(lam, eta, mu, premium, horizon, n_paths, seed):
     """Per-path infima of c_eff*t - (compound Poisson) on [0, horizon], one
     path at a time.
 
-    The plain form of ``montecarlo._path_infima``, with the same substreams
-    and draw order: per 10k-path block the Poisson counts; then, for each
-    count k > 0 in ascending order, the k jump times of each path with that
-    count (in block order) as uniform(0, horizon), and after them the k jumps
-    of each of those paths as exponential(1/eta).  The library draws each
-    group of paths as one array; its output must equal this bit for bit.
+    The plain form of ``montecarlo._path_infima``, with the same substreams,
+    draw order and arithmetic: per 10k-path block the Poisson counts; then,
+    for each count k > 0 in ascending order, the k time uniforms U of each
+    path with that count (in block order), then the k claim uniforms V of
+    each of those paths, then one gamma(k) total S per path.  A path's
+    claim partial sums are (S / eta) * V_(i) / V_(k), with V reflected to
+    (0, 1] before the sort.  The library draws each group of paths as one
+    array; its output must equal this bit for bit.
     """
     c_eff = premium - mu
+    reach = c_eff * horizon
+    claim_scale = 1.0 / (eta * reach)
     infima = np.zeros(n_paths)
     for block, pos in enumerate(range(0, n_paths, 10_000)):
         size = min(10_000, n_paths - pos)
@@ -238,10 +242,12 @@ def path_infima_reference(lam, eta, mu, premium, horizon, n_paths, seed):
         counts = rng.poisson(lam * horizon, size)
         for k in sorted(set(counts.tolist()) - {0}):
             rows = np.flatnonzero(counts == k)
-            times = [np.sort(rng.uniform(0.0, horizon, k)) for _ in rows]
-            jumps = [rng.exponential(1.0 / eta, k) for _ in rows]
-            for i, t, x in zip(rows, times, jumps):
-                infima[pos + i] = min(0.0, (c_eff * t - np.cumsum(x)).min())
+            times = [np.sort(rng.random(k)) for _ in rows]
+            claims = [np.sort(1.0 - rng.random(k)) for _ in rows]
+            totals = [rng.standard_gamma(k) for _ in rows]
+            for i, u, v, s in zip(rows, times, claims, totals):
+                drop = u - (s / v[-1] * claim_scale) * v
+                infima[pos + i] = min(0.0, reach * drop.min())
     return infima
 
 

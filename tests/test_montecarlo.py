@@ -276,9 +276,10 @@ def test_path_infima_do_not_depend_on_the_panel_rows(panel):
 
 
 def test_ruin_path_memory_is_one_block():
-    # One block's counts and sort order and its two buffers, each sized for its
-    # largest group of equal jump counts (~0.4k x ~90 floats, 0.3 MB), beside
-    # the 0.8 MB output; it does not grow with the number of blocks.
+    # One block's counts and sort order and its one buffer of 2 * room floats,
+    # room being the size of its largest group of equal jump counts (~0.4k x
+    # ~90 floats, so 0.6 MB), beside the 0.8 MB output; it does not grow with
+    # the number of blocks.  The traced peak reads 1.6 MB.
     tracemalloc.start()
     try:
         ruin_probability(CP, PREMIUM, 0.0, SimulationConfig(seed=3, n_paths=100_000))
@@ -296,18 +297,25 @@ def _ruin_law_failures(horizon):
     20 fixed seeds of 20k paths: the z-scores of psi_hat(u) at u = 0, 3 and 9
     must average within 1 (4.5 standard errors of a 20-seed mean) and stay
     within 4 each, and the VaR_0.05 estimates (sd ~0.09 per seed) must average
-    within 0.1 of the exact VaR.
+    within 0.1 of the exact VaR.  Given ruin, the deficit -inf is exactly
+    exponential(R), so the ~270k pooled deficits of the ruined paths must pass
+    a Kolmogorov-Smirnov test against it: sqrt(n) * D <= 1.95, the 0.1% point
+    of Kolmogorov's law.
     """
     n, R, psi0, beta = 20_000, 1.0 / 3.0, 2.0 / 3.0, 0.05
-    z, var = [], []
+    z, var, deficits = [], [], []
     for seed in range(20):
         infima = montecarlo._path_infima(CP, PREMIUM, horizon, n, seed)
         for u in (0.0, 3.0, 9.0):
             exact = psi0 * math.exp(-R * u)
             z.append(((infima < -u).mean() - exact) / math.sqrt(exact * (1.0 - exact) / n))
         var.append(montecarlo._var_inf_estimate(infima, beta, R)[0])
+        deficits.append(-infima[infima < 0.0])
     mean_z = np.reshape(z, (20, 3)).mean(axis=0)
     var_error = np.mean(var) - math.log(psi0 / beta) / R
+    cdf = -np.expm1(-R * np.sort(np.concatenate(deficits)))
+    m = cdf.size
+    ks = math.sqrt(m) * max((np.arange(1, m + 1) / m - cdf).max(), (cdf - np.arange(m) / m).max())
     failures = []
     if np.any(np.abs(mean_z) > 1.0):
         failures.append(f"mean z at u = 0, 3, 9: {mean_z}")
@@ -315,6 +323,8 @@ def _ruin_law_failures(horizon):
         failures.append(f"max |z| = {np.max(np.abs(z)):.3g}")
     if abs(var_error) > 0.1:
         failures.append(f"mean VaR off the exact value by {var_error:.3g}")
+    if ks > 1.95:
+        failures.append(f"deficits given ruin: KS sqrt(n) D = {ks:.3g}")
     return failures
 
 
@@ -323,8 +333,27 @@ def test_ruin_paths_match_the_exact_ruin_probability():
 
 
 def test_exact_ruin_check_rejects_a_truncated_horizon():
-    # Paths to T = 20 instead of 90 miss the later ruins: mean z ~ -3 to -5.5.
-    assert len(_ruin_law_failures(20.0)) == 3
+    # Paths to T = 20 instead of 90 miss the later ruins: mean z ~ -3 to -5.5,
+    # and the deficits read KS sqrt(n) D ~ 9.7.
+    assert len(_ruin_law_failures(20.0)) == 4
+
+
+def _unnormalised_block_infima(rng, cp, c_eff, horizon, out):
+    """The ruin sampler with claim partial sums (S / eta) * V_(i), missing
+    the division by V_(k): every path's claims fall short by V_(k)."""
+    counts = rng.poisson(cp.lam * horizon, out.size)
+    reach = c_eff * horizon
+    for k in np.unique(counts[counts > 0]):
+        rows = np.flatnonzero(counts == k)
+        times, claims = np.sort(rng.random((2, rows.size, k)), axis=2)
+        claims *= (rng.standard_gamma(k, rows.size) / (cp.eta * reach))[:, None]
+        out[rows] = np.minimum(0.0, reach * (times - claims).min(axis=1))
+
+
+def test_exact_ruin_check_rejects_unnormalised_claim_sums(monkeypatch):
+    monkeypatch.setattr(montecarlo, "_block_infima", _unnormalised_block_infima)
+    failures = _ruin_law_failures(montecarlo._ruin_horizon(1.0 / 3.0))
+    assert any(f.startswith("deficits given ruin") for f in failures), failures
 
 
 def test_ruin_probability_at_zero_reserve():
