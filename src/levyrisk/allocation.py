@@ -14,7 +14,7 @@ provided for cross-checking the generic numerical path.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -43,14 +43,15 @@ CURVE_POINTS = 65
 
 @dataclass(frozen=True)
 class FactorPortfolio:
-    """n departments exposed to m independent factors through a_ij >= 0."""
+    """n departments exposed to m independent factors through a_ij >= 0;
+    ``weight=None`` is ``WeightFunction.uniform(T)``."""
 
     A: np.ndarray
     factors: tuple
     premiums: np.ndarray
     T: float
     beta: float
-    weight: WeightFunction = field(default_factory=WeightFunction)
+    weight: WeightFunction
 
     def __init__(self, A, factors: Sequence[LevyFactor], premiums, T: float,
                  beta: float, weight: Optional[WeightFunction] = None):
@@ -82,7 +83,7 @@ class FactorPortfolio:
             raise ValueError(f"T must be a positive finite real, got {T}")
         if not (0.0 < beta < 1.0):
             raise ValueError(f"beta must lie in (0, 1), got {beta}")
-        weight = weight if weight is not None else WeightFunction()
+        weight = weight if weight is not None else WeightFunction.uniform(T)
         weight.check_span(T)
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "factors", tuple(factors))
@@ -186,7 +187,7 @@ def allocate(portfolio: FactorPortfolio) -> AllocationReport:
     # The K-curve, solved from the integral's curve points; all factor terms meet A at once.
     grid = np.linspace(0.0, T, CURVE_POINTS)
     s = solve_curve(comb, grid, portfolio.beta, points)
-    tmom = portfolio.weight.time_moment(T)
+    tmom = portfolio.weight.time_moment()
     # Overflow, and -0 * (-inf) from a Brownian slope at t = 0: AllocationReport checks.
     with np.errstate(over="ignore", invalid="ignore"):
         L = integral[:-1] + portfolio.premiums * tmom

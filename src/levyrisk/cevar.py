@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -24,69 +24,73 @@ EPS = 1e-18
 _SPAN_TOL = 1e-9  # slack of a table weight's span (relative to 1 + T) and mass
 
 
+def _inverse_horizon(T: float) -> float:
+    """1/T for a horizon T > 0.  DomainError where it leaves float range (T below
+    ~5.6e-309): no weight on [0, T] has unit mass there."""
+    if not T > 0.0:
+        raise ValueError(f"the horizon T must be positive, got {T!r}")
+    return finite(1.0 / T, f"1/T at the horizon T = {T!r}")
+
+
 @dataclass(frozen=True)
 class WeightFunction:
-    """Weight density omega on [0, T] with unit mass.
-
-    ``uniform`` is omega(t) = 1/T.  ``table`` interpolates linearly between
-    knots (t_k, w_k) that must span [0, T] with unit mass: ``check_span``,
-    called when a ``FactorPortfolio`` or a ``CevarQuery`` is built.
+    """Weight density omega on [0, T] with unit mass, linear between knots
+    (t_k, w_k) that must span [0, T]: ``check_span``, called when a
+    ``FactorPortfolio`` or a ``CevarQuery`` is built.  The default weight is
+    ``uniform(T)``, the two knots (0, 1/T) and (T, 1/T).
     """
 
-    kind: str = "uniform"
-    knots: Tuple[Tuple[float, float], ...] = ()
+    knots: Tuple[Tuple[float, float], ...]
 
     def __post_init__(self):
-        if self.kind not in ("uniform", "table"):
-            raise ValueError(f"weight kind must be 'uniform' or 'table', got {self.kind!r}")
-        if self.kind == "table":
-            if len(self.knots) < 2:
-                raise ValueError("table weight needs at least two knots")
-            ts = [t for t, _ in self.knots]
-            ws = [w for _, w in self.knots]
-            if not all(math.isfinite(v) for v in ts + ws):
-                raise ValueError("table knot times and values must be finite")
-            if any(t1 <= t0 for t0, t1 in zip(ts, ts[1:])):
-                raise ValueError("table knot times must be strictly increasing")
-            if any(w < 0 for w in ws):
-                raise ValueError("table weight values must be nonnegative")
+        if len(self.knots) < 2:
+            raise ValueError("table weight needs at least two knots")
+        ts = [t for t, _ in self.knots]
+        ws = [w for _, w in self.knots]
+        if not all(math.isfinite(v) for v in ts + ws):
+            raise ValueError("table knot times and values must be finite")
+        if any(t1 <= t0 for t0, t1 in zip(ts, ts[1:])):
+            raise ValueError("table knot times must be strictly increasing")
+        if any(w < 0 for w in ws):
+            raise ValueError("table weight values must be nonnegative")
 
     @classmethod
     def table(cls, knots: Sequence[Tuple[float, float]]) -> "WeightFunction":
-        return cls(kind="table", knots=tuple((float(t), float(w)) for t, w in knots))
+        return cls(tuple((float(t), float(w)) for t, w in knots))
+
+    @classmethod
+    def uniform(cls, T: float) -> "WeightFunction":
+        """omega = 1/T on [0, T]: the knots (0, 1/T) and (T, 1/T)."""
+        w = _inverse_horizon(T)
+        return cls.table([(0.0, w), (T, w)])
 
     def check_span(self, T: float) -> None:
-        if self.kind == "table":
-            # Each test is written as "not within", so that a NaN fails it.
-            ts, slack = [t for t, _ in self.knots], _SPAN_TOL * (1 + T)
-            if not (abs(ts[0]) <= slack and abs(ts[-1] - T) <= slack):
-                raise ValueError(
-                    f"table weight knots span [{ts[0]}, {ts[-1]}] but the horizon is [0, {T}]"
-                )
-            mass = self.mass(T)
-            if not abs(mass - 1.0) <= _SPAN_TOL:
-                raise ValueError(f"weight is not normalised: integral = {mass!r}")
+        _inverse_horizon(T)
+        # Each test is written as "not within", so that a NaN fails it.
+        ts, slack = [t for t, _ in self.knots], _SPAN_TOL * (1 + T)
+        if not (abs(ts[0]) <= slack and abs(ts[-1] - T) <= slack):
+            raise ValueError(
+                f"table weight knots span [{ts[0]}, {ts[-1]}] but the horizon is [0, {T}]"
+            )
+        mass = self.mass()
+        if not abs(mass - 1.0) <= _SPAN_TOL:
+            raise ValueError(f"weight is not normalised: integral = {mass!r}")
 
-    def density(self, t, T: float):
+    def density(self, t):
         """omega at t, a float or a numpy array of horizons."""
-        if self.kind == "uniform":
-            return 1.0 / T
-        return np.interp(t, [k[0] for k in self.knots], [k[1] for k in self.knots])
+        return np.interp(t, *zip(*self.knots))
 
-    def mass(self, T: float) -> float:
-        """Integral of omega over [0, T]; trapezoid is exact for table kind."""
-        if self.kind == "uniform":
-            return 1.0
+    def mass(self) -> float:
+        """Integral of omega over its knots; the trapezoid is exact per linear
+        segment, and each time x weight product stays in float range."""
         acc = 0.0
         for (t0, w0), (t1, w1) in zip(self.knots, self.knots[1:]):
-            acc += 0.5 * (w0 + w1) * (t1 - t0)
+            acc += (t1 - t0) * (0.5 * w0 + 0.5 * w1)
         return acc
 
-    def time_moment(self, T: float, upper: Optional[float] = None) -> float:
-        """Integral of t*omega(t) over [0, min(upper, T)] (over [0, T] by
-        default), exact per linear segment; DomainError where it is not finite."""
-        if self.kind == "uniform":
-            return T / 2.0 if upper is None else min(upper, T) ** 2 / (2.0 * T)
+    def time_moment(self, upper: Optional[float] = None) -> float:
+        """Integral of t*omega(t) up to ``upper`` (over all knots by default),
+        exact per linear segment; DomainError where it is not finite."""
         acc = 0.0
         for (t0, w0), (t1, w1) in zip(self.knots, self.knots[1:]):
             if upper is not None and t0 >= upper:
@@ -94,20 +98,19 @@ class WeightFunction:
             if upper is not None and upper < t1:
                 # The segment ends at upper, with its weight there.
                 t1, w1 = upper, w0 + (w1 - w0) * ((upper - t0) / (t1 - t0))
-            # dt times (time x weight) terms: no t^2 or t^3, which overflow for
-            # knots beyond ~5.6e102 while the moment itself is ~T/2.
-            acc += (t1 - t0) * (t0 * (2.0 * w0 + w1) + t1 * (w0 + 2.0 * w1)) / 6.0
+            # dt * ((2 t0 + t1) w0 + (t0 + 2 t1) w1) / 6 with the times quartered:
+            # time x weight products, no t^2 (which overflows for knots beyond
+            # ~5.6e102) and no time sum above 3/4 of a knot (none overflows).
+            acc += (t1 - t0) * ((0.5 * t0 + 0.25 * t1) * w0 + (0.25 * t0 + 0.5 * t1) * w1) / 1.5
         return finite(acc, "the weight's time moment")
 
-    def breakpoints(self, T: float) -> list:
-        if self.kind == "uniform":
-            return []
+    def breakpoints(self) -> list:
         return [t for t, _ in self.knots]
 
     def normalized(self, T: float) -> "WeightFunction":
-        if self.kind == "uniform":
-            return self
-        mass = self.mass(T)
+        """The weight divided by its mass.  ``T`` is unused: it is kept for
+        the callers that pass it (``bench/workloads.py``)."""
+        mass = self.mass()
         if not 0.0 < mass < math.inf:
             raise ValueError(f"table weight has mass {mass!r}, not a positive finite "
                              "number, and cannot be normalised")
@@ -116,12 +119,13 @@ class WeightFunction:
 
 @dataclass(frozen=True)
 class CevarQuery:
-    """Position, horizon T > 0, beta in (0, 1] and a weight that spans [0, T]."""
+    """Position, horizon T > 0, beta in (0, 1] and a weight that spans [0, T];
+    ``weight=None`` is ``WeightFunction.uniform(T)``."""
 
     combination: FactorCombination
     T: float
     beta: float
-    weight: WeightFunction = field(default_factory=WeightFunction)
+    weight: Optional[WeightFunction] = None
 
     def __post_init__(self):
         # As Python floats, for the reason given in EvarQuery.
@@ -131,6 +135,8 @@ class CevarQuery:
             raise ValueError(f"T must be a positive finite real, got {self.T}")
         if not (0.0 < self.beta <= 1.0):
             raise ValueError(f"beta must lie in (0, 1], got {self.beta}")
+        if self.weight is None:
+            object.__setattr__(self, "weight", WeightFunction.uniform(self.T))
         self.weight.check_span(self.T)
 
 
@@ -173,7 +179,7 @@ def horizon_integral(combination: FactorCombination, beta: float, weight: Weight
     """
     def limit(upper=None):
         with np.errstate(over="ignore"):
-            return exposures @ -combination.slopes(math.inf) * weight.time_moment(T, upper)
+            return exposures @ -combination.slopes(math.inf) * weight.time_moment(upper)
 
     s_T = solve_stationary(combination, T, beta)[0]
     if s_T == math.inf:
@@ -194,7 +200,7 @@ def horizon_integral(combination: FactorCombination, beta: float, weight: Weight
     linear = limit(t_lo) if at_limit else 0.0
     x_T = math.log(s_T)
     breaks = [x_T - math.log(EPS)] + [math.log(solve_stationary(combination, t, beta)[0])
-                                      for t in weight.breakpoints(T) if t_lo < t < T]
+                                      for t in weight.breakpoints() if t_lo < t < T]
     points = [([x_T], [T], [-combination.s2d2phi(s_T) / combination.phi_gap(s_T)])]
 
     def integrand(x):
@@ -205,7 +211,7 @@ def horizon_integral(combination: FactorCombination, beta: float, weight: Weight
         points.append((x, tau, fprime))
         terms = -combination.slopes(s)  # k / t
         # tau * omega ~ 1 and tau * F' ~ tau: tau * tau would underflow below 1e-154.
-        return exposures @ terms * ((tau * weight.density(tau, T)) * (tau * fprime))
+        return exposures @ terms * ((tau * weight.density(tau)) * (tau * fprime))
 
     with np.errstate(over="ignore", invalid="ignore"):
         value = finite(linear + adaptive_simpson(integrand, x_T, math.log(s_hi), None,
@@ -225,6 +231,6 @@ def cevar(query: CevarQuery) -> float:
         # solve_stationary returns the s -> 0+ or s -> inf point; evar_at raises
         # DomainError at beta = 1 for an active stable factor (infinite mean).
         s = solve_stationary(comb, 1.0, beta)[0]
-        return finite(evar_at(comb, 1.0, beta, s) * query.weight.time_moment(query.T), "CEVaR")
+        return finite(evar_at(comb, 1.0, beta, s) * query.weight.time_moment(), "CEVaR")
     return horizon_integral(comb, beta, query.weight, query.T,
                             np.array([d for _, d in comb.active]))[0]

@@ -18,13 +18,16 @@ Config files are sectioned key-value text::
     T = 1.0
     beta = 0.05
 
-    # optional, tabulated weight density (default is uniform)
+    # optional, tabulated weight density (default: uniform, 1/T on [0, T])
     [weight]
     0.0 0.5
     1.0 1.5
 
-The config is the one source of a run's inputs.  A ``[weight]`` table that
-does not span [0, T] exits 2 for every command: ``FactorPortfolio`` checks it.
+The config is the one source of a run's inputs.  Without ``[weight]`` the
+weight is ``WeightFunction.uniform(T)``.  A ``[weight]`` table that does not
+span [0, T], and a horizon T whose 1/T leaves float range (T below ~5.6e-309,
+where no weight has unit mass), exit 2 for every command: ``FactorPortfolio``
+checks them.
 
 Exit codes: 0 success, 2 error in the config, an option or the --out path,
 3 solver non-attainment, 4 quadrature budget exceeded, 5 validation failure.
@@ -168,7 +171,7 @@ def parse_config(text: str):
         raise ConfigError(f"unknown [run] key(s): {sorted(run)}",
                           line=min(lineno for lineno, _ in run.values()))
 
-    weight = WeightFunction()
+    weight = None  # FactorPortfolio's default, WeightFunction.uniform(T)
     if sections["weight"]:
         knots = []
         for lineno, line in sections["weight"]:
@@ -217,7 +220,7 @@ def serialize_portfolio(portfolio: FactorPortfolio, seed: int = 0,
     lines.append(f"beta = {portfolio.beta!r}")
     lines.append(f"seed = {seed}")
     lines.append(f"n_paths = {n_paths}")
-    if portfolio.weight.kind == "table":
+    if portfolio.weight != WeightFunction.uniform(portfolio.T):
         lines.append("")
         lines.append("[weight]")
         for t, w in portfolio.weight.knots:
@@ -262,7 +265,7 @@ def run(args) -> int:
             query = CevarQuery(portfolio.combination(None), portfolio.T, portfolio.beta,
                                weight=portfolio.weight)
             value = cevar(query)
-            payload = {"value": value, "time_moment": portfolio.weight.time_moment(portfolio.T)}
+            payload = {"value": value, "time_moment": portfolio.weight.time_moment()}
             header, rows = ["value"], [[value]]
         elif args.command in ("allocate", "curve"):
             report = allocate(portfolio)

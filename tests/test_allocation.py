@@ -10,6 +10,7 @@ from levyrisk import (
     CevarQuery,
     CompoundPoissonExp,
     EvarQuery,
+    FactorCombination,
     FactorPortfolio,
     GammaSubordinator,
     WeightFunction,
@@ -238,7 +239,7 @@ def test_allocate_total_is_the_standalone_cevar(p, limit_nodes):
     # allocate integrates the aggregate EVaR on the Euler sweep's nodes; it
     # must still be the CEVaR that cevar computes on its own.
     report = allocate(p)
-    folded = report.total_cevar - float(p.premiums.sum()) * p.weight.time_moment(p.T)
+    folded = report.total_cevar - float(p.premiums.sum()) * p.weight.time_moment()
     standalone = cevar(CevarQuery(p.combination(None), p.T, p.beta, weight=p.weight))
     assert abs(folded - standalone) <= 1e-9 * (1 + abs(report.total_cevar))
     assert any(s is None for t, s in report.s_star_curve if t > 0) == limit_nodes
@@ -287,7 +288,10 @@ def test_curve_rows_are_euler_contributions(p, monkeypatch):
 def test_brownian_position_at_tiny_t_is_exact_or_a_domain_error(t):
     # sigma^2 s^2 / 2 overflows above s ~ 1.9e154, and below t ~ 3e-308 the root
     # lies beyond that: the solve must raise rather than stop at the overflow edge.
-    p = FactorPortfolio([[1.0]], [BrownianWithDrift(0.0, 1.0)], [0.0], t, 0.05)
+    # Below T ~ 5.6e-309 the portfolio itself raises (1/T overflows), so each
+    # check builds what it needs inside it; EvarQuery takes no weight.
+    def portfolio():
+        return FactorPortfolio([[1.0]], [BrownianWithDrift(0.0, 1.0)], [0.0], t, 0.05)
 
     def exact_or_domain_error(compute, expected):
         try:
@@ -296,12 +300,13 @@ def test_brownian_position_at_tiny_t_is_exact_or_a_domain_error(t):
             return
         np.testing.assert_allclose(value, expected(), rtol=1e-12, atol=0.0)
 
-    exact_or_domain_error(lambda: evar(EvarQuery(p.combination(), t, 0.05)).value,
+    comb = FactorCombination([BrownianWithDrift(0.0, 1.0)], [1.0])
+    exact_or_domain_error(lambda: evar(EvarQuery(comb, t, 0.05)).value,
                           lambda: evar_closed_form_brownian(0.0, 1.0, t, 0.05))
-    exact_or_domain_error(lambda: euler_contributions(p, t),
-                          lambda: brownian_contributions(p.A, [1.0], t, 0.05))
-    exact_or_domain_error(lambda: allocate(p).K_curve,
-                          lambda: [brownian_contributions(p.A, [1.0], u, 0.05)
+    exact_or_domain_error(lambda: euler_contributions(portfolio(), t),
+                          lambda: brownian_contributions([[1.0]], [1.0], t, 0.05))
+    exact_or_domain_error(lambda: allocate(portfolio()).K_curve,
+                          lambda: [brownian_contributions([[1.0]], [1.0], u, 0.05)
                                    for u in np.linspace(0.0, t, 65).tolist()])
 
 
@@ -317,7 +322,7 @@ def test_allocate_table_weight():
     T = 2.0
     integral = 0.25 * (2.0 / 3.0) * T ** 1.5 + 0.25 * (2.0 / 5.0) * T ** 2.5
     expected_K = c / D * (A[:, 0] * D) * integral  # sigma^2 D a_i / sqrt(sum...) = a_i
-    expected = expected_K + p.premiums * w.time_moment(T)
+    expected = expected_K + p.premiums * w.time_moment()
     np.testing.assert_allclose(report.L, expected.ravel(), rtol=1e-8)
 
 

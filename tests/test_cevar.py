@@ -41,34 +41,35 @@ def combo(*factors_weights):
 # ---------------------------------------------------------------------------
 
 def test_uniform_weight_basics():
-    w = WeightFunction()
-    assert w.density(0.3, 2.0) == 0.5
-    assert w.mass(2.0) == 1.0
-    assert w.time_moment(2.0) == 1.0
-    assert w.breakpoints(2.0) == []
+    w = WeightFunction.uniform(2.0)
+    assert w.knots == ((0.0, 0.5), (2.0, 0.5))
+    assert w.density(0.3) == 0.5
+    assert w.mass() == 1.0
+    assert w.time_moment() == 1.0
+    assert w.breakpoints() == [0.0, 2.0]
 
 
 def test_table_weight_interpolation_and_mass():
     w = WeightFunction.table([(0.0, 0.5), (1.0, 1.5)])
-    assert w.density(0.0, 1.0) == 0.5
-    assert w.density(1.0, 1.0) == 1.5
-    assert w.density(0.5, 1.0) == pytest.approx(1.0)
-    assert w.mass(1.0) == pytest.approx(1.0)
+    assert w.density(0.0) == 0.5
+    assert w.density(1.0) == 1.5
+    assert w.density(0.5) == pytest.approx(1.0)
+    assert w.mass() == pytest.approx(1.0)
     # integral of t*(0.5 + t) over [0,1] = 0.25 + 1/3
-    assert w.time_moment(1.0) == pytest.approx(0.25 + 1.0 / 3.0, rel=1e-14)
+    assert w.time_moment() == pytest.approx(0.25 + 1.0 / 3.0, rel=1e-14)
 
 
 def test_table_time_moment_matches_fine_trapezoid():
     w = WeightFunction.table([(0.0, 0.2), (0.5, 1.9), (1.3, 0.7), (2.0, 1.1)])
     w = w.normalized(2.0)
     ts = np.linspace(0.0, 2.0, 200_001)
-    dens = np.array([w.density(t, 2.0) for t in ts])
-    assert w.time_moment(2.0) == pytest.approx(np.trapezoid(ts * dens, ts), abs=1e-8)
-    assert w.mass(2.0) == pytest.approx(1.0, abs=1e-12)
+    dens = np.array([w.density(t) for t in ts])
+    assert w.time_moment() == pytest.approx(np.trapezoid(ts * dens, ts), abs=1e-8)
+    assert w.mass() == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("weight", [
-    WeightFunction(),
+    WeightFunction.uniform(2.0),
     WeightFunction.table([(0.0, 0.2), (0.5, 1.9), (1.3, 0.7), (2.0, 1.1)]).normalized(2.0),
 ], ids=["uniform", "table"])
 @pytest.mark.parametrize("upper", [0.0, 0.3, 0.5, 1.7, 2.0, 5.0])
@@ -76,9 +77,9 @@ def test_truncated_time_moment_matches_fine_trapezoid(weight, upper):
     # integral of t * omega(t) over [0, min(upper, T)]; a kink of the table
     # inside a cell costs the trapezoid O(h^2), far below the tolerance.
     ts = np.linspace(0.0, min(upper, 2.0), 200_001)
-    moment = np.trapezoid(ts * weight.density(ts, 2.0), ts)
-    assert weight.time_moment(2.0, upper) == pytest.approx(moment, abs=1e-8)
-    assert weight.time_moment(2.0, 2.0) == weight.time_moment(2.0)
+    moment = np.trapezoid(ts * weight.density(ts), ts)
+    assert weight.time_moment(upper) == pytest.approx(moment, abs=1e-8)
+    assert weight.time_moment(2.0) == weight.time_moment()
 
 
 def test_table_weight_validation():
@@ -88,8 +89,10 @@ def test_table_weight_validation():
         WeightFunction.table([(0.0, 1.0), (0.0, 2.0)])
     with pytest.raises(ValueError, match="nonnegative"):
         WeightFunction.table([(0.0, 1.0), (1.0, -0.5)])
-    with pytest.raises(ValueError, match="kind"):
-        WeightFunction(kind="spline")
+    with pytest.raises(TypeError):
+        WeightFunction()  # no default: the uniform weight is WeightFunction.uniform(T)
+    with pytest.raises(ValueError, match="two knots"):
+        WeightFunction(())
     for knots, mass in [([(0.0, 0.0), (1.0, 0.0)], "0.0"), ([(0.0, 1e308), (2.0, 1e308)], "inf")]:
         # A mass that overflows used to normalise to an all-zero table.
         with pytest.raises(ValueError, match=f"mass {mass}, not a positive finite"):
@@ -113,7 +116,7 @@ def test_check_span_fails_a_nan(monkeypatch):
     w.check_span(1.0)
     with pytest.raises(ValueError, match="horizon"):
         w.check_span(math.nan)
-    monkeypatch.setattr(WeightFunction, "mass", lambda self, T: math.nan)
+    monkeypatch.setattr(WeightFunction, "mass", lambda self: math.nan)
     with pytest.raises(ValueError, match="normalised"):
         w.check_span(1.0)
 
@@ -173,6 +176,36 @@ def test_brownian_horizon_beyond_float_range_raises(T):
         cevar(CevarQuery(portfolio.combination(None), T, 0.05))
     with pytest.raises(LevyRiskError, match="not finite"):
         allocate(portfolio)
+
+
+@pytest.mark.parametrize("T", [1e-170, 1e-200])
+def test_gamma_cevar_at_tiny_horizons_is_the_drift_limit(T):
+    # With a = 1.2 ln(20) / (T ln 1e300) the root at t <= T lies beyond 1e300,
+    # so EVaR is -t * mu to within a*t*ln(1 + s/b)/s and, under the uniform
+    # weight, CEVaR is -T/2.  The uniform weight's truncated time moment was
+    # upper^2 / (2T), which underflows here: -1.5177e-201 at T = 1e-200.
+    a = 1.2 * -math.log(0.05) / (T * math.log(1e300))
+    portfolio = FactorPortfolio([[1.0]], [GammaSubordinator(a, 1.0, 1.0)], [0.0], T, 0.05)
+    value = cevar(CevarQuery(portfolio.combination(None), T, 0.05))
+    L = allocate(portfolio).L[0]
+    assert abs(value / (-T / 2.0) - 1.0) <= 1e-12
+    assert abs(L / (-T / 2.0) - 1.0) <= 1e-12
+    assert WeightFunction.uniform(1e-200).time_moment(5e-201) == pytest.approx(1.25e-201,
+                                                                                rel=1e-15)
+
+
+@pytest.mark.parametrize("weight", [None, WeightFunction.table([(0.0, 1.0), (1e-310, 1.0)])],
+                         ids=["uniform", "table"])
+def test_horizon_whose_inverse_overflows_is_a_domain_error(weight):
+    # Below T ~ 5.6e-309, 1/T overflows and no weight has unit mass on [0, T];
+    # such horizons used to give subnormal values that had lost their precision.
+    gamma = GammaSubordinator(2.0, 3.0, 0.1)
+    with pytest.raises(DomainError, match="not finite"):
+        FactorPortfolio([[1.0]], [gamma], [0.0], 1e-310, 0.05, weight=weight)
+    with pytest.raises(DomainError, match="not finite"):
+        CevarQuery(combo((gamma, 1.0)), 1e-310, 0.05, weight=weight)
+    evar(EvarQuery(combo((gamma, 1.0)), 1e-310, 0.05))  # EVaR takes no weight
+    FactorPortfolio([[1.0]], [gamma], [0.0], 6e-309, 0.05)  # 1/T ~ 1.7e308 is finite
 
 
 HUGE_DRIFT_CPOIS = CompoundPoissonExp(1e-300, 1.0, -1e300)  # below its onset at T = 1e299
@@ -310,7 +343,7 @@ def test_integral_solves_only_at_segment_ends(factors, knots, monkeypatch):
     # The nodes of the x = ln(s) integral need no solve: only s*(T), the end
     # of the range and each interior weight knot do.
     horizons = count_integral_solves(monkeypatch)
-    weight = WeightFunction.table(knots).normalized(2.0) if knots else WeightFunction()
+    weight = WeightFunction.table(knots).normalized(2.0) if knots else WeightFunction.uniform(2.0)
     interior_knots = len(knots) - 2 if knots else 0
     portfolio = FactorPortfolio([[1.0, 0.5], [0.3, 1.5]], factors, [0.1, 0.2], 2.0, 0.05,
                                 weight=weight)
@@ -396,7 +429,7 @@ def test_cevar_and_allocation_total_match_the_mpmath_oracle(case):
     # The default tolerance promises 1e-10 relative to the max-norm: of the
     # CEVaR for cevar and allocate's total, and of L over the departments.
     A, factors, knots = ORACLE_PORTFOLIOS[case]
-    weight = WeightFunction.table(knots).normalized(2.0) if knots else WeightFunction()
+    weight = WeightFunction.table(knots).normalized(2.0) if knots else WeightFunction.uniform(2.0)
     portfolio = FactorPortfolio(A, factors, [0.0] * len(A), 2.0, 0.05, weight=weight)
     L, truth = allocation_oracle(portfolio)
     report = allocate(portfolio)
@@ -463,7 +496,7 @@ def test_curve_matches_points_solved_to_ulps(case, monkeypatch):
     # K is first order in the error of s*, so the curve's Newton-corrected
     # points must give the K of points solved until the step is a few ulps.
     A, factors, knots = ORACLE_PORTFOLIOS[case]
-    weight = WeightFunction.table(knots).normalized(2.0) if knots else WeightFunction()
+    weight = WeightFunction.table(knots).normalized(2.0) if knots else WeightFunction.uniform(2.0)
     portfolio = FactorPortfolio(A, factors, [0.0] * len(A), 2.0, 0.05, weight=weight)
     report = allocate(portfolio)
     K = curve_solved_to_ulps(portfolio, report.grid, monkeypatch)
@@ -494,7 +527,7 @@ def test_curve_fallbacks_match_points_solved_to_ulps(case, monkeypatch):
     # The curve, seeded from the integral's nodes, must give the K of
     # ulps-tight scalar solves.
     A, factors, T, knots = FALLBACK_PORTFOLIOS[case]
-    weight = WeightFunction.table(knots).normalized(T) if knots else WeightFunction()
+    weight = WeightFunction.table(knots).normalized(T) if knots else WeightFunction.uniform(T)
     portfolio = FactorPortfolio(A, factors, [0.0] * len(A), T, 0.05, weight=weight)
     report = allocate(portfolio)
     K = curve_solved_to_ulps(portfolio, report.grid, monkeypatch)
@@ -540,7 +573,7 @@ def test_allocate_seeds_the_curve_from_the_integral(monkeypatch):
     rounds, handed_off = count_curve_rounds(monkeypatch)
     cases = [(A, factors, 2.0, knots) for A, factors, knots in ORACLE_PORTFOLIOS.values()]
     for A, factors, T, knots in cases + list(FALLBACK_PORTFOLIOS.values()):
-        weight = WeightFunction.table(knots).normalized(T) if knots else WeightFunction()
+        weight = WeightFunction.table(knots).normalized(T) if knots else WeightFunction.uniform(T)
         allocate(FactorPortfolio(A, factors, [0.0] * len(A), T, 0.05, weight=weight))
     assert len(rounds) == 8 and max(map(len, rounds)) <= 3 and handed_off == []
 
@@ -589,15 +622,15 @@ def test_compound_poisson_below_the_onset_takes_no_nodes(T, knots, monkeypatch):
     # s -> inf and EVaR is -t * slope: the integral is one time moment.
     counts = count_cevar_levels(monkeypatch)
     weight = WeightFunction.table([(t * T, w) for t, w in knots]).normalized(T) if knots \
-        else WeightFunction()
+        else WeightFunction.uniform(T)
     comb = combo((CompoundPoissonExp(2.0, 1.0, 0.1), 1.0), (CompoundPoissonExp(0.5, 2.0, 0.05), 1.0))
     value = cevar(CevarQuery(comb, T, 0.05, weight=weight))
-    assert value == -comb.slope_at_infinity() * weight.time_moment(T)
+    assert value == -comb.slope_at_infinity() * weight.time_moment()
     portfolio = FactorPortfolio([[1.0, 0.5], [0.0, 0.5]], [f for f, _ in comb.active],
                                 [0.0, 0.0], T, 0.05, weight=weight)
     report = allocate(portfolio)
     slopes = np.array([f.slope_at_infinity() for f in portfolio.factors])
-    assert np.array_equal(report.L, portfolio.A @ -slopes * weight.time_moment(T))
+    assert np.array_equal(report.L, portfolio.A @ -slopes * weight.time_moment())
     assert counts == []
 
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from levyrisk import brownian_allocation, evar_closed_form_brownian
+from levyrisk import WeightFunction, brownian_allocation, evar_closed_form_brownian
 from levyrisk.cli import main, parse_config, serialize_portfolio
 from levyrisk.errors import ConfigError
 
@@ -76,8 +76,8 @@ def test_parse_minimal_config():
 def test_parse_mixed_config_with_weight():
     portfolio, opts = parse_config(MIXED)
     assert portfolio.n == 2 and portfolio.A.shape[1] == 2
-    assert portfolio.weight.kind == "table"
-    assert portfolio.weight.mass(2.0) == pytest.approx(1.0)
+    assert portfolio.weight != WeightFunction.uniform(2.0)
+    assert portfolio.weight.mass() == pytest.approx(1.0)
     assert opts["seed"] == 3
 
 
@@ -249,7 +249,7 @@ def test_exit_code_parse_error(tmp_path):
         MINIMAL + "\n[weight]\n0.0 x\n1.0 1.0\n",
         MINIMAL + "\n[weight]\n0.0 1.0\n0.0 1.0\n",  # knot times not increasing
         MINIMAL + "\n[weight]\n0.0 0.0\n1.0 0.0\n",  # zero mass
-        MINIMAL + "\n[weight]\n0.0 1e308\n1.0 1e308\n",  # mass overflows to inf
+        MINIMAL + "\n[weight]\n0.0 1e308\n2.0 1e308\n",  # mass 2e308 overflows to inf
         MINIMAL.replace("sigma = 1.0", "sigma = 1.0, sigma = 2.0"),  # repeated factor key
         MINIMAL + "beta = 0.5\n",  # repeated [run] key
         MINIMAL + "n_paths = 0\n",
@@ -377,14 +377,27 @@ def test_curve_and_allocate_print_the_same_csv(cfg, capsys):
 
 
 def test_shipped_config_at_a_horizon_beyond_float_range_is_a_domain_error(tmp_path, capsys):
-    # s* at T = 3e-309 lies where sigma^2 s^2 overflows: no EVaR, exit 2.
+    # s* at T = 1e-308 lies where sigma^2 s^2 overflows: no EVaR, exit 2.  (Below
+    # T ~ 5.6e-309 the portfolio is refused first: 1/T overflows.)
     with open(os.path.join(CONFIG_DIR, "brownian_common_sigma.cfg")) as handle:
         text = handle.read()
     assert "T = 2.0" in text
-    cfg = write(tmp_path, text.replace("T = 2.0", "T = 3e-309"))
+    cfg = write(tmp_path, text.replace("T = 2.0", "T = 1e-308"))
     assert main(["--config", cfg, "--command", "evar"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "not finite" in captured.err
+
+
+@pytest.mark.parametrize("weight", ["", "\n[weight]\n0.0 1.0\n1e-310 1.0\n"],
+                         ids=["uniform", "table"])
+@pytest.mark.parametrize("command", ["evar", "cevar", "allocate", "curve", "validate"])
+def test_horizon_whose_inverse_overflows_exits_2(command, weight, tmp_path, capsys):
+    # Below T ~ 5.6e-309 no weight on [0, T] has unit mass: the portfolio is refused.
+    cfg = write(tmp_path, MINIMAL.replace("T = 1.0", "T = 1e-310") + weight)
+    assert main(["--config", cfg, "--command", command, "--format", "json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
 
 
 GAMMA_HUGE_DRIFT = (MINIMAL.replace("kind = brownian, mu = 0.0, sigma = 1.0",
@@ -393,7 +406,7 @@ GAMMA_HUGE_DRIFT = (MINIMAL.replace("kind = brownian, mu = 0.0, sigma = 1.0",
 
 
 @pytest.mark.parametrize("text,command", [
-    (MINIMAL.replace("T = 1.0", "T = 1e-320"), "cevar"),  # s^2 phi'' overflows in the integral
+    (MINIMAL.replace("T = 1.0", "T = 1e-307"), "cevar"),  # s^2 phi'' overflows in the integral
     (MINIMAL.replace("kind = brownian, mu = 0.0, sigma = 1.0", "kind = stable, alpha = 0.6, mu = 1e308")
      .replace("T = 1.0", "T = 2.0"), "allocate"),  # K = -2e308 near T
     (MINIMAL.replace("mu = 0.0", "mu = -1e308").replace("T = 1.0", "T = 10.0"), "evar"),
