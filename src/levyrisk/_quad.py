@@ -7,15 +7,19 @@ packs the nodes toward the left end a, where the integrands are largest, and
 nested G10/K21 panels integrate in u: the 21-node Kronrod rule contains the
 10-node Gauss rule, so one set of 21 evaluations gives the panel's value (K21)
 and its error estimate |K21 - G10| (QUADPACK: Piessens, de Doncker-Kapenga,
-Ueberhuber and Kahaner, 1983).  Each segment starts as three panels, u in [0, 1/3],
-[1/3, 2/3] and [2/3, 1]: with fewer, whether a starting panel met the
-tolerance depended on the parameters, so the cost jumped with them.  A panel
-is accepted, as its K21 value, when its error estimate fits its share of
-``tol`` (tol / #segments times its width in u); otherwise both halves are
-evaluated.  The caller passes ``tol=None``, which sets the relative default
-DEFAULT_REL_TOL; only the tests pass an absolute ``tol``.  There is no depth
-limit: halving stops when the tolerance is met or the budget runs out
-(:class:`QuadratureBudgetError`), so accuracy is never lost silently.
+Ueberhuber and Kahaner, 1983).  Each segment starts as PANELS = 6 equal
+panels in u.  An integral costs about one integrand call per level, whatever
+its nodes, and six panels resolve nearly every integral in its first call:
+over seeds 1-20 of the benchmark's allocation workloads, 898 of 910
+integrals took one call, against 33 with three panels and 762 with five.
+Nodes per integral rose from 159-183 to 213-290, which costs little, since a
+node is one array element.  A panel is accepted, as its K21 value, when its
+error estimate fits its share of ``tol`` (tol / #segments times its width in
+u); otherwise both halves are evaluated.  The caller passes ``tol=None``,
+which sets the relative default DEFAULT_REL_TOL; only the tests pass an
+absolute ``tol``.  There is no depth limit: halving stops when the
+tolerance is met or the budget runs out (:class:`QuadratureBudgetError`), so
+accuracy is never lost silently.
 
 The work is batched by level.  The integrand takes a 1-D array of nodes and
 returns an array of shape (N,), or (k, N) for k quantities at once.  The
@@ -37,6 +41,7 @@ from .errors import QuadratureBudgetError
 __all__ = ["adaptive_simpson"]
 
 NODES = 21
+PANELS = 6  # the equal starting panels in u of each segment
 DEFAULT_REL_TOL = 1e-10
 MAX_EVALS = 200_000  # the evaluation budget of one call
 
@@ -81,21 +86,25 @@ def adaptive_simpson(f, a, b, tol, breakpoints=None):
     (k, N); the result is a float or an array of shape (k,), integrated
     component-wise with the error in the max norm, and shapes (N,) and (1, N)
     of the same values give the same result.  ``breakpoints`` inside [a, b]
-    split it into segments.  With ``tol=None`` the tolerance is relative,
-    DEFAULT_REL_TOL * (1 + max-norm of the summed |panels| of the first
-    level); :func:`levyrisk.cevar.horizon_integral` always asks for it.  Raises
+    split it into segments; with b <= a there is none, and the result is 0.
+    With ``tol=None`` the tolerance is relative, DEFAULT_REL_TOL * (1 +
+    max-norm of the summed |panels| of the first level);
+    :func:`levyrisk.cevar.horizon_integral` always asks for it.  Raises
     :class:`QuadratureBudgetError` when ``MAX_EVALS`` evaluations do not
     suffice; its ``partial`` is the sum of the accepted panels plus the K21
     value of every unresolved one.
     """
+    if not a < b:
+        # No segment: the caller's ends meet, or cross by round-off.
+        return np.asarray(f(np.empty(0)), dtype=float).sum(axis=-1)
     pts = sorted({float(a), float(b)} | {float(p) for p in breakpoints or ()})
     pts = np.array([p for p in pts if a <= p <= b])
     segments = len(pts) - 1
     # The pending panels: segment start, segment width, and the ends in u.
-    t0 = np.repeat(pts[:-1], 3)
-    width = np.repeat(np.diff(pts), 3)
-    u0 = np.array([0.0, 1.0 / 3.0, 2.0 / 3.0] * segments)
-    u1 = np.array([1.0 / 3.0, 2.0 / 3.0, 1.0] * segments)
+    t0 = np.repeat(pts[:-1], PANELS)
+    width = np.repeat(np.diff(pts), PANELS)
+    edges = np.arange(PANELS + 1) / PANELS
+    u0, u1 = np.tile(edges[:-1], segments), np.tile(edges[1:], segments)
     evals = 0
     accepted = 0.0
     unresolved = None  # the K21 values of the panels about to be halved

@@ -203,8 +203,6 @@ def allocation_oracle(portfolio, dps=15):
         return points[t]
 
     def omega(t):
-        if not knots:
-            return 1 / mp.mpf(T)
         for (t0, w0), (t1, w1) in zip(knots, knots[1:]):
             if t <= t1:
                 return w0 + (w1 - w0) * (t - t0) / (t1 - t0)

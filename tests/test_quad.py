@@ -40,7 +40,7 @@ def test_exact_degrees(degree):
         assert abs(GAUSS @ U ** degree - exact) > 1e-13
 
 
-def test_segments_start_as_three_panels_evaluated_left_to_right():
+def test_segments_start_as_six_panels_evaluated_left_to_right():
     calls = []
 
     def f(t):
@@ -52,9 +52,9 @@ def test_segments_start_as_three_panels_evaluated_left_to_right():
     # the starting panels of both segments are one call.
     assert len(calls) == 1
     ts = calls[0]
-    assert ts.shape == (2 * 3 * 21,)
+    assert ts.shape == (2 * 6 * 21,)
     assert np.all(np.diff(ts) > 0)
-    assert 0.0 < ts[0] and ts[62] < 0.5 < ts[63] and ts[-1] < 2.0
+    assert 0.0 < ts[0] and ts[125] < 0.5 < ts[126] and ts[-1] < 2.0
 
 
 def test_each_level_of_halving_is_one_call():
@@ -68,9 +68,17 @@ def test_each_level_of_halving_is_one_call():
     assert value == pytest.approx(0.71108574607130133, rel=1e-13)
     sizes = [t.size for t in calls]
     # Every call after the first evaluates both halves of each pending panel.
-    assert len(sizes) > 1 and sizes[0] == 126 and all(n % 42 == 0 for n in sizes[1:])
+    assert len(sizes) > 1 and sizes[0] == 252 and all(n % 42 == 0 for n in sizes[1:])
     assert all(np.all(np.diff(t) > 0) for t in calls)
     assert adaptive_simpson(f, 0.0, 2.0, 1e-13, breakpoints=[0.5]) == value
+
+
+def test_a_range_without_segments_integrates_to_zero():
+    # The caller's ends can meet, or cross by round-off; either range is empty.
+    for a, b in ((1.0, 1.0), (1.0, 1.0 - 1e-15)):
+        assert adaptive_simpson(np.sqrt, a, b, None) == 0.0
+        pair = adaptive_simpson(lambda t: np.array([t, t]), a, b, None, breakpoints=[a])
+        assert pair.shape == (2,) and not pair.any()
 
 
 def test_float_list_and_array_integrands_agree_exactly():
