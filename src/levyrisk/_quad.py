@@ -77,6 +77,8 @@ def _rule_on_unit_interval():
 
 
 _U, _KRONROD, _GAP = _rule_on_unit_interval()
+# The left and right ends in u of a segment's starting panels.
+_STARTING_EDGES = np.array([np.arange(PANELS) / PANELS, np.arange(1, PANELS + 1) / PANELS])
 
 
 def adaptive_simpson(f, a, b, tol, breakpoints=None):
@@ -102,9 +104,8 @@ def adaptive_simpson(f, a, b, tol, breakpoints=None):
     segments = len(pts) - 1
     # The pending panels: segment start, segment width, and the ends in u.
     t0 = np.repeat(pts[:-1], PANELS)
-    width = np.repeat(np.diff(pts), PANELS)
-    edges = np.arange(PANELS + 1) / PANELS
-    u0, u1 = np.tile(edges[:-1], segments), np.tile(edges[1:], segments)
+    width = np.repeat(pts[1:] - pts[:-1], PANELS)
+    u0, u1 = np.concatenate((_STARTING_EDGES,) * segments, axis=1)
     evals = 0
     accepted = 0.0
     unresolved = None  # the K21 values of the panels about to be halved

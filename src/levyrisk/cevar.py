@@ -205,9 +205,9 @@ def horizon_integral(combination: FactorCombination, beta: float, weight: Weight
 
     def integrand(x):
         s = np.exp(x)
-        gap = combination.phi_gap(s)
+        gap, curvature = combination.gap_and_s2d2phi(s)
         tau = budget / gap
-        fprime = -combination.s2d2phi(s) / gap  # F'(x), so dt = -tau * F' dx
+        fprime = -curvature / gap  # F'(x), so dt = -tau * F' dx
         points.append((x, tau, fprime))
         terms = -combination.slopes(s)  # k / t
         # tau * omega ~ 1 and tau * F' ~ tau: tau * tau would underflow below 1e-154.

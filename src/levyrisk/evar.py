@@ -249,9 +249,10 @@ def solve_curve(combination: FactorCombination, t, beta: float, points):
     points, or the tangent line of the nearest one outside them; for a
     Brownian or stable position, where x is linear in ln(tau), the seed is
     the root.  A round evaluates t*gap and s^2 phi'' at the open points as
-    one array and accepts by :func:`solve_stationary`'s residual stop and
-    Newton-corrected s.  A point whose step is not finite or leaves (X_MIN,
-    X_MAX), or open after CURVE_ROUNDS rounds, goes to :func:`solve_stationary`.
+    one array, in one call of ``combination.gap_and_s2d2phi``, and accepts by
+    :func:`solve_stationary`'s residual stop and Newton-corrected s.  A point
+    whose step is not finite or leaves (X_MIN, X_MAX), or open after
+    CURVE_ROUNDS rounds, goes to :func:`solve_stationary`.
     """
     t = np.asarray(t, dtype=float)
     s = np.full(t.shape, math.inf)
@@ -266,9 +267,9 @@ def solve_curve(combination: FactorCombination, t, beta: float, points):
         if not todo.size:
             break
         with np.errstate(all="ignore"):
-            se = np.exp(x)
-            tgap = tt * combination.phi_gap(se)
-            slope = -tt * combination.s2d2phi(se) / tgap
+            gap, curvature = combination.gap_and_s2d2phi(np.exp(x))
+            tgap = tt * gap
+            slope = -tt * curvature / tgap
             target = x - (np.log(tgap) - math.log(budget)) / np.minimum(slope, 2.0)
         ok = (tgap > 0.0) & (0.0 < slope) & (slope < math.inf) & (X_MIN < target) & (target < X_MAX)
         done = ok & (np.abs(tgap - budget) <= RESIDUAL_EPS * budget)

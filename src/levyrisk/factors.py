@@ -7,10 +7,14 @@ rather than a numpy warning.  Linear combinations of independent factors are
 handled by :class:`FactorCombination`, whose exponent is the sum of the
 component exponents at scaled arguments.
 
-The exponents take a float s, and the horizon integral also calls ``phi_gap``,
-``dphi`` and ``s2d2phi`` with a numpy array of s; the two of them whose float
-form branches on s (the gamma ``phi_gap`` and the stable ``dphi``) have an
-array form too.
+The exponents take a float s.  Along the stationary curve (the horizon
+integral's nodes and the lockstep rounds of the K-curve) s is a numpy array,
+and the methods that take it are ``dphi``, whose stable form branches on s
+and so has an array form too, and the kernel ``gap_and_s2d2phi``: phi_gap and
+s^2 phi'' in one call, from subexpressions the two share.  A kind inherits the
+kernel ``(self.phi_gap(s), self.s2d2phi(s))``; the gamma, stable and
+compound-Poisson kinds override it, and each override takes every value by
+the operations of the float forms, in their order.
 """
 from __future__ import annotations
 
@@ -85,6 +89,12 @@ class LevyFactor:
         """
         raise NotImplementedError
 
+    def gap_and_s2d2phi(self, s: np.ndarray):
+        """(phi_gap(s), s^2 phi''(s)) at an array s: the one pass of a kind
+        along the stationary curve.  This default calls the two methods; a
+        kind overrides it where the two share work."""
+        return self.phi_gap(s), self.s2d2phi(s)
+
     def mean_rate(self) -> float:
         """E[W_1] = phi'(0+); +inf for the stable kind."""
         return self.dphi(0.0)
@@ -143,16 +153,26 @@ class GammaSubordinator(LevyFactor):
         return -self.a * r * r
 
     def phi_gap(self, s):
-        if isinstance(s, np.ndarray):
-            # The two forms below, chosen elementwise.
-            gap = _log1p_ratio(s, self.b) - s / (self.b + s)
-            small = s < self.b
-            gap[small] = _gap_series(s[small] / self.b)
-            return self.a * gap
         z = s / self.b
         if z >= 1.0:
             return self.a * (_log1p_ratio(s, self.b) - s / (self.b + s))
         return self.a * _gap_series(z)
+
+    def gap_and_s2d2phi(self, s):
+        # phi_gap's two forms chosen elementwise, r = s/(b+s) shared with s^2 phi'':
+        # ln(s) - ln(b) only where s/b overflows, the series only below s = b.
+        with np.errstate(over="ignore"):
+            z = s / self.b
+        r = s / (self.b + s)
+        gap = np.log1p(z)
+        wide = z == math.inf
+        if wide.any():
+            gap[wide] = np.log(s[wide]) - math.log(self.b)
+        gap -= r
+        small = s < self.b
+        if small.any():
+            gap[small] = _gap_series(z[small])
+        return self.a * gap, -self.a * r * r
 
 
 @dataclass(frozen=True)
@@ -179,6 +199,10 @@ class AlphaStableSubordinator(LevyFactor):
 
     def phi_gap(self, s):
         return (1.0 - self.alpha) * s ** self.alpha
+
+    def gap_and_s2d2phi(self, s):
+        power = s ** self.alpha
+        return (1.0 - self.alpha) * power, self.alpha * (self.alpha - 1.0) * power
 
 
 @dataclass(frozen=True)
@@ -210,6 +234,11 @@ class CompoundPoissonExp(LevyFactor):
         es = self.eta + s
         return self.lam * (s / es) * (s / es)
 
+    def gap_and_s2d2phi(self, s):
+        es = self.eta + s
+        r = s / es
+        return self.lam * r * r, -2.0 * self.lam * r * r * (self.eta / es)
+
 
 _KIND_MAP = {
     "brownian": (BrownianWithDrift, ("mu", "sigma")),
@@ -219,12 +248,8 @@ _KIND_MAP = {
 }
 
 
-def _log1p_ratio(s, b: float):
+def _log1p_ratio(s: float, b: float) -> float:
     """ln(1 + s/b), taken as ln(s) - ln(b) once s/b overflows."""
-    if isinstance(s, np.ndarray):
-        with np.errstate(over="ignore"):
-            z = s / b
-        return np.where(z < math.inf, np.log1p(z), np.log(s) - math.log(b))
     z = s / b
     return math.log1p(z) if z < math.inf else math.log(s) - math.log(b)
 
@@ -344,6 +369,15 @@ class FactorCombination:
         for f, d in self.active:
             total += f.phi_gap(s * d)
         return total
+
+    def gap_and_s2d2phi(self, s):
+        """(phi_gap(s), s2d2phi(s)) at an array s, one kernel call per factor."""
+        gap = curvature = 0.0
+        for f, d in self.active:
+            g, c = f.gap_and_s2d2phi(s * d)
+            gap += g
+            curvature += c
+        return gap, curvature
 
     def slopes(self, s):
         """phi_j'(s d_j), one row per active factor: slope_at_infinity at s = inf."""

@@ -14,6 +14,7 @@ from levyrisk import (
     FactorCombination,
     FactorPortfolio,
     GammaSubordinator,
+    LevyFactor,
     WeightFunction,
     allocate,
     cevar,
@@ -22,7 +23,7 @@ from levyrisk import (
     stable_allocation,
 )
 from levyrisk.errors import DomainError, LevyRiskError, NoStationaryPointError, QuadratureBudgetError
-from levyrisk.evar import solve_stationary
+from levyrisk.evar import CURVE_ROUNDS, solve_stationary
 import oracles
 from oracles import allocation_oracle, composite_simpson
 
@@ -541,8 +542,8 @@ def count_curve_rounds(monkeypatch):
     rounds' arrays; and the horizons it hands to ``solve_stationary``."""
     rounds, handed_off, solving = [], [], [False]
     allocation, evar_module = sys.modules["levyrisk.allocation"], sys.modules["levyrisk.evar"]
-    solve_curve, solve, phi_gap = (allocation.solve_curve, evar_module.solve_stationary,
-                                   FactorCombination.phi_gap)
+    solve_curve, solve, kernel = (allocation.solve_curve, evar_module.solve_stationary,
+                                  FactorCombination.gap_and_s2d2phi)
 
     def counted_curve(*args):
         rounds.append([])
@@ -552,10 +553,10 @@ def count_curve_rounds(monkeypatch):
         finally:
             solving[0] = False
 
-    def counted_phi_gap(self, s):
-        if solving[0] and isinstance(s, np.ndarray):
+    def counted_kernel(self, s):
+        if solving[0]:
             rounds[-1].append(s.size)
-        return phi_gap(self, s)
+        return kernel(self, s)
 
     def counted_solve(comb, t, *args, **kwargs):
         handed_off.append(t)
@@ -563,7 +564,7 @@ def count_curve_rounds(monkeypatch):
 
     monkeypatch.setattr(allocation, "solve_curve", counted_curve)
     monkeypatch.setattr(evar_module, "solve_stationary", counted_solve)
-    monkeypatch.setattr(FactorCombination, "phi_gap", counted_phi_gap)
+    monkeypatch.setattr(FactorCombination, "gap_and_s2d2phi", counted_kernel)
     return rounds, handed_off
 
 
@@ -687,6 +688,92 @@ def test_allocate_integrals_take_one_integrand_call(monkeypatch):
         allocate(strata_portfolio(rng))
     calls = [c for c, _ in counts]
     assert len(calls) >= 90 and max(calls) <= 2 and calls.count(1) >= 0.95 * len(calls)
+
+
+GAMMA_AT_THE_LIMIT = FactorPortfolio(  # configs/gamma_compound_poisson.cfg
+    [[1.0, 0.4, 0.0], [0.2, 1.0, 0.6]],
+    [GammaSubordinator(0.002, 2.0), CompoundPoissonExp(1.0, 1.5), CompoundPoissonExp(0.5, 0.8, -0.1)],
+    [0.1, 0.2], 3.0, 0.05)
+
+
+def test_allocate_takes_one_factor_pass_per_integrand_call_and_round(monkeypatch):
+    # Along the stationary curve the one array pass over the factors is the
+    # combination's kernel gap_and_s2d2phi: one call in each integrand call of
+    # the horizon integral and one in each lockstep round of the K-curve, and
+    # none anywhere else.  A kind's own phi_gap and s2d2phi see an array only
+    # through the inherited default kernel (the Brownian kind's), and the
+    # gamma series never runs on an empty subset.
+    factors_module = sys.modules["levyrisk.factors"]
+    allocation_module, cevar_module = sys.modules["levyrisk.allocation"], sys.modules["levyrisk.cevar"]
+    phase, calls, series_sizes = [None], {}, []
+
+    def count(key):
+        calls[key] = calls.get(key, 0) + 1
+
+    def during(name, function):
+        def wrapped(*args, **kwargs):
+            outer, phase[0] = phase[0], name
+            try:
+                return function(*args, **kwargs)
+            finally:
+                phase[0] = outer
+        return wrapped
+
+    def counted_quad(f, *args, **kwargs):
+        def counted_f(x):
+            count("integrand")
+            return during("integrand", f)(x)
+        return quad(counted_f, *args, **kwargs)
+
+    def on_arrays(key, method):
+        def wrapped(self, s):
+            if isinstance(s, np.ndarray):
+                count((getattr(self, "kind", key), key))
+            return method(self, s)
+        return wrapped
+
+    def counted_kernel(self, s):
+        count(("kernel", phase[0]))
+        return kernel(self, s)
+
+    def counted_series(z):
+        if isinstance(z, np.ndarray):
+            series_sizes.append(z.size)
+        return series(z)
+
+    quad, series, kernel = (cevar_module.adaptive_simpson, factors_module._gap_series,
+                            FactorCombination.gap_and_s2d2phi)
+    monkeypatch.setattr(cevar_module, "adaptive_simpson", counted_quad)
+    monkeypatch.setattr(allocation_module, "solve_curve", during("curve", allocation_module.solve_curve))
+    monkeypatch.setattr(factors_module, "_gap_series", counted_series)
+    monkeypatch.setattr(FactorCombination, "gap_and_s2d2phi", counted_kernel)
+    monkeypatch.setattr(LevyFactor, "gap_and_s2d2phi",
+                        on_arrays("default", LevyFactor.gap_and_s2d2phi))
+    for cls in (FactorCombination, BrownianWithDrift, GammaSubordinator,
+                AlphaStableSubordinator, CompoundPoissonExp):
+        for name in ("phi_gap", "s2d2phi"):
+            monkeypatch.setattr(cls, name, on_arrays(name, getattr(cls, name)))
+
+    rng = np.random.default_rng(32)
+    portfolios = [strata_portfolio(rng) for _ in range(24)] + [GAMMA_AT_THE_LIMIT]
+    # The set holds every kind, one to four factors, and both weights.
+    assert {f.kind for p in portfolios for f in p.factors} == {
+        "brownian", "gamma", "stable", "compound_poisson_exp"}
+    assert {len(p.factors) for p in portfolios} == {1, 2, 3, 4}
+    assert {len(p.weight.knots) for p in portfolios} == {2, 3}
+    integrand_calls = rounds = 0
+    for portfolio in portfolios:
+        calls.clear()
+        allocate(portfolio)
+        integrand_calls += calls.get("integrand", 0)
+        assert calls.pop(("kernel", "integrand"), 0) == calls.pop("integrand", 0)
+        rounds += calls.get(("kernel", "curve"), 0)
+        assert calls.pop(("kernel", "curve"), 0) <= CURVE_ROUNDS
+        brownian = calls.pop(("brownian", "default"), 0)
+        assert calls.pop(("brownian", "phi_gap"), 0) == calls.pop(("brownian", "s2d2phi"), 0) == brownian
+        assert calls == {}, portfolio
+    assert integrand_calls >= len(portfolios) - 1 and rounds >= len(portfolios)
+    assert series_sizes and min(series_sizes) > 0
 
 
 def test_cevar_query_validation():

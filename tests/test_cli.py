@@ -467,7 +467,8 @@ def test_validate_at_two_paths_prints_json(seed, tmp_path, capsys):
 # fuzzed configs
 # ---------------------------------------------------------------------------
 
-# Every shipped config, among them a four-kind position with a table weight.
+# Every shipped config, among them a four-kind position with a table weight and a
+# gamma and compound-Poisson position whose K-curve is partly the s -> inf limit.
 FUZZ_BASES = []
 for _name in sorted(glob.glob(os.path.join(CONFIG_DIR, "*.cfg"))):
     with open(_name) as _handle:

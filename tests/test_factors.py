@@ -166,21 +166,49 @@ def test_gamma_phi_gap_to_a_few_ulps(a):
         assert ulps <= (4 if z < 1.0 else 8), z
 
 
+def assert_kernel_matches_the_float_forms(factor, s):
+    gap, curvature = factor.gap_and_s2d2phi(s)
+    for name, values in (("phi_gap", gap), ("s2d2phi", curvature), ("dphi", factor.dphi(s))):
+        assert values.shape == s.shape
+        expected = np.array([getattr(factor, name)(x) for x in s.tolist()])
+        assert np.allclose(values, expected, rtol=1e-15, atol=0.0), name
+
+
 @pytest.mark.parametrize("factor", ALL_KINDS + [GammaSubordinator(a=2.0, b=1e-3, mu=0.1)],
                          ids=lambda f: f"{f.kind}-b={f.b}" if f.kind == "gamma" else f.kind)
 def test_array_forms_match_the_float_forms(factor):
-    # The horizon integral calls phi_gap, dphi and s2d2phi on arrays of s.
-    # Across float range (for the Brownian kind, where s^2 stays finite),
-    # including the gamma series below s = b and s/b overflowing at b = 1e-3,
-    # every entry equals the float form's value (a RuntimeWarning would fail
-    # the suite).
+    # Along the stationary curve s is an array, taken by gap_and_s2d2phi and
+    # dphi.  Across float range (for the Brownian kind, where s^2 stays
+    # finite), including the gamma series below s = b and s/b overflowing at
+    # b = 1e-3, every entry equals the float forms' value (a RuntimeWarning
+    # would fail the suite).
     top = 1e150 if factor.kind == "brownian" else 1e306
     s = np.concatenate([np.geomspace(1e-300, top, 241), np.linspace(1e-3, 4.0, 41)])
-    for method in ("phi_gap", "dphi", "s2d2phi"):
-        values = getattr(factor, method)(s)
-        assert values.shape == s.shape
-        expected = np.array([getattr(factor, method)(x) for x in s.tolist()])
-        assert np.allclose(values, expected, rtol=1e-15, atol=0.0), method
+    assert_kernel_matches_the_float_forms(factor, s)
+
+
+@pytest.mark.parametrize("s", [np.geomspace(3.0, 1e306, 50), np.geomspace(1e-300, 2.9, 50),
+                               np.array([2.9, 3.0, 1e-9, 1e306, 3.1, 1e-300])],
+                         ids=["none-below-b", "all-below-b", "mixed"])
+def test_gamma_kernel_takes_each_form_where_it_belongs(s):
+    # b = 3: the series below s = b, the closed form from s = b up, and
+    # ln(s) - ln(b) where s/b overflows (b = 1e-3); each form alone and mixed.
+    assert_kernel_matches_the_float_forms(GammaSubordinator(a=2.0, b=3.0, mu=0.1), s)
+    assert_kernel_matches_the_float_forms(GammaSubordinator(a=2.0, b=1e-3), s)
+
+
+def test_the_default_kernel_is_the_two_methods():
+    # A plug-in kind and the Brownian kind inherit (phi_gap(s), s2d2phi(s)); the
+    # stable and compound-Poisson kernels give its bits (the gamma phi_gap takes
+    # floats only, so its kernel meets the float forms above).
+    assert BrownianWithDrift.gap_and_s2d2phi is LevyFactor.gap_and_s2d2phi
+    s = np.geomspace(1e-300, 1e306, 97)
+    for factor in ALL_KINDS[2:]:
+        own, default = factor.gap_and_s2d2phi(s), LevyFactor.gap_and_s2d2phi(factor, s)
+        for mine, inherited in zip(own, default):
+            np.testing.assert_array_equal(mine, inherited)
+    factor = InverseGaussianSubordinator(2.0, 1.5)
+    assert factor.gap_and_s2d2phi(0.7) == (factor.phi_gap(0.7), factor.s2d2phi(0.7))
 
 
 def test_combine_identity_and_zero():
@@ -317,10 +345,16 @@ def test_combination_sums_are_left_to_right_sums_of_the_terms():
         "s2d2phi": lambda f, d, s: f.s2d2phi(s * d),
     }
     # Over this grid every sum has points where another order rounds differently.
-    for s in np.geomspace(1e-3, 1e5, 25).tolist():
+    grid = np.geomspace(1e-3, 1e5, 25)
+    for s in grid.tolist():
         for name, term in terms.items():
             expected = reduce(lambda acc, x: acc + x, [term(f, d, s) for f, d in combo.active])
             assert getattr(combo, name)(s) == expected, (name, s)
+    # The kernel on an array sums each of its two parts in the same order.
+    for k, part in enumerate(combo.gap_and_s2d2phi(grid)):
+        expected = reduce(lambda acc, x: acc + x,
+                          [f.gap_and_s2d2phi(grid * d)[k] for f, d in combo.active])
+        np.testing.assert_array_equal(part, expected)
 
 
 def test_slopes_are_the_dphi_of_each_active_factor():

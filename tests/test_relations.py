@@ -15,11 +15,16 @@ inside the quadrature's 1e-10.
 * Positive homogeneity.  Scaling the exposures by lam scales every D_j, and
   s*(lam D) = s*(D) / lam, so EVaR and each K_t^i scale by lam; with the
   premiums scaled too, L and the total scale by lam.
+* The Euler allocation is a gradient.  With department i's exposures and
+  premium scaled by u_i, L^i is the derivative of the total in u_i at
+  u = (1, ..., 1); a central difference with steps 1 +- h, h = 1e-4, is
+  within ~h^2 of it.  Unlike ``full_allocation_gap``, which only sums L, this
+  catches capital moved between departments.
 
 The parameters stay within 1e-2..1e2, so s * D_j stays in float range up to
 s = 1e300.  With exposures near 1e8 it does not: the solve can then find a
-false root near 1e300, and homogeneity breaks.  Both tests together add
-about 0.6 s to the suite.
+false root near 1e300, and homogeneity breaks.  The two scaling tests add
+about 0.6 s to the suite together, and the gradient test about 1 s.
 """
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -37,6 +42,7 @@ from levyrisk import (
 POSITIVE = st.floats(1e-2, 1e2)
 BETA = st.floats(1e-6, 0.5)
 REL_TOL = 1e-11  # of max(|total|, max|L|); up to 1e-12 over 4000 random cases in 1e-3..1e3
+GRADIENT_TOL = 1e-8  # of max|L|; up to 3.2e-10 over 200 random portfolios
 
 
 @st.composite
@@ -52,11 +58,11 @@ def factors(draw):
 
 
 @st.composite
-def portfolios(draw):
-    """1-3 factors of any kind, 1-3 departments, and a uniform weight or a
-    table of 3-4 knots."""
+def portfolios(draw, min_departments=1):
+    """1-3 factors of any kind, ``min_departments``-3 departments, and a
+    uniform weight or a table of 3-4 knots."""
     kinds = draw(st.lists(factors(), min_size=1, max_size=3))
-    n = draw(st.integers(1, 3))
+    n = draw(st.integers(min_departments, 3))
     A = draw(st.lists(st.lists(POSITIVE, min_size=len(kinds), max_size=len(kinds)),
                       min_size=n, max_size=n))
     premiums = draw(st.lists(POSITIVE, min_size=n, max_size=n))
@@ -93,3 +99,18 @@ def test_allocate_is_positively_homogeneous(portfolio, lam):
     scaled = FactorPortfolio(portfolio.A * lam, portfolio.factors, portfolio.premiums * lam,
                              portfolio.T, portfolio.beta, weight=portfolio.weight)
     assert_scaled(allocate(portfolio), allocate(scaled), lam)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(portfolio=portfolios(min_departments=2))
+def test_allocation_is_the_gradient_of_the_total(portfolio):
+    L, h = allocate(portfolio).L, 1e-4
+    for i in range(portfolio.n):
+        totals = []
+        for u in (1.0 + h, 1.0 - h):
+            A, premiums = portfolio.A.copy(), portfolio.premiums.copy()
+            A[i] *= u
+            premiums[i] *= u
+            totals.append(allocate(FactorPortfolio(A, portfolio.factors, premiums, portfolio.T,
+                                                   portfolio.beta, weight=portfolio.weight)).total_cevar)
+        assert abs((totals[0] - totals[1]) / (2.0 * h) - L[i]) <= GRADIENT_TOL * np.abs(L).max()
