@@ -25,7 +25,13 @@ The work is batched by level.  The integrand takes a 1-D array of nodes and
 returns an array of shape (N,), or (k, N) for k quantities at once.  The
 starting panels of all segments are one call; after that each level of
 halving is one call over every panel still pending, in the order of the
-panels along [a, b].  Whether a panel is accepted depends on that panel
+panels along [a, b].  The first level takes the starting panels' ends,
+widths and nodes in u from module constants and broadcasts them over the
+segments, so an integral that needs no halving (898 of 910 above) builds no
+per-panel array; the halved panels get theirs when they are halved.  Every
+level computes its nodes, K21 values and error estimates by the same
+operations, in the same order, as per-panel arrays would: the results are
+the same to the last bit.  Whether a panel is accepted depends on that panel
 alone, so the panels evaluated do not depend on the order, and the accepted
 values are summed level by level in that order: the result is deterministic.
 
@@ -77,8 +83,11 @@ def _rule_on_unit_interval():
 
 
 _U, _KRONROD, _GAP = _rule_on_unit_interval()
-# The left and right ends in u of a segment's starting panels.
+# A segment's starting panels: their left and right ends in u, their widths h
+# in u, and their nodes in u, one row each.
 _STARTING_EDGES = np.array([np.arange(PANELS) / PANELS, np.arange(1, PANELS + 1) / PANELS])
+_STARTING_H = _STARTING_EDGES[1] - _STARTING_EDGES[0]
+_STARTING_U = _STARTING_EDGES[0][:, None] + _STARTING_H[:, None] * _U
 
 
 def adaptive_simpson(f, a, b, tol, breakpoints=None):
@@ -102,37 +111,44 @@ def adaptive_simpson(f, a, b, tol, breakpoints=None):
     pts = sorted({float(a), float(b)} | {float(p) for p in breakpoints or ()})
     pts = np.array([p for p in pts if a <= p <= b])
     segments = len(pts) - 1
-    # The pending panels: segment start, segment width, and the ends in u.
-    t0 = np.repeat(pts[:-1], PANELS)
-    width = np.repeat(pts[1:] - pts[:-1], PANELS)
-    u0, u1 = np.concatenate((_STARTING_EDGES,) * segments, axis=1)
+    # The first level's panels are the starting panels of every segment: the
+    # segment starts and widths, shape (segments, 1), broadcast over the
+    # constants of the starting panels, shape (PANELS,).  Arrays with one
+    # entry per panel (t0, width, u0, u1) are built only for panels that halve.
+    t0, width = pts[:-1, None], (pts[1:] - pts[:-1])[:, None]
+    u0, u1 = _STARTING_EDGES
+    u, h = _STARTING_U, _STARTING_H
+    pending = segments * PANELS
     evals = 0
     accepted = 0.0
     unresolved = None  # the K21 values of the panels about to be halved
     while True:
-        if evals + NODES * u0.size > MAX_EVALS:
+        if evals + NODES * pending > MAX_EVALS:
             raise QuadratureBudgetError(
                 f"quadrature budget of {MAX_EVALS} evaluations exceeded on [{a}, {b}]",
                 partial=accepted + unresolved.sum(axis=-1) if evals else None,
             )
-        evals += NODES * u0.size
-        h = u1 - u0
-        u = u0[:, None] + h[:, None] * _U
-        y = np.asarray(f((t0[:, None] + width[:, None] * u * u).ravel()), dtype=float)
-        # dt = 2 * width * u du on the panel u0 + h * _U
-        y = y.reshape(y.shape[:-1] + u.shape) * u
-        scale = 2.0 * width * h
+        evals += NODES * pending
+        nodes = t0[..., None] + width[..., None] * u * u
+        panel_shape = nodes.shape[:-1]  # (segments, PANELS) on the first level, (pending,) after
+        y = np.asarray(f(nodes.ravel()), dtype=float)
+        # dt = 2 * width * u du on the panel u0 + h * _U; then one row per panel.
+        y = (y.reshape(y.shape[:-1] + nodes.shape) * u).reshape(y.shape[:-1] + (pending, NODES))
+        scale = (2.0 * width * h).ravel()
         value = (y @ _KRONROD) * scale
         error = np.abs(y @ _GAP) * scale
         if error.ndim > 1:
             error = error.max(axis=0)
         if tol is None:
-            tol = DEFAULT_REL_TOL * (1.0 + float(np.max(np.abs(value).sum(axis=-1))))
-        halve = error > tol / segments * h
+            tol = DEFAULT_REL_TOL * (1.0 + float(np.abs(value).sum(axis=-1).max()))
+        halve = (error.reshape(panel_shape) > tol / segments * h).ravel()
         if not halve.any():
             return accepted + value.sum(axis=-1)
         accepted = accepted + value[..., ~halve].sum(axis=-1)
         unresolved = value[..., halve]
-        t0, width = np.repeat(t0[halve], 2), np.repeat(width[halve], 2)
-        u0, u1 = np.repeat(u0[halve], 2), np.repeat(u1[halve], 2)
+        t0, width, u0, u1 = (np.repeat(np.broadcast_to(v, panel_shape).ravel()[halve], 2)
+                             for v in (t0, width, u0, u1))
         u0[1::2] = u1[::2] = 0.5 * (u0[1::2] + u1[::2])
+        h = u1 - u0
+        u = u0[:, None] + h[:, None] * _U
+        pending = u0.size

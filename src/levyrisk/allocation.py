@@ -151,6 +151,15 @@ def _factor_terms(comb: FactorCombination, t: np.ndarray, s: np.ndarray) -> np.n
     return np.where(t[:, None] > 0.0, -t[:, None] * comb.slopes(s).T, 0.0)
 
 
+def _curve_grid(T: float) -> np.ndarray:
+    """The K-curve's horizons: np.linspace(0.0, T, CURVE_POINTS) bit for bit
+    (the step T / (CURVE_POINTS - 1) times 0, 1, ..., and T last), without the
+    fixed cost of its Python wrapper."""
+    grid = np.arange(float(CURVE_POINTS)) * (T / (CURVE_POINTS - 1))
+    grid[-1] = T
+    return grid
+
+
 def euler_contributions(portfolio: FactorPortfolio, t: float) -> np.ndarray:
     """K_t^i = -t * sum_j a_ij phi_j'(s* D_j) at u = (1, ..., 1).
 
@@ -178,14 +187,13 @@ def allocate(portfolio: FactorPortfolio) -> AllocationReport:
     aggregate is the largest).  The report's K-curve holds CURVE_POINTS
     equally spaced horizons.
     """
-    T, comb = portfolio.T, portfolio.combination(None)
-    integral, points = horizon_integral(
-        comb, portfolio.beta, portfolio.weight, T,
-        np.vstack([portfolio.A, portfolio.column_sums()]),
-    )
+    T, A, comb = portfolio.T, portfolio.A, portfolio.combination(None)
+    D = np.array(comb.weights)  # the column sums, taken once
+    integral, points = horizon_integral(comb, portfolio.beta, portfolio.weight, T,
+                                        np.concatenate((A, D[None, :])))
 
     # The K-curve, solved from the integral's curve points; all factor terms meet A at once.
-    grid = np.linspace(0.0, T, CURVE_POINTS)
+    grid = _curve_grid(T)
     s = solve_curve(comb, grid, portfolio.beta, points)
     tmom = portfolio.weight.time_moment()
     # Overflow, and -0 * (-inf) from a Brownian slope at t = 0: AllocationReport checks.
@@ -195,7 +203,7 @@ def allocate(portfolio: FactorPortfolio) -> AllocationReport:
         return AllocationReport(
             L=L,
             grid=grid,
-            K_curve=_factor_terms(comb, grid, s) @ portfolio.A.T,
+            K_curve=_factor_terms(comb, grid, s) @ A.T,
             s_star_curve=[(t, None if si == math.inf else si)
                           for t, si in zip(grid.tolist(), s.tolist())],
             total_cevar=total,

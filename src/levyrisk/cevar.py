@@ -9,7 +9,7 @@ import numpy as np
 
 from ._quad import adaptive_simpson
 from .errors import DomainError, finite
-from .evar import X_MAX, evar_at, solve_stationary
+from .evar import X_MAX, X_MIN, evar_at, solve_stationary
 from .factors import FactorCombination
 
 __all__ = [
@@ -37,7 +37,8 @@ class WeightFunction:
     """Weight density omega on [0, T] with unit mass, linear between knots
     (t_k, w_k) that must span [0, T]: ``check_span``, called when a
     ``FactorPortfolio`` or a ``CevarQuery`` is built.  The default weight is
-    ``uniform(T)``, the two knots (0, 1/T) and (T, 1/T).
+    ``uniform(T)``, the two knots (0, 1/T) and (T, 1/T).  The knot times and
+    values are also kept as two arrays, built once, for ``density``.
     """
 
     knots: Tuple[Tuple[float, float], ...]
@@ -53,6 +54,8 @@ class WeightFunction:
             raise ValueError("table knot times must be strictly increasing")
         if any(w < 0 for w in ws):
             raise ValueError("table weight values must be nonnegative")
+        object.__setattr__(self, "_times", np.array(ts, dtype=float))
+        object.__setattr__(self, "_values", np.array(ws, dtype=float))
 
     @classmethod
     def table(cls, knots: Sequence[Tuple[float, float]]) -> "WeightFunction":
@@ -78,7 +81,7 @@ class WeightFunction:
 
     def density(self, t):
         """omega at t, a float or a numpy array of horizons."""
-        return np.interp(t, *zip(*self.knots))
+        return np.interp(t, self._times, self._values)
 
     def mass(self) -> float:
         """Integral of omega over its knots; the trapezoid is exact per linear
@@ -157,11 +160,15 @@ def horizon_integral(combination: FactorCombination, beta: float, weight: Weight
     F'(x) = -s^2 phi''(s) / gap(s) in (0, 2]: every node is one explicit
     evaluation on an array of points, and the only solves are s*(T), the end
     of the range and s*(t_k) at the interior weight knots, whose kinks break
-    the range into segments.  The range ends at ln s*(EPS * T) when that
-    point is interior, and the rest of [0, T], at most ~EPS of the integral,
-    is dropped.  Otherwise it ends at X_MAX, and on [0, tau(e^X_MAX)] the
-    infimum is the s -> inf limit of :mod:`levyrisk.evar`, linear in t and
-    integrated exactly by the weight's truncated time moment.  A horizon
+    the range into segments.  The last two start from the tangent of the
+    curve at x_T = ln s*(T), x_T + (ln T - ln t) / F'(x_T), in [X_MIN, X_MAX];
+    from the cold start instead where t underflows to 0 (EPS * T, for T
+    below ~2.5e-306) or F'(x_T) is not in (0, inf).  The range ends at
+    ln s*(EPS * T) when that point is interior, and the rest of [0, T], at
+    most ~EPS of the integral, is dropped.  Otherwise it ends at X_MAX, and
+    on [0, tau(e^X_MAX)] the infimum is the s -> inf limit of
+    :mod:`levyrisk.evar`, linear in t and integrated exactly by the weight's
+    truncated time moment.  A horizon
     whose s*(T) is that limit takes no nodes.  A range whose end overflows
     s^2 phi'' or t*gap raises DomainError: that is a Brownian factor at T
     below ~3e-290, where s*(EPS * T) nears 1e154.  So does an integral that
@@ -185,7 +192,17 @@ def horizon_integral(combination: FactorCombination, beta: float, weight: Weight
     if s_T == math.inf:
         return finite(limit(), "the horizon integral"), ((), (), ())
     budget = -math.log(beta)
-    t_lo, s_hi = EPS * T, solve_stationary(combination, EPS * T, beta)[0]
+    x_T = math.log(s_T)
+    fprime_T = -combination.s2d2phi(s_T) / combination.phi_gap(s_T)
+
+    def solve_from_tangent(t):
+        if not (t > 0.0 and 0.0 < fprime_T < math.inf):
+            return solve_stationary(combination, t, beta)[0]
+        x = x_T + (math.log(T) - math.log(t)) / fprime_T
+        return solve_stationary(combination, t, beta, s0=math.exp(min(max(x, X_MIN), X_MAX)))[0]
+
+    t_lo = EPS * T
+    s_hi = solve_from_tangent(t_lo)
     at_limit = s_hi == math.inf
     if at_limit:
         s_hi = math.exp(X_MAX)
@@ -198,10 +215,9 @@ def horizon_integral(combination: FactorCombination, beta: float, weight: Weight
             "the end of the horizon integral"
         )
     linear = limit(t_lo) if at_limit else 0.0
-    x_T = math.log(s_T)
-    breaks = [x_T - math.log(EPS)] + [math.log(solve_stationary(combination, t, beta)[0])
+    breaks = [x_T - math.log(EPS)] + [math.log(solve_from_tangent(t))
                                       for t in weight.breakpoints() if t_lo < t < T]
-    points = [([x_T], [T], [-combination.s2d2phi(s_T) / combination.phi_gap(s_T)])]
+    points = [([x_T], [T], [fprime_T])]
 
     def integrand(x):
         s = np.exp(x)

@@ -252,46 +252,73 @@ def solve_curve(combination: FactorCombination, t, beta: float, points):
     one array, in one call of ``combination.gap_and_s2d2phi``, and accepts by
     :func:`solve_stationary`'s residual stop and Newton-corrected s.  A point
     whose step is not finite or leaves (X_MIN, X_MAX), or open after
-    CURVE_ROUNDS rounds, goes to :func:`solve_stationary`.
+    CURVE_ROUNDS rounds, goes to :func:`solve_stationary`.  The rounds run
+    under one ``np.errstate``, and a round that hands no point over does no
+    hand-off work.
     """
     t = np.asarray(t, dtype=float)
     s = np.full(t.shape, math.inf)
     budget = -math.log(beta)
+    log_budget, tol = math.log(budget), RESIDUAL_EPS * budget
     cutoff = 0.0 if math.isinf(combination.slope_at_infinity()) \
         else budget / combination.phi_gap(math.exp(X_MAX))
-    todo = np.flatnonzero(t > cutoff)
+    todo = (t > cutoff).nonzero()[0]
     tt = t[todo]
     x = _curve_seeds(np.log(tt), *points)
     handoff = []
-    for _ in range(CURVE_ROUNDS):
-        if not todo.size:
-            break
-        with np.errstate(all="ignore"):
+    with np.errstate(all="ignore"):
+        for _ in range(CURVE_ROUNDS):
+            if not todo.size:
+                break
             gap, curvature = combination.gap_and_s2d2phi(np.exp(x))
             tgap = tt * gap
             slope = -tt * curvature / tgap
-            target = x - (np.log(tgap) - math.log(budget)) / np.minimum(slope, 2.0)
-        ok = (tgap > 0.0) & (0.0 < slope) & (slope < math.inf) & (X_MIN < target) & (target < X_MAX)
-        done = ok & (np.abs(tgap - budget) <= RESIDUAL_EPS * budget)
-        s[todo[done]] = np.exp(target[done])
-        handoff += zip(todo[~ok].tolist(), x[~ok].tolist())
-        ok &= ~done
-        todo, tt, x = todo[ok], tt[ok], target[ok]
+            target = x - (np.log(tgap) - log_budget) / np.minimum(slope, 2.0)
+            # tgap <= 0 needs no test of its own: its log, -inf or nan, puts
+            # the target outside (X_MIN, X_MAX).
+            ok = (0.0 < slope) & (slope < math.inf) & (X_MIN < target) & (target < X_MAX)
+            done = ok & (np.abs(tgap - budget) <= tol)
+            s[todo[done]] = np.exp(target[done])
+            if not ok.all():
+                handoff += zip(todo[~ok].tolist(), x[~ok].tolist())
+            ok &= ~done
+            todo, tt, x = todo[ok], tt[ok], target[ok]
     for i, xi in sorted(handoff + list(zip(todo.tolist(), x.tolist()))):
         s[i] = solve_stationary(combination, float(t[i]), beta, s0=math.exp(xi))[0]
     return s
 
 
 def _curve_seeds(u, x, tau, fprime):
-    """The seeds of :func:`solve_curve` at u = ln(t); x = 0 without a usable point."""
+    """The seeds of :func:`solve_curve` at u = ln(t); x = 0 without a usable point.
+
+    The Hermite knots are the distinct ln(tau) of the points, ascending, each
+    with the first point that has it and a finite slope -1/F'.  The horizon
+    integral hands over its points in ascending x, so ln(tau) does not rise:
+    reversed, the points serve as they are, less the later ones of a run of
+    equal tau (where a compound-Poisson gap has levelled off).  Otherwise (a
+    second level of nodes, an infinite tau or slope, an F' of 0) the usable
+    points are sorted by ``np.unique``, which keeps the same first points.
+    """
     with np.errstate(divide="ignore", invalid="ignore"):
         knots, slopes = np.log(tau), -1.0 / np.asarray(fprime, dtype=float)
-    usable = np.isfinite(knots) & np.isfinite(slopes)
-    knots, first = np.unique(knots[usable], return_index=True)  # sorted, no repeats
+    x = np.asarray(x, dtype=float)
     if not knots.size:
         return np.zeros(u.shape)
-    x, slopes = np.asarray(x, dtype=float)[usable][first], slopes[usable][first]
-    k = np.searchsorted(knots, u)
+    falls = knots[1:] < knots[:-1]
+    strictly = falls.all()
+    if (-math.inf < knots[-1] and knots[0] < math.inf and np.isfinite(slopes).all()
+            and (strictly or (knots[1:] <= knots[:-1]).all())):
+        if not strictly:
+            first = np.insert(falls, 0, True)  # the first point of each run
+            knots, x, slopes = knots[first], x[first], slopes[first]
+        knots, x, slopes = knots[::-1], x[::-1], slopes[::-1]
+    else:
+        usable = np.isfinite(knots) & np.isfinite(slopes)
+        knots, first = np.unique(knots[usable], return_index=True)  # sorted, no repeats
+        if not knots.size:
+            return np.zeros(u.shape)
+        x, slopes = x[usable][first], slopes[usable][first]
+    k = knots.searchsorted(u)
     end = np.minimum(k, knots.size - 1)
     seed = x[end] + slopes[end] * (u - knots[end])
     inside = (k > 0) & (k < knots.size)
@@ -301,7 +328,7 @@ def _curve_seeds(u, x, tau, fprime):
     q = 1.0 - p
     seed[inside] = (q * q * ((1.0 + 2.0 * p) * x[a] + p * w * slopes[a])
                     + p * p * ((3.0 - 2.0 * p) * x[b] - q * w * slopes[b]))
-    return np.clip(seed, X_MIN, X_MAX)
+    return np.minimum(np.maximum(seed, X_MIN), X_MAX)
 
 
 def evar(query: EvarQuery) -> EvarResult:

@@ -1,7 +1,9 @@
 """Reference computations and check helpers shared by the tests.
 
 The mpmath oracles and the whole-block ruin-path reference share no code with
-the library.  The helpers at the end (the one-factor query, the EVaR
+the library.  ``curve_seeds_reference`` is an earlier version of the
+library's ``_curve_seeds``, kept to check that the current one gives the same
+seeds bit for bit.  The helpers at the end (the one-factor query, the EVaR
 objective, the dual spot check, the directional-derivative and
 diversification checks) build queries or call ``evar`` and
 ``euler_contributions``: they test properties of the library's results
@@ -14,6 +16,30 @@ import mpmath as mp
 import numpy as np
 
 from levyrisk import EvarQuery, FactorCombination, FactorPortfolio, euler_contributions, evar
+from levyrisk.evar import X_MAX, X_MIN
+
+
+def curve_seeds_reference(u, x, tau, fprime):
+    """The Hermite seeds of ``solve_curve`` at u = ln(t) through the points
+    (x, tau, F'(x)), filtered and sorted by ``np.unique`` whatever their order."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        knots, slopes = np.log(tau), -1.0 / np.asarray(fprime, dtype=float)
+    usable = np.isfinite(knots) & np.isfinite(slopes)
+    knots, first = np.unique(knots[usable], return_index=True)  # sorted, no repeats
+    if not knots.size:
+        return np.zeros(u.shape)
+    x, slopes = np.asarray(x, dtype=float)[usable][first], slopes[usable][first]
+    k = np.searchsorted(knots, u)
+    end = np.minimum(k, knots.size - 1)
+    seed = x[end] + slopes[end] * (u - knots[end])
+    inside = (k > 0) & (k < knots.size)
+    a, b = k[inside] - 1, k[inside]
+    w = knots[b] - knots[a]
+    p = (u[inside] - knots[a]) / w
+    q = 1.0 - p
+    seed[inside] = (q * q * ((1.0 + 2.0 * p) * x[a] + p * w * slopes[a])
+                    + p * p * ((3.0 - 2.0 * p) * x[b] - q * w * slopes[b]))
+    return np.clip(seed, X_MIN, X_MAX)
 
 
 def composite_simpson(f, a, b, n: int):

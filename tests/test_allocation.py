@@ -25,6 +25,7 @@ from levyrisk import (
     stable_allocation,
     stable_contributions,
 )
+from levyrisk.allocation import CURVE_POINTS, _curve_grid
 from levyrisk.errors import DomainError
 from levyrisk.evar import solve_stationary
 from oracles import directional_derivative_check, diversification_check
@@ -252,6 +253,21 @@ def test_allocate_report_structure():
     assert report.K_curve.shape == (65, 3)
     assert report.s_star_curve[0] == (0.0, None)
     assert report.L.shape == (3,)
+
+
+def test_curve_grid_is_linspace_bit_for_bit():
+    # T log-uniform over the valid horizons (1/T finite, up to 1e300), and
+    # again where T / 64 is subnormal, T < 1.4e-306: there a grid of
+    # T * (k / 64) differed from np.linspace for most T.
+    rng = np.random.default_rng(33)
+    low = math.log(5.57e-309)  # 1/T overflows below ~5.56e-309
+    Ts = np.exp(np.concatenate([rng.uniform(low, math.log(1e300), 20_000),
+                                rng.uniform(low, math.log(1.4e-306), 20_000)]))
+    assert np.isfinite(1.0 / Ts).all()
+    for T in Ts.tolist():
+        assert _curve_grid(T).tobytes() == np.linspace(0.0, T, CURVE_POINTS).tobytes(), T
+    p, _ = brownian_portfolio()
+    assert allocate(p).grid.tobytes() == np.linspace(0.0, p.T, CURVE_POINTS).tobytes()
 
 
 @pytest.mark.parametrize("p", [

@@ -690,6 +690,99 @@ def test_allocate_integrals_take_one_integrand_call(monkeypatch):
     assert len(calls) >= 90 and max(calls) <= 2 and calls.count(1) >= 0.95 * len(calls)
 
 
+def curve_inputs(monkeypatch, draws=100):
+    """The arguments of ``solve_curve`` in ``allocate`` on the strata draws of
+    ``test_allocate_integrals_take_one_integrand_call``."""
+    allocation_module, inputs = sys.modules["levyrisk.allocation"], []
+    solve_curve = allocation_module.solve_curve
+
+    def recorded(*args):
+        inputs.append(args)
+        return solve_curve(*args)
+
+    monkeypatch.setattr(allocation_module, "solve_curve", recorded)
+    rng = np.random.default_rng(30)
+    for _ in range(draws):
+        allocate(strata_portfolio(rng))
+    monkeypatch.undo()
+    return inputs
+
+
+def near_the_middle(tau, T):
+    """The index of the point whose tau is nearest T / 2, where the grid seeds from."""
+    return int(np.argmin(np.abs(np.log(tau) - math.log(0.5 * T))))
+
+
+def with_repeated_knot(points, T):
+    """A copy of a point, with its tau but another x and F', right after it."""
+    x, tau, fprime = points
+    k = near_the_middle(tau, T)
+    return (np.insert(x, k + 1, x[k] + 1e-3), np.insert(tau, k + 1, tau[k]),
+            np.insert(fprime, k + 1, 1.5 * fprime[k]))
+
+
+def with_flat_point(points, T):
+    x, tau, fprime = points
+    fprime = fprime.copy()
+    fprime[near_the_middle(tau, T)] = 0.0
+    return x, tau, fprime
+
+
+def test_curve_seeds_and_curves_match_the_reference_bit_for_bit(monkeypatch):
+    # The seeds take the integral's points as they arrive, and filter them
+    # with np.unique only when they must: the seeds, and so the curves, are
+    # those of the reference that always filters, on the points as given,
+    # shuffled, with a repeated knot, with an F' of 0, and with no points.
+    evar_module = sys.modules["levyrisk.evar"]
+    seeds = evar_module._curve_seeds
+    rng = np.random.default_rng(33)
+    variants = 0
+    for comb, grid, beta, points in curve_inputs(monkeypatch):
+        u = np.log(grid[1:])
+        cases = [points, ((), (), ())]
+        if len(points[0]):
+            order = rng.permutation(len(points[0]))
+            cases += [tuple(p[order] for p in points), with_repeated_knot(points, grid[-1]),
+                      with_flat_point(points, grid[-1])]
+        for case in cases:
+            variants += 1
+            assert seeds(u, *case).tobytes() == oracles.curve_seeds_reference(u, *case).tobytes()
+            curve = evar_module.solve_curve(comb, grid, beta, case)
+            monkeypatch.setattr(evar_module, "_curve_seeds", oracles.curve_seeds_reference)
+            assert curve.tobytes() == evar_module.solve_curve(comb, grid, beta, case).tobytes()
+            monkeypatch.undo()
+    assert variants >= 450
+
+
+def test_allocate_calls_no_numpy_wrapper_when_its_integral_takes_one_call(monkeypatch):
+    # A timing-free guard on allocate's fixed cost: on a portfolio whose
+    # horizon integral is one integrand call, the quadrature starts from its
+    # constants, the curve seeds take the points as they arrive and the grid
+    # is built without np.linspace, so none of these wrappers runs.
+    counts = count_cevar_levels(monkeypatch)
+    wrappers = {}
+
+    def counted(name, function):
+        def wrapped(*args, **kwargs):
+            wrappers[name] = wrappers.get(name, 0) + 1
+            return function(*args, **kwargs)
+        return wrapped
+
+    for name in ("linspace", "unique", "clip", "tile"):
+        monkeypatch.setattr(np, name, counted(name, getattr(np, name)))
+    rng = np.random.default_rng(30)
+    checked = 0
+    for _ in range(100):
+        portfolio = strata_portfolio(rng)
+        counts.clear()
+        wrappers.clear()
+        allocate(portfolio)
+        if [calls for calls, _ in counts] == [1]:
+            checked += 1
+            assert wrappers == {}, portfolio
+    assert checked >= 85
+
+
 GAMMA_AT_THE_LIMIT = FactorPortfolio(  # configs/gamma_compound_poisson.cfg
     [[1.0, 0.4, 0.0], [0.2, 1.0, 0.6]],
     [GammaSubordinator(0.002, 2.0), CompoundPoissonExp(1.0, 1.5), CompoundPoissonExp(0.5, 0.8, -0.1)],

@@ -73,6 +73,28 @@ def test_each_level_of_halving_is_one_call():
     assert adaptive_simpson(f, 0.0, 2.0, 1e-13, breakpoints=[0.5]) == value
 
 
+def test_results_are_pinned_to_the_last_ulp():
+    # The first level starts from module constants broadcast over the
+    # segments, and later levels from the halved panels: the nodes, the
+    # sums and so the results are those of the per-panel arrays, exactly.
+    calls = []
+
+    def rows(t):
+        calls.append(t)
+        return np.array([3.0 * t * t, np.exp(-t), np.sqrt(1.0 + t)])
+
+    one_level = adaptive_simpson(rows, 0.0, 2.0, None, breakpoints=[0.5])
+    # The nodes of per-panel arrays: t0 + (width * u) * u on each panel.
+    edges = np.arange(7) / 6
+    u = (edges[:-1, None] + (edges[1:] - edges[:-1])[:, None] * U)[None]
+    per_panel = np.array([[0.0], [0.5]])[:, :, None] + np.array([[0.5], [1.5]])[:, :, None] * u * u
+    assert len(calls) == 1 and calls[0].tobytes() == per_panel.tobytes()
+    assert [repr(v) for v in one_level.tolist()] == [
+        "8.0", "0.8646647167633872", "2.7974349484710874"]
+    halved = adaptive_simpson(lambda t: np.exp(-t) * t ** 0.3, 0.0, 2.0, 1e-13, breakpoints=[0.5])
+    assert repr(float(halved)) == "0.7110857460713014"
+
+
 def test_a_range_without_segments_integrates_to_zero():
     # The caller's ends can meet, or cross by round-off; either range is empty.
     for a, b in ((1.0, 1.0), (1.0, 1.0 - 1e-15)):
