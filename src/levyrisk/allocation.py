@@ -120,15 +120,16 @@ class AllocationReport:
     ``grid`` holds the CURVE_POINTS horizons of the K-curve; row k of
     ``K_curve`` (shape (CURVE_POINTS, n)) holds K_1, ..., K_n at grid[k], and
     ``s_star_curve`` the pairs (t, s_star), s_star None at the s -> inf limit.
-    The gap is sum(L) minus (CEVaR of aggregate claims + total premium term),
-    where the CEVaR integrates g(s*) on the nodes of the Euler sweep, whose
-    curve points also seed the K-curve's lockstep solve.  On the
-    stationary curve the contributions sum to g(s*) identically, so the gap
-    measures round-off only; it is no check of accuracy.  The independent
-    checks are acceptance criterion 3 (``euler_contributions`` against
-    ``evar`` pointwise in t), the t-space CEVaR of ``bench/checks.py`` and the
-    mpmath ``allocation_oracle`` of the tests.  A report whose ``L``, ``K_curve``,
-    ``total_cevar`` or ``full_allocation_gap`` is not finite raises DomainError.
+    The gap is sum(L) minus (CEVaR of aggregate claims + total premium term).
+    Both come from the same factor shares C_j of the horizon integral, whose
+    curve points also seed the K-curve's lockstep solve: L = (A / D) @ C plus
+    the premium terms and the CEVaR sum(C).  Each column of A / D sums to 1,
+    so the gap measures round-off only; it is no check of accuracy.  The
+    independent checks are acceptance criterion 3 (``euler_contributions``
+    against ``evar`` pointwise in t), the t-space CEVaR of ``bench/checks.py``
+    and the mpmath ``allocation_oracle`` of the tests.  A report whose ``L``,
+    ``K_curve``, ``total_cevar`` or ``full_allocation_gap`` is not finite raises
+    DomainError.
     """
 
     L: np.ndarray
@@ -180,17 +181,17 @@ def allocate(portfolio: FactorPortfolio) -> AllocationReport:
 
     L^i = integral_0^T K_t^i omega(t) dt + c^i * integral_0^T t omega(t) dt.
     K_t = A @ k(t) with the factor terms k_j(t) = -t * phi_j'(s* D_j), and the
-    aggregate EVaR is D @ k(t), so one pass of
-    :func:`levyrisk.cevar.horizon_integral` integrates the n contributions and
-    the aggregate through the (n+1) x m matrix [A; D]; its error estimate and
-    default relative tolerance are in the max norm over them (usually the
-    aggregate is the largest).  The report's K-curve holds CURVE_POINTS
-    equally spaced horizons.
+    aggregate EVaR is D @ k(t).  So :func:`levyrisk.cevar.horizon_integral`
+    integrates the m factor shares C_j = integral D_j k_j(t) omega(t) dt, once
+    whatever n is, and L = (A / D) @ C plus the premium terms, with the
+    CEVaR sum(C).  The quadrature's error estimate and default relative
+    tolerance are in the max norm over the shares; since a_ij / D_j <= 1,
+    each L^i's error is at most m times it.  The report's K-curve holds
+    CURVE_POINTS equally spaced horizons.
     """
     T, A, comb = portfolio.T, portfolio.A, portfolio.combination(None)
     D = np.array(comb.weights)  # the column sums, taken once
-    integral, points = horizon_integral(comb, portfolio.beta, portfolio.weight, T,
-                                        np.concatenate((A, D[None, :])))
+    shares, points = horizon_integral(comb, portfolio.beta, portfolio.weight, T)
 
     # The K-curve, solved from the integral's curve points; all factor terms meet A at once.
     grid = _curve_grid(T)
@@ -198,8 +199,8 @@ def allocate(portfolio: FactorPortfolio) -> AllocationReport:
     tmom = portfolio.weight.time_moment()
     # Overflow, and -0 * (-inf) from a Brownian slope at t = 0: AllocationReport checks.
     with np.errstate(over="ignore", invalid="ignore"):
-        L = integral[:-1] + portfolio.premiums * tmom
-        total = float(integral[-1]) + float(portfolio.premiums.sum()) * tmom
+        L = (A / D) @ shares + portfolio.premiums * tmom
+        total = float(shares.sum()) + float(portfolio.premiums.sum()) * tmom
         return AllocationReport(
             L=L,
             grid=grid,

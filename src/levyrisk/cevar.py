@@ -144,15 +144,18 @@ class CevarQuery:
 
 
 def horizon_integral(combination: FactorCombination, beta: float, weight: WeightFunction,
-                     T: float, exposures: np.ndarray):
-    """integral_0^T exposures @ k(t) omega(t) dt along the stationary curve, for
+                     T: float):
+    """The factor shares C_j = integral_0^T -t * d_j * phi_j'(s*(t) d_j) omega(t) dt
+    of the CEVaR along the stationary curve, one per active factor, for
     beta < 1, a nonzero position and a weight that spans [0, T] (checked when
     its portfolio or query was built).
 
-    k(t) holds the factor terms -t * phi_j'(s*(t) d_j) (``combination.slopes``),
-    -t * slope_j where the infimum sits at s -> inf; ``exposures``, of shape
-    (m,) or (k, m), makes the quantities.  With the weights d_j it gives the
-    EVaR, and with the exposure matrix the Euler contributions.
+    -t * phi_j'(s*(t) d_j) is factor j's term (``combination.slopes``), and
+    -t * slope_j where the infimum sits at s -> inf.  EVaR is linear in the
+    terms, so the CEVaR is sum_j C_j, and the Euler allocation of a
+    portfolio is L^i = sum_j (a_ij / D_j) C_j plus its premium term
+    (:func:`levyrisk.allocation.allocate`): the integral has m rows
+    whatever the number of departments.
 
     The stationarity equation t * gap(s) = -ln(beta) is linear in t, so the
     curve has the explicit inverse tau(s) = -ln(beta) / gap(s), decreasing in
@@ -178,15 +181,18 @@ def horizon_integral(combination: FactorCombination, beta: float, weight: Weight
     range from its slow tail: as one segment, a gamma range up to X_MAX met
     the absolute floor of the default tolerance at its first level with only
     ~1e-8 relative accuracy for a tiny position.  The quadrature runs at
-    its relative default tolerance, ``_quad.DEFAULT_REL_TOL``.
+    its relative default tolerance, ``_quad.DEFAULT_REL_TOL``, in the max norm
+    over the shares.
 
-    Returns ``(value, points)``, where ``points`` holds (x, tau, F'(x)) of the
-    nodes (exact curve points) and of (x_T, T), for
-    :func:`levyrisk.evar.solve_curve`.
+    Returns ``(C, points)``: C, of shape (m,) for the m active factors, and
+    ``points``, which holds (x, tau, F'(x)) of the nodes (exact curve points)
+    and of (x_T, T), for :func:`levyrisk.evar.solve_curve`.
     """
+    d = np.array([w for _, w in combination.active])
+
     def limit(upper=None):
         with np.errstate(over="ignore"):
-            return exposures @ -combination.slopes(math.inf) * weight.time_moment(upper)
+            return d * -combination.slopes(math.inf) * weight.time_moment(upper)
 
     s_T = solve_stationary(combination, T, beta)[0]
     if s_T == math.inf:
@@ -227,18 +233,19 @@ def horizon_integral(combination: FactorCombination, beta: float, weight: Weight
         points.append((x, tau, fprime))
         terms = -combination.slopes(s)  # k / t
         # tau * omega ~ 1 and tau * F' ~ tau: tau * tau would underflow below 1e-154.
-        return exposures @ terms * ((tau * weight.density(tau)) * (tau * fprime))
+        return terms * d[:, None] * ((tau * weight.density(tau)) * (tau * fprime))
 
     with np.errstate(over="ignore", invalid="ignore"):
-        value = finite(linear + adaptive_simpson(integrand, x_T, math.log(s_hi), None,
-                                                 breakpoints=breaks), "the horizon integral")
-    return value, tuple(np.concatenate(arrays) for arrays in zip(*points))
+        shares = finite(linear + adaptive_simpson(integrand, x_T, math.log(s_hi), None,
+                                                  breakpoints=breaks), "the horizon integral")
+    return shares, tuple(np.concatenate(arrays) for arrays in zip(*points))
 
 
 def cevar(query: CevarQuery) -> float:
     """Adaptive-quadrature value of integral_0^T EVaR_{1-beta}(X_t) omega(t) dt.
 
-    On the stationary curve EVaR is -t * phi'(s*); at beta = 1 it is -t * mean
+    On the stationary curve EVaR is -t * phi'(s*), and the CEVaR the sum of
+    the factor shares of :func:`horizon_integral`; at beta = 1 it is -t * mean
     and for a zero position 0, linear in t with no quadrature.  A value that
     leaves float range raises DomainError.
     """
@@ -248,5 +255,6 @@ def cevar(query: CevarQuery) -> float:
         # DomainError at beta = 1 for an active stable factor (infinite mean).
         s = solve_stationary(comb, 1.0, beta)[0]
         return finite(evar_at(comb, 1.0, beta, s) * query.weight.time_moment(), "CEVaR")
-    return horizon_integral(comb, beta, query.weight, query.T,
-                            np.array([d for _, d in comb.active]))[0]
+    shares = horizon_integral(comb, beta, query.weight, query.T)[0]
+    with np.errstate(over="ignore"):  # finite shares whose sum overflows: finite raises
+        return finite(float(shares.sum()), "CEVaR")

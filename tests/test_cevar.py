@@ -23,6 +23,7 @@ from levyrisk import (
     stable_allocation,
 )
 from levyrisk.errors import DomainError, LevyRiskError, NoStationaryPointError, QuadratureBudgetError
+from levyrisk.cevar import horizon_integral
 from levyrisk.evar import CURVE_ROUNDS, solve_stationary
 import oracles
 from oracles import allocation_oracle, composite_simpson
@@ -210,6 +211,8 @@ def test_horizon_whose_inverse_overflows_is_a_domain_error(weight):
 
 
 HUGE_DRIFT_CPOIS = CompoundPoissonExp(1e-300, 1.0, -1e300)  # below its onset at T = 1e299
+# Eight factors whose shares, ~2.5e307 each at T = 0.5, are finite but sum beyond float range.
+HUGE_DRIFTS = [BrownianWithDrift(-1e308, 1.0)] * 8
 
 
 @pytest.mark.parametrize("compute", [
@@ -218,11 +221,14 @@ HUGE_DRIFT_CPOIS = CompoundPoissonExp(1e-300, 1.0, -1e300)  # below its onset at
     lambda: allocate(FactorPortfolio([[1.0]], [HUGE_DRIFT_CPOIS], [0.0], 1e299, 0.05)),
     # EPS * T underflows to 0: the range ends at 1e300, where sigma^2 s^2 overflows.
     lambda: allocate(FactorPortfolio([[1.0]], [BrownianWithDrift(0.0, 1.0)], [0.0], 1e-307, 0.05)),
-], ids=["beta=1-mean", "cpois-drift-limit", "allocate-drift-limit", "brownian-T=1e-307"])
+    lambda: cevar(CevarQuery(FactorCombination(HUGE_DRIFTS, [1.0] * 8), 0.5, 0.05)),
+    lambda: allocate(FactorPortfolio([[1.0] * 8], HUGE_DRIFTS, [0.0], 0.5, 0.05)),
+], ids=["beta=1-mean", "cpois-drift-limit", "allocate-drift-limit", "brownian-T=1e-307",
+        "cevar-share-sum", "allocate-share-sum"])
 def test_limit_branches_beyond_float_range_raise_domain_error(compute):
     # The linear parts of CEVaR (the beta = 1 mean, the s -> inf drift limit)
-    # overflow, or EPS * T underflows; these used to return inf, or to warn
-    # before the DomainError.
+    # overflow, or EPS * T underflows, or the sum of finite factor shares
+    # overflows; these used to return inf, or to warn before the DomainError.
     with pytest.raises(DomainError):
         compute()
 
@@ -379,7 +385,8 @@ def test_default_tolerance_integrates_each_quantity_once(monkeypatch):
     monkeypatch.setattr(sys.modules["levyrisk.cevar"], "adaptive_simpson", counted_quad)
     comb = combo((BrownianWithDrift(0.3, 1.1), 1.0), (GammaSubordinator(2.0, 3.0, 0.1), 0.7))
     cevar(CevarQuery(comb, 2.0, 0.05))
-    assert calls == [((), None)]
+    # One pass integrates the two factor shares, whose sum is the CEVaR.
+    assert calls == [((2,), None)]
 
     calls.clear()
     portfolio = FactorPortfolio(
@@ -388,8 +395,8 @@ def test_default_tolerance_integrates_each_quantity_once(monkeypatch):
         [0.1, 0.2], 2.0, 0.05,
     )
     allocate(portfolio)
-    # One pass integrates the Euler contributions and the aggregate EVaR.
-    assert calls == [((3,), None)]
+    # The same two shares give both departments' allocations and the total.
+    assert calls == [((2,), None)]
 
 
 def test_compound_poisson_cevar_matches_u_simpson_oracle():
@@ -438,6 +445,23 @@ def test_cevar_and_allocation_total_match_the_mpmath_oracle(case):
         <= 1e-10 * abs(truth)
     assert abs(report.total_cevar - truth) <= 1e-10 * abs(truth)
     assert np.max(np.abs(report.L - L)) <= 1e-10 * np.max(np.abs(L))
+
+
+def test_allocation_from_cancelling_factor_shares_meets_the_contract():
+    # A drift of 5 against a gamma drift of -4: the factor shares C ~ [-6.54,
+    # 7.28] cancel to L ~ [0.371, 0.371].  The quadrature's tolerance is taken
+    # over the shares, and since a_ij / D_j <= 1 it bounds each L^i's error
+    # by m times that; the contract, 1e-10 of max|L|, still holds (the error
+    # is 3.6e-15 of max|L|).
+    portfolio = FactorPortfolio([[1.0, 1.0], [1.0, 1.0]],
+                                [BrownianWithDrift(5.0, 0.8), GammaSubordinator(2.0, 3.0, -4.0)],
+                                [0.0, 0.0], 2.0, 0.05)
+    shares = horizon_integral(portfolio.combination(), 0.05, portfolio.weight, 2.0)[0]
+    report = allocate(portfolio)
+    L, truth = allocation_oracle(portfolio)
+    assert np.abs(shares).max() >= 10.0 * np.abs(report.L).max()
+    assert np.max(np.abs(report.L - L)) <= 1e-10 * np.max(np.abs(L))
+    assert abs(report.total_cevar - truth) <= 1e-10 * np.max(np.abs(L))
 
 
 def test_oracle_halves_a_piece_until_mp_quad_vouches_for_it():
@@ -620,13 +644,16 @@ def count_cevar_levels(monkeypatch):
                          ids=["uniform", "table"])
 def test_compound_poisson_below_the_onset_takes_no_nodes(T, knots, monkeypatch):
     # Up to t0 = -ln(beta) / sum(lambda) = ln(20)/2.5 ~ 1.2 the infimum sits at
-    # s -> inf and EVaR is -t * slope: the integral is one time moment.
+    # s -> inf and EVaR is -t * slope: each factor share is one time moment,
+    # and the CEVaR their sum.
     counts = count_cevar_levels(monkeypatch)
     weight = WeightFunction.table([(t * T, w) for t, w in knots]).normalized(T) if knots \
         else WeightFunction.uniform(T)
     comb = combo((CompoundPoissonExp(2.0, 1.0, 0.1), 1.0), (CompoundPoissonExp(0.5, 2.0, 0.05), 1.0))
     value = cevar(CevarQuery(comb, T, 0.05, weight=weight))
-    assert value == -comb.slope_at_infinity() * weight.time_moment()
+    shares = np.array([d * -f.slope_at_infinity() for f, d in comb.active]) * weight.time_moment()
+    assert value == shares.sum()
+    assert value == pytest.approx(-comb.slope_at_infinity() * weight.time_moment(), rel=1e-15)
     portfolio = FactorPortfolio([[1.0, 0.5], [0.0, 0.5]], [f for f, _ in comb.active],
                                 [0.0, 0.0], T, 0.05, weight=weight)
     report = allocate(portfolio)
@@ -649,6 +676,34 @@ def test_cevar_cost_does_not_depend_on_the_draw(monkeypatch):
         )
         cevar(CevarQuery(comb, 2.0, 0.05))
     assert len(counts) == 30 and {calls for calls, _ in counts} == {1}
+
+
+def test_allocate_integrates_one_share_per_factor_whatever_the_departments(monkeypatch):
+    # The same two factors held by 2 departments and by 40, each row of the
+    # first split into 20 rows of dyadic parts, so that the column sums are
+    # bitwise equal: the integral has one row per factor, the same calls and
+    # nodes, and with no premiums the same total.
+    counts, shapes = count_cevar_levels(monkeypatch), []
+    cevar_module = sys.modules["levyrisk.cevar"]
+    quad = cevar_module.adaptive_simpson
+
+    def shaped_quad(*args, **kwargs):
+        result = quad(*args, **kwargs)
+        shapes.append(np.shape(result))
+        return result
+
+    monkeypatch.setattr(cevar_module, "adaptive_simpson", shaped_quad)
+    A = np.array([[1.0, 0.5], [0.25, 1.5]])
+    parts = np.array([1.0 / 16] * 12 + [1.0 / 32] * 8)  # their sum is 1 exactly
+    wide = np.concatenate([np.outer(parts, row) for row in A])
+    assert wide.shape == (40, 2) and np.array_equal(wide.sum(axis=0), A.sum(axis=0))
+    factors = [BrownianWithDrift(0.3, 1.1), GammaSubordinator(2.0, 3.0, 0.1)]
+    narrow, broad = (allocate(FactorPortfolio(a, factors, np.zeros(len(a)), 2.0, 0.05))
+                     for a in (A, wide))
+    assert shapes == [(2,), (2,)] and len(counts) == 2 and counts[0] == counts[1]
+    assert broad.total_cevar == narrow.total_cevar
+    assert np.abs(broad.L.reshape(2, 20).sum(axis=1) - narrow.L).max() \
+        <= 1e-14 * np.abs(narrow.L).max()
 
 
 def strata_portfolio(rng):
